@@ -25,7 +25,7 @@ from .checks import (
     extract_hamiltonian,
     run_checks,
 )
-from .fock import verify_identity
+from .fock import oracle_results
 from .model import ParseError, parse_model
 from .scalars import DEFAULT_TOL
 
@@ -107,34 +107,6 @@ def _selected_checks(args):
     return names
 
 
-def _oracle_results(report: CheckReport, model, truncation: int, guard: int):
-    if truncation < 3:
-        raise ValueError("oracle truncation must be at least 3")
-    if guard < 0 or guard >= truncation:
-        raise ValueError("oracle guard must satisfy 0 <= guard < truncation")
-    if not model.algebra.theta.is_identity:
-        raise ValueError("the oracle requires theta = I")
-    zero = model.algebra.zero()
-    results = []
-    for cond in report.conditions:
-        if not cond.residuals:
-            continue
-        worst = 0.0
-        for residual in cond.residuals:
-            eff_guard = max(guard, residual.max_degree)
-            eff_trunc = max(truncation, residual.max_degree + 2, eff_guard + 1)
-            _, deviation = verify_identity(residual, zero, eff_trunc, eff_guard)
-            worst = max(worst, deviation)
-        results.append(
-            {
-                "condition_id": cond.condition_id,
-                "max_deviation": worst,
-                "pass": worst <= 1e-9,
-            }
-        )
-    return results
-
-
 def _print_text_report(report: CheckReport, oracle=None, stream=None):
     stream = stream if stream is not None else sys.stdout
     print(f"model: {report.model_id}", file=stream)
@@ -190,7 +162,7 @@ def _cmd_check(args) -> int:
         report.derived = derived
     oracle = None
     if args.oracle:
-        oracle = _oracle_results(report, model, args.fock_n, args.guard)
+        oracle = oracle_results(report, model, args.fock_n, args.guard)
     return _emit(report, args, oracle)
 
 
@@ -223,7 +195,7 @@ def _cmd_extract(args) -> int:
 def _cmd_oracle(args) -> int:
     model = _load_model(args)
     report = run_checks(model, CHECK_NAMES, model_id=args.input)
-    oracle = _oracle_results(report, model, args.fock_n, args.guard)
+    oracle = oracle_results(report, model, args.fock_n, args.guard)
     return _emit(report, args, oracle)
 
 

@@ -1,15 +1,21 @@
-"""Brute-force numerical oracle on truncated Fock space.
+"""Numerical oracle on truncated Fock space.
 
-Polynomials are mapped to dense matrices acting on n modes with per-mode
-occupation 0..N-1; identities are compared on a guarded subspace that
-excludes the truncation-corrupted top occupation levels, which makes the
-truncation error exactly zero for polynomial identities instead of merely
-small.  The oracle is restricted to theta = I.
+A normal-ordered monomial a'^h a^k sends a number state n to zero unless
+n >= k in every mode, and otherwise to the state n - k + h with amplitude
+prod_i sqrt(n_i!/(n_i-k_i)! * (n_i-k_i+h_i)!/(n_i-k_i)!).  ``_block`` builds
+the matrix of a polynomial between the states whose every occupation is at
+most ``cap`` from these index and amplitude arrays, in O(terms x states).
+Identities and positivity are judged on the guarded block, cap = N - 1 -
+guard, which excludes the truncation-corrupted top occupation levels and so
+makes the truncation error exactly zero for polynomial identities.  With no
+guard the block equals the dense truncated product, whose a' annihilates the
+top level.  ``MAX_DIMENSION`` bounds the number of states in the block built.
+The oracle needs theta = I.
 """
 
 from __future__ import annotations
 
-from itertools import product
+import math
 
 import numpy as np
 
@@ -19,70 +25,58 @@ ORACLE_TOL = 1e-9
 MAX_DIMENSION = 4096
 
 
-def _require_canonical(p: OperatorPolynomial):
+def _check_truncation(p: OperatorPolynomial, truncation: int):
     if not p.algebra.theta.is_identity:
         raise ValueError("the oracle requires theta = I")
+    if truncation < p.max_degree + 2:
+        raise ValueError(f"truncation {truncation} too small for degree {p.max_degree}")
 
 
-def _mode_matrix(truncation: int) -> np.ndarray:
-    a = np.zeros((truncation, truncation), dtype=complex)
-    for k in range(1, truncation):
-        a[k - 1, k] = np.sqrt(k)
-    return a
+def _flat(per_mode, base: int) -> np.ndarray:
+    """Row-major flat indices of the product of per-mode occupation lists."""
+    flat = np.zeros(1, dtype=np.intp)
+    for occ in per_mode:
+        flat = np.add.outer(flat * base, np.asarray(occ, dtype=np.intp)).ravel()
+    return flat
 
 
-def _lifted_modes(n_modes: int, truncation: int):
-    """Annihilation matrices for each mode on the full tensor-product space."""
-    single = _mode_matrix(truncation)
-    eye = np.eye(truncation)
-    out = []
-    for i in range(n_modes):
-        factors = [single if j == i else eye for j in range(n_modes)]
-        full = factors[0]
-        for f in factors[1:]:
-            full = np.kron(full, f)
-        out.append(full)
+def _block(p: OperatorPolynomial, cap: int) -> np.ndarray:
+    """Matrix of p between the states whose every occupation is at most cap."""
+    side = cap + 1
+    dim = side**p.algebra.modes
+    if dim > MAX_DIMENSION:
+        raise ValueError(f"representation dimension {dim} exceeds {MAX_DIMENSION}")
+    out = np.zeros((dim, dim), dtype=complex)
+    for mono, coeff in p.terms.items():
+        sources, targets, amp = [], [], np.ones(1)
+        for h, k in zip(mono.creation, mono.annihilation):
+            src = range(k, side + min(0, k - h))
+            sources.append(src)
+            targets.append([n - k + h for n in src])
+            amp = np.multiply.outer(amp, [
+                math.sqrt(math.perm(n, k) * math.perm(n - k + h, h)) for n in src
+            ]).ravel()
+        out[_flat(targets, side), _flat(sources, side)] += coeff.to_complex() * amp
     return out
+
+
+def _guarded_block(p: OperatorPolynomial, truncation: int, guard: int) -> np.ndarray:
+    _check_truncation(p, truncation)
+    if guard >= truncation:
+        raise ValueError("guard band larger than the truncation")
+    return _block(p, truncation - 1 - max(guard, 0))
 
 
 def represent(p: OperatorPolynomial, truncation: int) -> np.ndarray:
     """Dense matrix of a polynomial at the given per-mode truncation."""
-    _require_canonical(p)
-    if truncation < p.max_degree + 2:
-        raise ValueError(
-            f"truncation {truncation} too small for degree {p.max_degree}"
-        )
-    n = p.algebra.modes
-    dim = truncation**n
-    if dim > MAX_DIMENSION:
-        raise ValueError(f"representation dimension {dim} exceeds {MAX_DIMENSION}")
-    modes = _lifted_modes(n, truncation)
-    out = np.zeros((dim, dim), dtype=complex)
-    for mono, coeff in p.terms.items():
-        term = np.eye(dim, dtype=complex)
-        for i, h in enumerate(mono.creation):
-            for _ in range(h):
-                term = term @ modes[i].conj().T
-        for i, k in enumerate(mono.annihilation):
-            for _ in range(k):
-                term = term @ modes[i]
-        out += coeff.to_complex() * term
-    return out
+    return _guarded_block(p, truncation, 0)
 
 
 def guarded_indices(n_modes: int, truncation: int, guard: int) -> np.ndarray:
     """State indices whose every mode occupation is at most N - 1 - guard."""
     if guard >= truncation:
         raise ValueError("guard band larger than the truncation")
-    cap = truncation - 1 - guard
-    idx = []
-    for occ in product(range(truncation), repeat=n_modes):
-        if all(o <= cap for o in occ):
-            flat = 0
-            for o in occ:
-                flat = flat * truncation + o
-            idx.append(flat)
-    return np.array(idx, dtype=int)
+    return _flat([range(truncation - max(guard, 0))] * n_modes, truncation)
 
 
 def verify_identity(
@@ -99,11 +93,8 @@ def verify_identity(
     p.algebra.require_compatible(q.algebra)
     if guard < max(p.max_degree, q.max_degree):
         raise ValueError("guard band smaller than the polynomial degree")
-    mp = represent(p, truncation)
-    mq = represent(q, truncation)
-    idx = guarded_indices(p.algebra.modes, truncation, guard)
-    sub = np.ix_(idx, idx)
-    deviation = float(np.max(np.abs(mp[sub] - mq[sub]))) if idx.size else 0.0
+    diff = _guarded_block(p, truncation, guard) - _guarded_block(q, truncation, guard)
+    deviation = float(np.max(np.abs(diff)))
     return deviation <= ORACLE_TOL, deviation
 
 
@@ -111,8 +102,38 @@ def psd_check(phi: OperatorPolynomial, truncation: int, guard: int):
     """Minimum eigenvalue of the guarded restriction of a self-adjoint polynomial."""
     if not (phi.adjoint() - phi).is_zero:
         raise ValueError("positivity check needs a self-adjoint polynomial")
-    mat = represent(phi, truncation)
-    idx = guarded_indices(phi.algebra.modes, truncation, guard)
-    sub = mat[np.ix_(idx, idx)]
-    min_eig = float(np.linalg.eigvalsh(sub).min()) if idx.size else 0.0
+    min_eig = float(np.linalg.eigvalsh(_guarded_block(phi, truncation, guard)).min())
     return min_eig >= -ORACLE_TOL, min_eig
+
+
+def residual_deviation(residuals, truncation: int, guard: int) -> float:
+    """Largest guarded-subspace deviation of residual polynomials from zero,
+    each with the guard raised to its degree and the truncation to fit both."""
+    worst = 0.0
+    for p in residuals:
+        eff_guard = max(guard, p.max_degree)
+        eff_trunc = max(truncation, p.max_degree + 2, eff_guard + 1)
+        block = _guarded_block(p, eff_trunc, eff_guard)
+        worst = max(worst, float(np.max(np.abs(block))))
+    return worst
+
+
+def oracle_results(report, model, truncation: int, guard: int) -> list:
+    """Per condition with residuals: its id, the residuals' largest guarded
+    deviation from zero, and whether that is within ``ORACLE_TOL``."""
+    if truncation < 3:
+        raise ValueError("oracle truncation must be at least 3")
+    if guard < 0 or guard >= truncation:
+        raise ValueError("oracle guard must satisfy 0 <= guard < truncation")
+    if not model.algebra.theta.is_identity:
+        raise ValueError("the oracle requires theta = I")
+    results = []
+    for cond in report.conditions:
+        if not cond.residuals:
+            continue
+        for p in cond.residuals:
+            model.algebra.require_compatible(p.algebra)
+        worst = residual_deviation(cond.residuals, truncation, guard)
+        results.append({"condition_id": cond.condition_id, "max_deviation": worst,
+                        "pass": worst <= ORACLE_TOL})
+    return results

@@ -324,7 +324,11 @@ class _ExprParser:
                     if not rhs.is_constant:
                         raise ParseError("division by a non-constant operator",
                                          self.t.line, tok[2])
-                    acc = acc.scale(ONE / rhs.constant_value())
+                    try:
+                        inverse = ONE / rhs.constant_value()
+                    except ZeroDivisionError:
+                        raise ParseError("division by zero", self.t.line, tok[2]) from None
+                    acc = acc.scale(inverse)
             elif tok and tok[0] in ("number", "name"):
                 raise ParseError(
                     "juxtaposition is not multiplication; use '*'",

@@ -25,3 +25,26 @@ def random_poly(rng, alg, max_terms=3, max_degree=4, coeff_range=3):
         )
         p = p + alg.monomial(cre, ann, coeff)
     return p
+
+
+def chain_text(n):
+    """``.qsde`` text of the realizable n-mode chain with k = 2 on every mode.
+
+    A[j] = -2*aj + 2*aj'*a(j+1)^2 - 2*aj'*a(j-1)^2 with out-of-range terms
+    dropped, B = -2 I, C[j] = 2*aj, D = I and phi = 2 * sum aj'*aj.  For
+    n = 2 this is the cavity fixture.
+    """
+    lines = [f"modes: {n}", f"channels: {n}", "theta: identity"]
+    for j in range(1, n + 1):
+        drift = f"A[{j}] = -2*a{j}"
+        if j < n:
+            drift += f" + 2*a{j}'*a{j + 1}^2"
+        if j > 1:
+            drift += f" - 2*a{j}'*a{j - 1}^2"
+        lines.append(drift)
+    rows = [", ".join("-2" if r == c else "0" for c in range(n)) for r in range(n)]
+    lines.append("B = [[" + "], [".join(rows) + "]]")
+    lines.extend(f"C[{j}] = 2*a{j}" for j in range(1, n + 1))
+    lines.append("D = identity")
+    lines.append("phi = " + " + ".join(f"2*a{j}'*a{j}" for j in range(1, n + 1)))
+    return "\n".join(lines) + "\n"

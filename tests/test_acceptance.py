@@ -30,9 +30,9 @@ from qrealize import (
     row_commutator,
     run_checks,
     synthesize_storage,
-    verify_identity,
     wirtinger_gradient,
 )
+from qrealize.fock import residual_deviation
 
 from conftest import MUTATIONS
 
@@ -64,14 +64,7 @@ def expr_matrix(alg, rows):
 
 def oracle_zero(residuals):
     """Max guarded-subspace deviation of residual polynomials from zero."""
-    worst = 0.0
-    for p in residuals:
-        zero = p.algebra.zero()
-        guard = max(ORACLE_GUARD, p.max_degree)
-        truncation = max(ORACLE_N, p.max_degree + 2, guard + 1)
-        _, deviation = verify_identity(p, zero, truncation, guard)
-        worst = max(worst, deviation)
-    return worst
+    return residual_deviation(residuals, ORACLE_N, ORACLE_GUARD)
 
 
 @pytest.mark.criterion(1, "class membership passes on the golden fixture with "

@@ -5,6 +5,7 @@ import pytest
 from qrealize.cli import main
 
 from conftest import CAVITY_PATH, mutate
+from helpers import chain_text
 
 GOLDEN_H = "(0+1i)*a1'^2*a2^2 + (0-1i)*a2'^2*a1^2"
 
@@ -73,6 +74,14 @@ def test_check_parse_error_reports_position(capsys, tmp_path, cavity_text):
     code, _, err = run_cli(capsys, "check", str(path))
     assert code == 2
     assert "unknown mode a9" in err
+
+
+def test_check_division_by_zero_is_parse_error(capsys, tmp_path, cavity_text):
+    path = tmp_path / "div0.qsde"
+    path.write_text(cavity_text.replace("param k1 = 2", "param k1 = 1/0"))
+    code, _, err = run_cli(capsys, "check", str(path))
+    assert code == 2
+    assert "line 6, col 2: division by zero" in err
 
 
 def test_check_json_schema_and_verdict(capsys):
@@ -166,6 +175,26 @@ def test_oracle_subcommand_passes(capsys):
     assert payload["oracle"]
     assert all(e["pass"] for e in payload["oracle"])
     assert all(e["max_deviation"] <= 1e-9 for e in payload["oracle"])
+
+
+@pytest.mark.parametrize("n, mode", [(4, ()), (5, ("--float",))])
+def test_oracle_passes_on_larger_chains(capsys, tmp_path, n, mode):
+    # the guarded block has 2^n states at the defaults, far under the bound
+    path = tmp_path / f"chain{n}.qsde"
+    path.write_text(chain_text(n))
+    code, out, err = run_cli(capsys, "oracle", str(path), "--json", *mode)
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["oracle"]
+    assert all(e["pass"] and e["max_deviation"] == 0.0 for e in payload["oracle"])
+
+
+def test_oracle_rejects_block_over_dimension_bound(capsys):
+    # cap = 69 - 1 - 4 = 64, so two modes give 65^2 = 4225 > 4096 states
+    code, _, err = run_cli(capsys, "oracle", str(CAVITY_PATH),
+                           "--fock-n", "69", "--guard", "4")
+    assert code == 2
+    assert "dimension 4225" in err
 
 
 def test_oracle_rejects_bad_guard(capsys):

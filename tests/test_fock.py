@@ -14,6 +14,7 @@ from qrealize import (
     verify_identity,
 )
 from qrealize.algebra import CommutationMatrix
+from qrealize.fock import _guarded_block
 
 
 @pytest.fixture
@@ -98,6 +99,13 @@ def test_guarded_indices_two_modes():
     assert list(idx) == [0, 1, 3, 4]
 
 
+def test_negative_guard_keeps_every_state(one_mode):
+    # a negative guard compares the whole truncated space, as guard 0 does
+    assert list(guarded_indices(1, 3, -1)) == [0, 1, 2]
+    number = one_mode.creator(1) * one_mode.annihilator(1)
+    assert psd_check(number, 4, -1) == psd_check(number, 4, 0)
+
+
 def test_guard_band_too_large():
     with pytest.raises(ValueError, match="guard"):
         guarded_indices(1, 4, 4)
@@ -153,3 +161,45 @@ def test_psd_shifted_number_operator_fails(one_mode):
 def test_psd_requires_self_adjoint(one_mode):
     with pytest.raises(ValueError, match="self-adjoint"):
         psd_check(one_mode.annihilator(1), 6, 2)
+
+
+# -- differential check against the dense tensor-product construction --------
+
+def dense_reference(p, truncation):
+    """Matrix of p built from kron-lifted truncated mode matrices."""
+    n = p.algebra.modes
+    single = np.diag(np.sqrt(np.arange(1, truncation)), k=1).astype(complex)
+    modes = []
+    for i in range(n):
+        full = np.eye(1)
+        for j in range(n):
+            full = np.kron(full, single if j == i else np.eye(truncation))
+        modes.append(full)
+    out = np.zeros((truncation**n, truncation**n), dtype=complex)
+    for mono, coeff in p.terms.items():
+        term = np.eye(truncation**n, dtype=complex)
+        for i, h in enumerate(mono.creation):
+            term = term @ np.linalg.matrix_power(modes[i].conj().T, h)
+        for i, k in enumerate(mono.annihilation):
+            term = term @ np.linalg.matrix_power(modes[i], k)
+        out += coeff.to_complex() * term
+    return out
+
+
+@pytest.mark.parametrize("n_modes, truncation, guard", [
+    (1, 4, 1), (1, 7, 3), (2, 5, 2), (2, 6, 4), (3, 4, 1), (3, 5, 3),
+])
+def test_blocks_match_dense_reference(n_modes, truncation, guard):
+    rng = random.Random(41 + 7 * n_modes + truncation)
+    alg = Algebra(n_modes)
+    sub = np.ix_(*[guarded_indices(n_modes, truncation, guard)] * 2)
+    for _ in range(6):
+        p = random_poly(rng, alg, max_degree=truncation - 2)
+        dense = dense_reference(p, truncation)
+        assert np.max(np.abs(represent(p, truncation) - dense)) < 1e-12
+        block = _guarded_block(p, truncation, guard)
+        assert np.max(np.abs(block - dense[sub])) < 1e-12
+        phi = p + p.adjoint()
+        _, min_eig = psd_check(phi, truncation, guard)
+        expected = np.linalg.eigvalsh(dense_reference(phi, truncation)[sub]).min()
+        assert abs(min_eig - expected) < 1e-12
