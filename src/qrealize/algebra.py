@@ -75,9 +75,6 @@ class CommutationMatrix:
             self._inverse = grid_inverse(self.theta)
         return self._inverse
 
-    def conj(self):
-        return grid_conj(self.theta)
-
     def graded(self):
         """The block matrix diag(theta, -theta*), the true value of [abar, abar']."""
         from .scalars import block_diag
@@ -472,13 +469,15 @@ def wirtinger_gradient(phi: OperatorPolynomial):
 
 # -- canonical text rendering -------------------------------------------------
 
-def format_scalar(c: Scalar) -> str:
-    """Golden-format coefficient: ``(re+im i)`` with both parts printed."""
-    re, im = c.re, c.im
-    re_s = _format_component(re)
-    im_s = _format_component(im if im >= 0 else -im)
-    sign = "+" if im >= 0 else "-"
-    return f"({re_s}{sign}{im_s}i)"
+def format_scalar(c: Scalar, parsable: bool = False) -> str:
+    """Coefficient text: golden ``(re+im i)`` with both parts printed, or with
+    ``parsable`` the model-format ``(re)`` / ``(re+im*i)``."""
+    re_s = _format_component(c.re)
+    if parsable and c.im == 0:
+        return f"({re_s})"
+    im_s = _format_component(c.im if c.im >= 0 else -c.im)
+    sign = "+" if c.im >= 0 else "-"
+    return f"({re_s}{sign}{im_s}{'*i' if parsable else 'i'})"
 
 
 def _format_component(x) -> str:
@@ -498,13 +497,14 @@ def _format_monomial(m: Monomial) -> str:
     return "*".join(parts)
 
 
-def render(p: OperatorPolynomial) -> str:
-    """Canonical term-ordered rendering; the bit-exact golden-file format."""
+def render(p: OperatorPolynomial, parsable: bool = False) -> str:
+    """Canonical term-ordered rendering: the bit-exact golden-file format, or
+    with ``parsable`` the model-format text that ``parse_expression`` reads."""
     if p.is_zero:
         return "0"
     chunks = []
     for m in sorted(p.terms, key=Monomial.sort_key):
-        coeff = format_scalar(p.terms[m])
+        coeff = format_scalar(p.terms[m], parsable)
         mono = _format_monomial(m)
         chunks.append(f"{coeff}*{mono}" if mono else coeff)
     return " + ".join(chunks)

@@ -4,6 +4,14 @@ lossless and storage-function conditions.
 
 Every engine returns a :class:`CheckReport` whose conditions carry symbolic
 residuals; in exact mode a passing condition has residual exactly zero.
+
+All engines read one doubled model (:func:`double`).  ``run_checks`` builds
+it once per run and hands it to every family and to ``synthesize_storage``;
+each public ``check_*`` function takes it as an optional ``dm`` and builds
+its own only when called alone.  A residual matrix that several condition
+ids read is built once per doubled model and cached on it: the CCR sum and
+the ``Bbar`` commutators (``CCR-*`` and ``PR-CCR-*``), and the ``J^-1``
+brackets (the class identity and Hamiltonian extraction).
 """
 
 from __future__ import annotations
@@ -11,12 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import (
-    Algebra,
-    OperatorPolynomial,
-    render,
-    wirtinger_gradient,
-)
+from .algebra import OperatorPolynomial, render, wirtinger_gradient
 from .matrices import (
     OperatorMatrix,
     matrix_vector_commutators,
@@ -24,16 +27,23 @@ from .matrices import (
     row_commutator,
     scalar_vec_commutator,
 )
-from .model import DoubledModel, NoiseSpec, QsdeModel, double, structural_class_check
+from .model import (
+    DoubledModel,
+    NoiseSpec,
+    QsdeModel,
+    double,
+    doubled_generators,
+    sign_grid,
+    structural_class_check,
+)
 from .scalars import (
     Scalar,
-    block_diag,
     grid_adjoint,
     grid_inverse,
     grid_neg,
     grid_scale,
     grid_transpose,
-    identity_grid,
+    zero_grid,
 )
 
 
@@ -73,15 +83,6 @@ class CheckReport:
                 return c
         raise KeyError(condition_id)
 
-    def merged_with(self, other: "CheckReport") -> "CheckReport":
-        derived = dict(self.derived or {})
-        derived.update(other.derived or {})
-        return CheckReport(
-            model_id=self.model_id,
-            conditions=self.conditions + other.conditions,
-            derived=derived or None,
-        )
-
     def to_dict(self):
         out = {
             "model_id": self.model_id,
@@ -89,19 +90,17 @@ class CheckReport:
             "checks": [c.to_dict() for c in self.conditions],
         }
         if self.derived is not None:
-            derived = {}
-            for key, value in self.derived.items():
-                if isinstance(value, OperatorPolynomial):
-                    derived[key] = render(value)
-                elif isinstance(value, list):
-                    derived[key] = [
-                        render(v) if isinstance(v, OperatorPolynomial) else v
-                        for v in value
-                    ]
-                else:
-                    derived[key] = value
-            out["derived"] = derived
+            out["derived"] = {key: _rendered(v) for key, v in self.derived.items()}
         return out
+
+
+def _rendered(value):
+    """JSON form of a derived value: polynomials rendered, also inside lists."""
+    if isinstance(value, OperatorPolynomial):
+        return render(value)
+    if isinstance(value, list):
+        return [_rendered(v) for v in value]
+    return value
 
 
 def _residual_condition(cid, desc, labelled_residuals):
@@ -126,14 +125,74 @@ def _matrix_residual(cid, desc, mat: OperatorMatrix):
     return _residual_condition(cid, desc, labelled)
 
 
-def _mode_vector(alg: Algebra) -> OperatorMatrix:
-    return OperatorMatrix.column(
-        alg, [alg.annihilator(j) for j in range(1, alg.modes + 1)]
+def _commutation_condition(cid, desc, label, named, alg):
+    """Condition over the nonzero [m_ij, w_k] of ``matrix_vector_commutators``;
+    ``label`` formats (i, j, k)."""
+    labelled = [(label.format(i, j, k), p) for (i, j, k), p in named]
+    return _residual_condition(cid, desc, labelled or [("all", alg.zero())])
+
+
+def _verdict(cid, desc, failures):
+    """A condition without residual polynomials; fails on [(entry, reason), ...]."""
+    return Condition(
+        condition_id=cid,
+        description=desc,
+        passed=not failures,
+        residual_norm=0.0,
+        witness=[{"entry": entry, "residual": reason} for entry, reason in failures],
     )
 
 
 def _half(p_or_m):
     return p_or_m.scale(Scalar(Fraction(1, 2)))
+
+
+# -- residual matrices shared by several conditions, one per doubled model ----
+
+def _ccr_sum(dm: DoubledModel, t_grid) -> OperatorMatrix:
+    """[Abar, abar'] + [abar, Abar'] + Bbar T Bbar', built once per T."""
+    return dm.cached(("ccr-sum", t_grid), lambda: (
+        outer_commutator(dm.Abar, dm.abar)
+        + outer_commutator(dm.abar, dm.Abar)
+        + dm.Bbar @ OperatorMatrix.from_scalars(dm.algebra, t_grid) @ dm.Bbar.adjoint()
+    ))
+
+
+def _bbar_commutators(dm: DoubledModel):
+    """The nonzero [Bbar_ij, abar_k'] and [Bbar'_ij, abar_k]."""
+    return dm.cached("bbar-commutators", lambda: (
+        matrix_vector_commutators(dm.Bbar, dm.abar, dagger=True),
+        matrix_vector_commutators(dm.Bbar.adjoint(), dm.abar),
+    ))
+
+
+def _brackets(dm: DoubledModel, printed: bool = False):
+    """(Abar' G^-1 abar, abar' G^-1 Abar) for G = J, or with ``printed`` for
+    the literal diag(theta, theta*)."""
+
+    def build():
+        base = dm.theta_bar_printed if printed else dm.J
+        inv = OperatorMatrix.from_scalars(dm.algebra, grid_inverse(base))
+        return (
+            (dm.Abar.adjoint() @ inv @ dm.abar).entry(0, 0),
+            (dm.abar.adjoint() @ inv @ dm.Abar).entry(0, 0),
+        )
+
+    return dm.cached(("brackets", printed), build)
+
+
+def coupling_commutator_matrix(lbar: OperatorMatrix, abar: OperatorMatrix) -> OperatorMatrix:
+    """The matrix [Lbar', abar] with entry (j, k) = [Lbar_k*, abar_j]."""
+    return OperatorMatrix(
+        abar.algebra,
+        abar.rows,
+        lbar.rows,
+        [
+            lbar.entry(k, 0).adjoint().commutator(abar.entry(j, 0))
+            for j in range(abar.rows)
+            for k in range(lbar.rows)
+        ],
+    )
 
 
 # -- Definition-class membership ----------------------------------------------
@@ -144,12 +203,9 @@ def generator_identity_parts(model: QsdeModel, dm: DoubledModel | None = None):
     Returns (term1, term2, rhs) where the identity asserts
     term1 - term2 = rhs = Abar - (1/2) Bbar Cbar.
     """
-    alg = model.algebra
     dm = dm or double(model)
     nbar = dm.nbar if dm.nbar is not None else 1
-    j_inv = OperatorMatrix.from_scalars(alg, grid_inverse(dm.J))
-    s1 = (dm.Abar.adjoint() @ j_inv @ dm.abar).entry(0, 0)
-    s2 = (dm.abar.adjoint() @ j_inv @ dm.Abar).entry(0, 0)
+    s1, s2 = _brackets(dm)
     factor = Scalar(Fraction(1, 2 * nbar))
     term1 = scalar_vec_commutator(s1, dm.abar).scale(factor)
     term2 = scalar_vec_commutator(s2, dm.abar).scale(factor)
@@ -157,58 +213,46 @@ def generator_identity_parts(model: QsdeModel, dm: DoubledModel | None = None):
     return term1, term2, rhs
 
 
-def check_class(model: QsdeModel, model_id: str = "model") -> CheckReport:
+def check_class(
+    model: QsdeModel, model_id: str = "model", dm: DoubledModel | None = None
+) -> CheckReport:
     """Membership conditions for the admissible model class."""
     alg = model.algebra
-    a_vec = _mode_vector(alg)
-    dm = double(model)
-    conditions = []
-
-    b_res = matrix_vector_commutators(model.B, a_vec)
-    conditions.append(
-        _residual_condition(
+    dm = dm or double(model)
+    a_vec = OperatorMatrix.column(alg, dm.abar.col(0)[: model.n])
+    row_a = row_commutator(model.A, a_vec)
+    term1, term2, rhs = generator_identity_parts(model, dm)
+    conditions = [
+        _commutation_condition(
             "CLASS-B-commutes",
             "every entry of B commutes with every mode operator",
-            [(f"B[{i},{j}] vs a{k}", p) for (i, j, k), p in b_res] or [("all", alg.zero())],
-        )
-    )
-    c_res = matrix_vector_commutators(model.C, a_vec)
-    conditions.append(
-        _residual_condition(
+            "B[{0},{1}] vs a{2}",
+            matrix_vector_commutators(model.B, a_vec),
+            alg,
+        ),
+        _commutation_condition(
             "CLASS-C-commutes",
             "every entry of C commutes with every mode operator",
-            [(f"C[{i}] vs a{k}", p) for (i, j, k), p in c_res] or [("all", alg.zero())],
-        )
-    )
-
-    row_a = row_commutator(model.A, a_vec)
-    conditions.append(
+            "C[{0}] vs a{2}",
+            matrix_vector_commutators(model.C, a_vec),
+            alg,
+        ),
         _matrix_residual(
             "CLASS-A-antisymmetry",
             "the drift commutator matrix [A_j, a_k] is symmetric",
             row_a - row_a.transpose(),
-        )
-    )
-
-    violations = structural_class_check(model)
-    conditions.append(
-        Condition(
-            condition_id="CLASS-structure",
-            description="drift and output monomials have the admissible single-mode form",
-            passed=not violations,
-            residual_norm=0.0,
-            witness=[{"entry": v, "residual": "structural"} for v in violations],
-        )
-    )
-
-    term1, term2, rhs = generator_identity_parts(model, dm)
-    conditions.append(
+        ),
+        _verdict(
+            "CLASS-structure",
+            "drift and output monomials have the admissible single-mode form",
+            [(v, "structural") for v in structural_class_check(model)],
+        ),
         _matrix_residual(
             "CLASS-generator-identity",
             "the graded commutator identity reproduces Abar - (1/2) Bbar Cbar",
             (term1 - term2) - rhs,
-        )
-    )
+        ),
+    ]
     return CheckReport(model_id=model_id, conditions=conditions)
 
 
@@ -219,95 +263,76 @@ def check_preservation(
     noise: NoiseSpec | None = None,
     model_id: str = "model",
     id_prefix: str = "CCR",
+    dm: DoubledModel | None = None,
 ) -> CheckReport:
     """Differential conditions for preservation of the commutation relations."""
     alg = model.algebra
-    dm = double(model)
+    dm = dm or double(model)
     t_grid = (noise or NoiseSpec.default(model.m)).T
-    t_mat = OperatorMatrix.from_scalars(alg, t_grid)
-
-    total = (
-        outer_commutator(dm.Abar, dm.abar)
-        + outer_commutator(dm.abar, dm.Abar)
-        + dm.Bbar @ t_mat @ dm.Bbar.adjoint()
-    )
+    b_left, b_right = _bbar_commutators(dm)
     conditions = [
         _matrix_residual(
             f"{id_prefix}-sum",
             "[Abar, abar'] + [abar, Abar'] + Bbar T Bbar' vanishes",
-            total,
-        )
-    ]
-    b_left = matrix_vector_commutators(dm.Bbar, dm.abar, dagger=True)
-    conditions.append(
-        _residual_condition(
+            _ccr_sum(dm, t_grid),
+        ),
+        _commutation_condition(
             f"{id_prefix}-B-left",
             "every entry of Bbar commutes with every doubled creation generator",
-            [(f"Bbar[{i},{j}] vs abar{k}'", p) for (i, j, k), p in b_left]
-            or [("all", alg.zero())],
-        )
-    )
-    b_right = matrix_vector_commutators(dm.Bbar.adjoint(), dm.abar)
-    conditions.append(
-        _residual_condition(
+            "Bbar[{0},{1}] vs abar{2}'",
+            b_left,
+            alg,
+        ),
+        _commutation_condition(
             f"{id_prefix}-B-right",
             "every doubled generator commutes with every entry of Bbar'",
-            [(f"Bbar'[{i},{j}] vs abar{k}", p) for (i, j, k), p in b_right]
-            or [("all", alg.zero())],
-        )
-    )
+            "Bbar'[{0},{1}] vs abar{2}",
+            b_right,
+            alg,
+        ),
+    ]
     return CheckReport(model_id=model_id, conditions=conditions)
 
 
 # -- physical realizability ---------------------------------------------------
 
-def coupling_commutator_matrix(dm: DoubledModel) -> OperatorMatrix:
-    """The matrix [Cbar', abar] with entry (j, k) = [Cbar_k*, abar_j]."""
-    alg = dm.algebra
-    entries = []
-    for j in range(2 * dm.n):
-        for k in range(2 * dm.m):
-            entries.append(
-                dm.Cbar.entry(k, 0).adjoint().commutator(dm.abar.entry(j, 0))
-            )
-    return OperatorMatrix(alg, 2 * dm.n, 2 * dm.m, entries)
-
-
 def check_physical_realizability(
-    model: QsdeModel, model_id: str = "model"
+    model: QsdeModel, model_id: str = "model", dm: DoubledModel | None = None
 ) -> CheckReport:
     """Necessary and sufficient realizability conditions, plus extraction."""
     alg = model.algebra
-    dm = double(model)
-    report = check_preservation(model, NoiseSpec.default(model.m), model_id, id_prefix="PR-CCR")
-
-    b_target = coupling_commutator_matrix(dm) @ OperatorMatrix.from_scalars(alg, dm.Ibar)
-    conditions = list(report.conditions)
-    conditions.append(
+    dm = dm or double(model)
+    report = check_preservation(
+        model, NoiseSpec.default(model.m), model_id, id_prefix="PR-CCR", dm=dm
+    )
+    ibar = OperatorMatrix.from_scalars(alg, dm.Ibar)
+    report.conditions += [
         _matrix_residual(
             "PR-B-match",
             "Bbar equals the coupling commutator matrix [Cbar', abar] Ibar",
-            dm.Bbar - b_target,
-        )
-    )
-    conditions.append(
+            dm.Bbar - coupling_commutator_matrix(dm.Cbar, dm.abar) @ ibar,
+        ),
         _matrix_residual(
             "PR-D-identity",
             "Dbar is the identity",
             dm.Dbar - OperatorMatrix.identity(alg, 2 * model.m),
-        )
-    )
-    report = CheckReport(model_id=model_id, conditions=conditions)
-
+        ),
+    ]
     if report.overall and not model.A.is_zero and alg.theta.invertible:
-        hbar = extract_hamiltonian(model, dm=dm)
-        report.derived = {
-            "nbar": dm.nbar,
-            "hamiltonian": hbar,
-            "hamiltonian_self_adjoint": hbar.adjoint() == hbar,
-            "coupling": dm.Cbar.col(0),
-        }
+        report.derived = realization_derived(model, dm)
     return report
+
+
+def realization_derived(model: QsdeModel, dm: DoubledModel | None = None) -> dict:
+    """nbar, the extracted Hamiltonian, its self-adjointness and the coupling."""
+    dm = dm or double(model)
+    hbar = extract_hamiltonian(model, dm=dm)
+    return {
+        "nbar": dm.nbar,
+        "hamiltonian": hbar,
+        "hamiltonian_self_adjoint": hbar.adjoint() == hbar,
+        "coupling": dm.Cbar.col(0),
+    }
 
 
 def extract_hamiltonian(
@@ -323,12 +348,9 @@ def extract_hamiltonian(
     """
     if model.A.is_zero:
         raise ValueError("Hamiltonian extraction needs a nonzero drift")
-    alg = model.algebra
     dm = dm or double(model)
-    base = dm.theta_bar_printed if use_printed_theta_bar else dm.J
-    inv = OperatorMatrix.from_scalars(alg, grid_inverse(base))
-    s = (dm.abar.adjoint() @ inv @ dm.Abar - dm.Abar.adjoint() @ inv @ dm.abar).entry(0, 0)
-    return s.scale(Scalar(0, Fraction(1, 2 * dm.nbar)))
+    s1, s2 = _brackets(dm, use_printed_theta_bar)
+    return (s2 - s1).scale(Scalar(0, Fraction(1, 2 * dm.nbar)))
 
 
 def reconstruct_generator(
@@ -343,28 +365,11 @@ def reconstruct_generator(
     alg.require_compatible(lbar.algebra)
     if lbar.cols != 1 or lbar.rows % 2 != 0:
         raise ValueError("coupling vector must be a column of even length")
-    m = lbar.rows // 2
-    n = alg.modes
-    abar = OperatorMatrix.column(
-        alg,
-        [alg.annihilator(j) for j in range(1, n + 1)]
-        + [alg.creator(j) for j in range(1, n + 1)],
-    )
-    comm = OperatorMatrix(
-        alg,
-        2 * n,
-        2 * m,
-        [
-            lbar.entry(k, 0).adjoint().commutator(abar.entry(j, 0))
-            for j in range(2 * n)
-            for k in range(2 * m)
-        ],
-    )
-    ibar = OperatorMatrix.from_scalars(alg, block_diag(identity_grid(m), grid_neg(identity_grid(m))))
-    dissipative = _half(comm @ ibar @ lbar)
+    abar = doubled_generators(alg)
+    ibar = OperatorMatrix.from_scalars(alg, sign_grid(lbar.rows // 2))
+    dissipative = _half(coupling_commutator_matrix(lbar, abar) @ ibar @ lbar)
     hamiltonian_part = OperatorMatrix.column(
-        alg,
-        [hbar.commutator(abar.entry(j, 0)).scale(Scalar(0, 1)) for j in range(2 * n)],
+        alg, [hbar.commutator(a).scale(Scalar(0, 1)) for a in abar.col(0)]
     )
     return dissipative + hamiltonian_part
 
@@ -375,13 +380,14 @@ def check_lossless(
     model: QsdeModel,
     phi: OperatorPolynomial | None = None,
     model_id: str = "model",
+    dm: DoubledModel | None = None,
 ) -> CheckReport:
     """Differential lossless conditions for a given storage function."""
     phi = phi if phi is not None else model.phi
     if phi is None:
         raise ValueError("a storage function is required (model phi or argument)")
     alg = model.algebra
-    dm = double(model)
+    dm = dm or double(model)
     grad = OperatorMatrix.column(alg, wirtinger_gradient(phi))
 
     lhs1 = (grad.adjoint() @ dm.Abar).entry(0, 0)
@@ -391,37 +397,29 @@ def check_lossless(
             "LL-gradient-A",
             "grad(phi)' Abar equals -Cbar' Cbar",
             [("scalar", lhs1 - rhs1)],
-        )
-    ]
-    conditions.append(
+        ),
         _matrix_residual(
             "LL-B-gradient",
             "(1/2) Bbar' grad(phi) equals -Cbar",
             _half(dm.Bbar.adjoint() @ grad) + dm.Cbar,
-        )
-    )
-    conditions.append(
+        ),
         _matrix_residual(
             "LL-D-unitary",
             "I - Dbar' Dbar vanishes",
             OperatorMatrix.identity(alg, 2 * model.m) - dm.Dbar.adjoint() @ dm.Dbar,
-        )
-    )
-    conditions.append(
+        ),
         _residual_condition(
             "LL-phi-selfadjoint",
             "the storage function is self-adjoint",
             [("phi' - phi", phi.adjoint() - phi)],
-        )
-    )
+        ),
+    ]
     nonneg, note = _phi_nonnegative(phi)
     conditions.append(
-        Condition(
-            condition_id="LL-phi-nonneg",
-            description=f"the storage function is non-negative ({note})",
-            passed=nonneg,
-            residual_norm=0.0,
-            witness=[] if nonneg else [{"entry": "phi", "residual": note}],
+        _verdict(
+            "LL-phi-nonneg",
+            f"the storage function is non-negative ({note})",
+            [] if nonneg else [("phi", note)],
         )
     )
     return CheckReport(model_id=model_id, conditions=conditions)
@@ -480,28 +478,18 @@ def _phi_nonnegative(phi: OperatorPolynomial):
 
 
 def check_storage_condition(
-    phi: OperatorPolynomial, model_id: str = "model"
+    phi: OperatorPolynomial, model_id: str = "model", dm: DoubledModel | None = None
 ) -> CheckReport:
     """Gradient commutator condition characterizing admissible storage functions."""
     alg = phi.algebra
     n = alg.modes
-    abar = OperatorMatrix.column(
-        alg,
-        [alg.annihilator(j) for j in range(1, n + 1)]
-        + [alg.creator(j) for j in range(1, n + 1)],
-    )
+    abar = dm.abar if dm is not None else doubled_generators(alg)
     grad = OperatorMatrix.column(alg, wirtinger_gradient(phi))
     actual = row_commutator(grad, abar)
-    theta = alg.theta.theta
-    two_theta = grid_scale(theta, Scalar(2))
-    target_grid = tuple(
-        tuple(
-            (two_theta[i][j - n] if j >= n and i < n else
-             grid_neg(grid_transpose(two_theta))[i - n][j] if i >= n and j < n else
-             Scalar(0))
-            for j in range(2 * n)
-        )
-        for i in range(2 * n)
+    two_theta = grid_scale(alg.theta.theta, Scalar(2))
+    zeros = zero_grid(n, n)
+    target_grid = tuple(z + t for z, t in zip(zeros, two_theta)) + tuple(
+        t + z for t, z in zip(grid_neg(grid_transpose(two_theta)), zeros)
     )
     desc = "[grad(phi), abar^T] equals the constant block matrix [[0, 2I], [-2I, 0]]"
     if not alg.theta.is_identity:
@@ -520,7 +508,9 @@ def check_storage_condition(
 
 # -- storage-function synthesis -----------------------------------------------
 
-def synthesize_storage(model: QsdeModel) -> OperatorPolynomial | None:
+def synthesize_storage(
+    model: QsdeModel, dm: DoubledModel | None = None
+) -> OperatorPolynomial | None:
     """Search for a quadratic storage function certifying the lossless property.
 
     Solves the linear gradient condition for a Hermitian coefficient matrix
@@ -562,8 +552,8 @@ def synthesize_storage(model: QsdeModel) -> OperatorPolynomial | None:
 
     try:
         ok = (
-            check_lossless(model, phi).overall
-            and check_storage_condition(phi).overall
+            check_lossless(model, phi, dm=dm).overall
+            and check_storage_condition(phi, dm=dm).overall
         )
     except ValueError:
         return None
@@ -618,43 +608,38 @@ def run_checks(
     phi: OperatorPolynomial | None = None,
     model_id: str = "model",
 ) -> CheckReport:
-    """Run the selected check families and merge their reports."""
-    report = CheckReport(model_id=model_id, conditions=[])
+    """Run the selected check families on one doubled model; merge their reports."""
+    dm = double(model)
+    conditions, derived = [], {}
+
+    def add(report: CheckReport):
+        conditions.extend(report.conditions)
+        derived.update(report.derived or {})
+
     if "class" in selected:
-        report = report.merged_with(check_class(model, model_id))
+        add(check_class(model, model_id, dm))
     if "preserve" in selected:
-        report = report.merged_with(check_preservation(model, noise, model_id))
+        add(check_preservation(model, noise, model_id, dm=dm))
     if "realize" in selected:
-        report = report.merged_with(check_physical_realizability(model, model_id))
+        add(check_physical_realizability(model, model_id, dm))
     if "lossless" in selected or "storage" in selected:
         candidate = phi if phi is not None else model.phi
-        synthesized = False
+        synthesized = candidate is None
+        if synthesized:
+            candidate = synthesize_storage(model, dm)
         if candidate is None:
-            candidate = synthesize_storage(model)
-            synthesized = True
-        if candidate is None:
-            report = report.merged_with(
-                CheckReport(
-                    model_id=model_id,
-                    conditions=[
-                        Condition(
-                            condition_id="LL-phi-available",
-                            description="a storage function is available "
-                            "(declared, supplied or synthesized)",
-                            passed=False,
-                            residual_norm=0.0,
-                            witness=[{"entry": "phi", "residual": "no candidate found"}],
-                        )
-                    ],
+            conditions.append(
+                _verdict(
+                    "LL-phi-available",
+                    "a storage function is available (declared, supplied or synthesized)",
+                    [("phi", "no candidate found")],
                 )
             )
         else:
             if "lossless" in selected:
-                report = report.merged_with(check_lossless(model, candidate, model_id))
+                add(check_lossless(model, candidate, model_id, dm))
             if "storage" in selected:
-                report = report.merged_with(check_storage_condition(candidate, model_id))
-            derived = dict(report.derived or {})
+                add(check_storage_condition(candidate, model_id, dm))
             derived["storage_function"] = candidate
             derived["storage_synthesized"] = synthesized
-            report.derived = derived
-    return report
+    return CheckReport(model_id=model_id, conditions=conditions, derived=derived or None)

@@ -23,6 +23,7 @@ from .checks import (
     check_physical_realizability,
     double,
     extract_hamiltonian,
+    realization_derived,
     run_checks,
 )
 from .fock import oracle_results
@@ -46,11 +47,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         p.add_argument("--tol", type=float, default=None,
                        help="floating-mode tolerance (default 1e-9 or $QREAL_TOL)")
-        mode = p.add_mutually_exclusive_group()
-        mode.add_argument("--exact", action="store_true", default=True,
-                          help="exact rational coefficients (default)")
-        mode.add_argument("--float", dest="floating", action="store_true",
-                          help="degrade all coefficients to binary64")
+        p.add_argument("--float", dest="floating", action="store_true",
+                       help="degrade all coefficients to binary64 "
+                            "(default: exact rational coefficients)")
+
+    def fock_options(p):
+        p.add_argument("--fock-n", type=int, default=6,
+                       help="per-mode Fock truncation for the oracle")
+        p.add_argument("--guard", type=int, default=4,
+                       help="guard band excluded from oracle comparisons")
 
     p_check = sub.add_parser("check", help="run verification checks")
     common(p_check)
@@ -61,10 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run every check (same as --checks all)")
     p_check.add_argument("--oracle", action="store_true",
                          help="re-verify residuals on truncated Fock space")
-    p_check.add_argument("--fock-n", type=int, default=6,
-                         help="per-mode Fock truncation for the oracle")
-    p_check.add_argument("--guard", type=int, default=4,
-                         help="guard band excluded from oracle comparisons")
+    fock_options(p_check)
     p_check.add_argument("--literal-theta-bar", action="store_true",
                          help="also report the Hamiltonian computed with the "
                               "literal diag(theta, theta*) inverse")
@@ -76,8 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="numerically confirm all checks")
     common(p_oracle)
-    p_oracle.add_argument("--fock-n", type=int, default=6)
-    p_oracle.add_argument("--guard", type=int, default=4)
+    fock_options(p_oracle)
+    # ``oracle`` is ``check --all --oracle``
+    p_oracle.set_defaults(checks="all", oracle=True, literal_theta_bar=False)
     return parser
 
 
@@ -155,11 +158,8 @@ def _cmd_check(args) -> int:
     selected = _selected_checks(args)
     report = run_checks(model, selected, model_id=args.input)
     if args.literal_theta_bar and not model.A.is_zero:
-        derived = dict(report.derived or {})
-        derived["hamiltonian_printed_theta_bar"] = extract_hamiltonian(
-            model, use_printed_theta_bar=True
-        )
-        report.derived = derived
+        hbar = extract_hamiltonian(model, use_printed_theta_bar=True)
+        report.derived = {**(report.derived or {}), "hamiltonian_printed_theta_bar": hbar}
     oracle = None
     if args.oracle:
         oracle = oracle_results(report, model, args.fock_n, args.guard)
@@ -168,7 +168,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_extract(args) -> int:
     model = _load_model(args)
-    report = check_physical_realizability(model, model_id=args.input)
+    dm = double(model)
+    report = check_physical_realizability(model, model_id=args.input, dm=dm)
     if not report.overall and not args.force:
         print("physical realizability fails; re-run with --force to extract anyway",
               file=sys.stderr)
@@ -177,26 +178,12 @@ def _cmd_extract(args) -> int:
     if model.A.is_zero:
         print("error: the drift is identically zero, nbar is undefined", file=sys.stderr)
         return EXIT_FAIL
-    dm = double(model)
-    hbar = extract_hamiltonian(model, dm=dm)
-    derived = {
-        "nbar": dm.nbar,
-        "hamiltonian": hbar,
-        "hamiltonian_self_adjoint": hbar.adjoint() == hbar,
-        "coupling": dm.Cbar.col(0),
-    }
-    out = CheckReport(model_id=args.input, conditions=report.conditions, derived=derived)
+    if report.derived is None:
+        report.derived = realization_derived(model, dm)
     if not report.overall:
         print("warning: model is not physically realizable; values are formal",
               file=sys.stderr)
-    return _emit(out, args)
-
-
-def _cmd_oracle(args) -> int:
-    model = _load_model(args)
-    report = run_checks(model, CHECK_NAMES, model_id=args.input)
-    oracle = oracle_results(report, model, args.fock_n, args.guard)
-    return _emit(report, args, oracle)
+    return _emit(report, args)
 
 
 def main(argv=None) -> int:
@@ -206,12 +193,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_PASS
     try:
-        if args.command == "check":
+        if args.command in ("check", "oracle"):
             return _cmd_check(args)
         if args.command == "extract":
             return _cmd_extract(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
         raise ValueError(f"unknown command {args.command!r}")
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

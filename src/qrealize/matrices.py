@@ -165,14 +165,7 @@ class OperatorMatrix:
 
 def outer_commutator(u: OperatorMatrix, v: OperatorMatrix) -> OperatorMatrix:
     """Matrix with entry (j, k) = [u_j, v_k']; both arguments column vectors."""
-    _require_column(u)
-    _require_column(v)
-    u.algebra.require_compatible(v.algebra)
-    entries = []
-    for j in range(u.rows):
-        for k in range(v.rows):
-            entries.append(u.entry(j, 0).commutator(v.entry(k, 0).adjoint()))
-    return OperatorMatrix(u.algebra, u.rows, v.rows, entries)
+    return row_commutator(u, v.conj())
 
 
 def row_commutator(u: OperatorMatrix, w: OperatorMatrix) -> OperatorMatrix:

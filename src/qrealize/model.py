@@ -21,19 +21,17 @@ values are evaluated once, at parse time.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import Algebra, CommutationMatrix, OperatorPolynomial, format_scalar
+from .algebra import Algebra, CommutationMatrix, OperatorPolynomial, format_scalar, render
 from .matrices import OperatorMatrix
 from .scalars import (
     DEFAULT_TOL,
     ONE,
-    ZERO,
     Scalar,
     block_diag,
     grid,
-    grid_conj,
     grid_neg,
     identity_grid,
     zero_grid,
@@ -110,7 +108,11 @@ class QsdeModel:
 
 @dataclass
 class DoubledModel:
-    """The doubled form (abar, Abar, Bbar, Cbar, Dbar) plus derived constants."""
+    """The doubled form (abar, Abar, Bbar, Cbar, Dbar) plus derived constants.
+
+    One instance is the shared context of a check run: ``cached`` builds each
+    derived matrix once, however many conditions read it.
+    """
 
     algebra: Algebra
     n: int
@@ -124,6 +126,13 @@ class DoubledModel:
     theta_bar_printed: tuple    # diag(theta, theta*)
     Ibar: tuple                 # diag(I_m, -I_m)
     nbar: int | None            # None when A is identically zero
+    memo: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def cached(self, key, build):
+        """The value of ``build()``, computed on the first call for ``key``."""
+        if key not in self.memo:
+            self.memo[key] = build()
+        return self.memo[key]
 
 
 @dataclass
@@ -135,58 +144,56 @@ class NoiseSpec:
 
     @classmethod
     def default(cls, m: int) -> "NoiseSpec":
-        f = block_diag(identity_grid(m), zero_grid(m, m))
-        t = block_diag(identity_grid(m), grid_neg(identity_grid(m)))
-        return cls(F=f, T=t)
+        return cls(F=block_diag(identity_grid(m), zero_grid(m, m)), T=sign_grid(m))
 
 
 # -- derived constructions ----------------------------------------------------
 
-def double(model: QsdeModel) -> DoubledModel:
-    """Build the doubled model: stacked generator, block dynamics matrices."""
-    alg = model.algebra
-    n, m = model.n, model.m
-    abar = OperatorMatrix.column(
+def sign_grid(m: int) -> tuple:
+    """Ibar = diag(I_m, -I_m)."""
+    return block_diag(identity_grid(m), grid_neg(identity_grid(m)))
+
+
+def doubled_generators(alg: Algebra) -> OperatorMatrix:
+    """abar = (a_1..a_n, a_1'..a_n') as a column."""
+    n = alg.modes
+    return OperatorMatrix.column(
         alg,
         [alg.annihilator(j) for j in range(1, n + 1)]
         + [alg.creator(j) for j in range(1, n + 1)],
     )
+
+
+def double(model: QsdeModel) -> DoubledModel:
+    """Build the doubled model: stacked generator, block dynamics matrices."""
+    alg = model.algebra
     Abar = OperatorMatrix.column(alg, model.A.col(0) + [p.adjoint() for p in model.A.col(0)])
     Cbar = OperatorMatrix.column(alg, model.C.col(0) + [p.adjoint() for p in model.C.col(0)])
     Bbar = _block_diag_op(model.B, model.B.conj())
     Dbar = _block_diag_op(model.D, model.D.conj())
-    sign_m = block_diag(identity_grid(m), grid_neg(identity_grid(m)))
     nbar = None if model.A.is_zero else compute_nbar(model)
     return DoubledModel(
         algebra=alg,
-        n=n,
-        m=m,
-        abar=abar,
+        n=model.n,
+        m=model.m,
+        abar=doubled_generators(alg),
         Abar=Abar,
         Bbar=Bbar,
         Cbar=Cbar,
         Dbar=Dbar,
         J=alg.theta.graded(),
         theta_bar_printed=alg.theta.doubled_printed(),
-        Ibar=sign_m,
+        Ibar=sign_grid(model.m),
         nbar=nbar,
     )
 
 
 def _block_diag_op(top: OperatorMatrix, bottom: OperatorMatrix) -> OperatorMatrix:
     alg = top.algebra
-    rows = top.rows + bottom.rows
-    cols = top.cols + bottom.cols
-    entries = []
-    for i in range(rows):
-        for j in range(cols):
-            if i < top.rows and j < top.cols:
-                entries.append(top.entry(i, j))
-            elif i >= top.rows and j >= top.cols:
-                entries.append(bottom.entry(i - top.rows, j - top.cols))
-            else:
-                entries.append(alg.zero())
-    return OperatorMatrix(alg, rows, cols, entries)
+    rows = [top.row(i) + [alg.zero() for _ in range(bottom.cols)] for i in range(top.rows)]
+    rows += [[alg.zero() for _ in range(top.cols)] + bottom.row(i) for i in range(bottom.rows)]
+    return OperatorMatrix(alg, top.rows + bottom.rows, top.cols + bottom.cols,
+                          [e for row in rows for e in row])
 
 
 def compute_nbar(model: QsdeModel) -> int:
@@ -244,9 +251,13 @@ _GEN_RE = re.compile(r"^a(\d+)$")
 
 
 class _Tokens:
-    def __init__(self, text: str, line: int):
+    """Tokens of ``text``; columns count from the start of its source line,
+    where ``text`` begins at column ``offset + 1``."""
+
+    def __init__(self, text: str, line: int, offset: int = 0):
         self.text = text
         self.line = line
+        self.offset = offset
         self.toks = []
         pos = 0
         while pos < len(text):
@@ -255,13 +266,10 @@ class _Tokens:
                 stripped = text[pos:].lstrip()
                 if not stripped:
                     break
-                raise ParseError(f"unexpected character {stripped[0]!r}", line, pos + 1)
-            if m.lastgroup == "number":
-                self.toks.append(("number", m.group("number"), m.start("number") + 1))
-            elif m.lastgroup == "name":
-                self.toks.append(("name", m.group("name"), m.start("name") + 1))
-            else:
-                self.toks.append(("sym", m.group("sym"), m.start("sym") + 1))
+                raise ParseError(f"unexpected character {stripped[0]!r}", line,
+                                 offset + len(text) - len(stripped) + 1)
+            kind = m.lastgroup
+            self.toks.append((kind, m.group(kind), offset + m.start(kind) + 1))
             pos = m.end()
         self.idx = 0
 
@@ -271,7 +279,8 @@ class _Tokens:
     def next(self):
         tok = self.peek()
         if tok is None:
-            raise ParseError("unexpected end of expression", self.line, len(self.text) + 1)
+            raise ParseError("unexpected end of expression", self.line,
+                             self.offset + len(self.text) + 1)
         self.idx += 1
         return tok
 
@@ -400,32 +409,27 @@ class _ExprParser:
 
 
 def parse_expression(text: str, algebra: Algebra, params: dict | None = None,
-                     line: int = 0) -> OperatorPolynomial:
-    tokens = _Tokens(text, line)
+                     line: int = 0, offset: int = 0) -> OperatorPolynomial:
+    tokens = _Tokens(text, line, offset)
     return _ExprParser(tokens, algebra, params or {}).parse()
 
 
-def _parse_matrix_rows(tokens: _Tokens, algebra: Algebra, params: dict):
+def _bracketed(tokens: _Tokens, item):
+    """Parse ``[item, item, ...]``; return the items."""
     tokens.expect_sym("[")
-    rows = []
+    items = []
     while True:
-        tokens.expect_sym("[")
-        row = []
-        while True:
-            row.append(_ExprParser(tokens, algebra, params).expr())
-            tok = tokens.next()
-            if tok[0] == "sym" and tok[1] == ",":
-                continue
-            if tok[0] == "sym" and tok[1] == "]":
-                break
-            raise ParseError(f"expected ',' or ']', found {tok[1]!r}", tokens.line, tok[2])
-        rows.append(row)
+        items.append(item())
         tok = tokens.next()
-        if tok[0] == "sym" and tok[1] == ",":
-            continue
         if tok[0] == "sym" and tok[1] == "]":
-            break
-        raise ParseError(f"expected ',' or ']', found {tok[1]!r}", tokens.line, tok[2])
+            return items
+        if tok[0] != "sym" or tok[1] != ",":
+            raise ParseError(f"expected ',' or ']', found {tok[1]!r}", tokens.line, tok[2])
+
+
+def _parse_matrix_rows(tokens: _Tokens, algebra: Algebra, params: dict):
+    entry = _ExprParser(tokens, algebra, params).expr
+    rows = _bracketed(tokens, lambda: _bracketed(tokens, entry))
     if any(len(r) != len(rows[0]) for r in rows):
         raise ParseError("ragged matrix literal", tokens.line, 1)
     return rows
@@ -441,9 +445,10 @@ _PHI_RE = re.compile(r"^phi\s*=\s*(.*)$")
 
 
 def _logical_lines(text: str):
-    """Comment-stripped lines, joined while brackets are unbalanced."""
+    """(line number, indent, statement): comment-stripped lines, joined while
+    brackets are unbalanced."""
     pending = ""
-    pending_line = 0
+    pending_line = indent = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].rstrip()
         if not body.strip() and not pending:
@@ -453,15 +458,16 @@ def _logical_lines(text: str):
         else:
             pending = body.strip()
             pending_line = lineno
+            indent = len(body) - len(body.lstrip())
         depth = pending.count("[") + pending.count("(") \
             - pending.count("]") - pending.count(")")
         if depth > 0:
             continue
         if pending:
-            yield pending_line, pending
+            yield pending_line, indent, pending
         pending = ""
     if pending:
-        yield pending_line, pending
+        yield pending_line, indent, pending
 
 
 def parse_model(text: str, tol: float = DEFAULT_TOL) -> QsdeModel:
@@ -501,7 +507,7 @@ def parse_model(text: str, tol: float = DEFAULT_TOL) -> QsdeModel:
             algebra = Algebra(n, theta, tol=tol)
         return algebra
 
-    for lineno, line in _logical_lines(text):
+    for lineno, indent, line in _logical_lines(text):
         hm = _HEADER_RE.match(line)
         if hm:
             key, value = hm.group(1), hm.group(2).strip()
@@ -513,7 +519,7 @@ def parse_model(text: str, tol: float = DEFAULT_TOL) -> QsdeModel:
                 if value == "identity":
                     theta_spec = "identity"
                 else:
-                    tokens = _Tokens(value, lineno)
+                    tokens = _Tokens(value, lineno, indent + hm.start(2))
                     # theta entries may not reference modes; parse over a
                     # 1-mode scratch algebra and demand constants later
                     theta_spec = _parse_matrix_rows(
@@ -525,7 +531,8 @@ def parse_model(text: str, tol: float = DEFAULT_TOL) -> QsdeModel:
         if pm:
             name, expr_src = pm.group(1), pm.group(2)
             scratch = Algebra(1, tol=tol)
-            value = parse_expression(expr_src, scratch, params, lineno)
+            value = parse_expression(expr_src, scratch, params, lineno,
+                                     indent + pm.start(2))
             if not value.is_constant:
                 raise ParseError(f"parameter {name!r} is not a scalar", lineno, 1)
             params[name] = value.constant_value()
@@ -540,7 +547,8 @@ def parse_model(text: str, tol: float = DEFAULT_TOL) -> QsdeModel:
             target = a_entries if which == "A" else c_entries
             if idx in target:
                 raise ParseError(f"duplicate {which}[{idx}]", lineno, 1)
-            target[idx] = parse_expression(expr_src, alg, params, lineno)
+            target[idx] = parse_expression(expr_src, alg, params, lineno,
+                                           indent + im.start(3))
             continue
         mm = _MATRIX_RE.match(line)
         if mm:
@@ -549,7 +557,8 @@ def parse_model(text: str, tol: float = DEFAULT_TOL) -> QsdeModel:
             if value == "identity":
                 rows = "identity"
             else:
-                rows = _parse_matrix_rows(_Tokens(value, lineno), alg, params)
+                rows = _parse_matrix_rows(_Tokens(value, lineno, indent + mm.start(2)),
+                                          alg, params)
             if which == "B":
                 if rows == "identity":
                     raise ParseError("B must be a matrix literal", lineno, 1)
@@ -560,7 +569,8 @@ def parse_model(text: str, tol: float = DEFAULT_TOL) -> QsdeModel:
         fm = _PHI_RE.match(line)
         if fm:
             alg = require_algebra(lineno)
-            phi_src = parse_expression(fm.group(1), alg, params, lineno)
+            phi_src = parse_expression(fm.group(1), alg, params, lineno,
+                                       indent + fm.start(1))
             continue
         raise ParseError(f"unrecognized statement {line!r}", lineno, 1)
 
@@ -606,62 +616,32 @@ def _parse_count(value: str, lineno: int, what: str) -> int:
 
 # -- rendering ----------------------------------------------------------------
 
-def _render_component(x) -> str:
-    if isinstance(x, Fraction):
-        return str(x)
-    return repr(x)
-
-
-def _render_scalar_expr(c: Scalar) -> str:
-    if c.im == 0:
-        return f"({_render_component(c.re)})"
-    sign = "+" if c.im >= 0 else "-"
-    im = c.im if c.im >= 0 else -c.im
-    return f"({_render_component(c.re)}{sign}{_render_component(im)}*i)"
-
-
-def render_polynomial_expr(p: OperatorPolynomial) -> str:
-    """Grammar-conformant rendering, suitable for re-parsing."""
-    from .algebra import Monomial, _format_monomial
-
-    if p.is_zero:
-        return "0"
-    chunks = []
-    for mono in sorted(p.terms, key=Monomial.sort_key):
-        coeff = _render_scalar_expr(p.terms[mono])
-        body = _format_monomial(mono)
-        chunks.append(f"{coeff}*{body}" if body else coeff)
-    return " + ".join(chunks)
-
-
 def render_model(model: QsdeModel) -> str:
     """Canonical text form; parse(render(parse(x))) equals parse(x)."""
+
+    def rows(grid_rows, fmt):
+        return "[" + ", ".join("[" + ", ".join(fmt(x) for x in row) + "]"
+                               for row in grid_rows) + "]"
+
+    def expr(p):
+        return render(p, parsable=True)
+
+    def matrix(mat):
+        return rows((mat.row(i) for i in range(mat.rows)), expr)
+
     lines = [f"modes: {model.n}", f"channels: {model.m}"]
     if model.theta.is_identity:
         lines.append("theta: identity")
     else:
-        rows = ", ".join(
-            "[" + ", ".join(_render_scalar_expr(x) for x in row) + "]"
-            for row in model.theta.theta
-        )
-        lines.append(f"theta: [{rows}]")
-    for i in range(model.n):
-        lines.append(f"A[{i + 1}] = {render_polynomial_expr(model.A.entry(i, 0))}")
-    b_rows = ", ".join(
-        "[" + ", ".join(render_polynomial_expr(e) for e in model.B.row(i)) + "]"
-        for i in range(model.n)
-    )
-    lines.append(f"B = [{b_rows}]")
-    for v in range(model.m):
-        lines.append(f"C[{v + 1}] = {render_polynomial_expr(model.C.entry(v, 0))}")
+        theta = rows(model.theta.theta, lambda x: format_scalar(x, parsable=True))
+        lines.append(f"theta: {theta}")
+    lines += [f"A[{i + 1}] = {expr(model.A.entry(i, 0))}" for i in range(model.n)]
+    lines.append(f"B = {matrix(model.B)}")
+    lines += [f"C[{v + 1}] = {expr(model.C.entry(v, 0))}" for v in range(model.m)]
     if model.D == OperatorMatrix.identity(model.algebra, model.m):
         lines.append("D = identity")
     else:
-        d_rows = ", ".join(
-            "[" + ", ".join(render_polynomial_expr(e) for e in model.D.row(i)) + "]"
-            for i in range(model.m)
-        )
-        lines.append(f"D = [{d_rows}]")
+        lines.append(f"D = {matrix(model.D)}")
     if model.phi is not None:
-        lines.append(f"phi = {render_polynomial_expr(model.phi)}")
+        lines.append(f"phi = {expr(model.phi)}")
     return "\n".join(lines) + "\n"

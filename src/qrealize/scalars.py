@@ -194,10 +194,6 @@ def grid_adjoint(g):
     return grid_transpose(grid_conj(g))
 
 
-def grid_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def grid_matmul(a, b):
     if len(a[0]) != len(b):
         raise ValueError("scalar matrix shape mismatch")
@@ -278,7 +274,3 @@ def grid_equal(a, b, tol: float = DEFAULT_TOL) -> bool:
 
 def grid_is_identity(g, tol: float = DEFAULT_TOL) -> bool:
     return len(g) == len(g[0]) and grid_equal(g, identity_grid(len(g)), tol)
-
-
-def grid_to_complex(g):
-    return [[x.to_complex() for x in row] for row in g]

@@ -18,6 +18,7 @@ from qrealize import (
     run_checks,
     synthesize_storage,
 )
+import qrealize.checks
 from qrealize.scalars import identity_grid
 
 from conftest import mutate
@@ -313,6 +314,56 @@ def test_report_json_schema(cavity):
     assert payload["derived"]["hamiltonian"] == (
         "(0+1i)*a1'^2*a2^2 + (0-1i)*a2'^2*a1^2"
     )
+
+
+# -- one doubled model per run -------------------------------------------------
+
+@pytest.fixture
+def double_calls(monkeypatch):
+    calls = []
+    original = qrealize.checks.double
+
+    def counting(model):
+        calls.append(model)
+        return original(model)
+
+    monkeypatch.setattr(qrealize.checks, "double", counting)
+    return calls
+
+
+def test_run_checks_doubles_the_model_once(cavity, double_calls):
+    assert run_checks(cavity).overall
+    assert len(double_calls) == 1
+
+
+@pytest.mark.parametrize("old, new", [
+    ("D = identity", "D = identity"),  # synthesis finds phi
+    ("B = [[-sqrt(2*k1), 0],", "B = [[sqrt(2*k1), 0],"),  # synthesis finds none
+])
+def test_run_checks_doubles_once_when_synthesizing(cavity_text, double_calls, old, new):
+    text = mutate(cavity_text, old, new).replace("phi = 2*a1'*a1 + 2*a2'*a2", "")
+    report = run_checks(parse_model(text))
+    assert report.overall is (old == new)
+    assert len(double_calls) == 1
+
+
+def test_run_checks_keeps_each_family_noise_table(cavity):
+    # CCR-sum reads the supplied table, PR-CCR-sum the default one
+    spec = NoiseSpec(F=NoiseSpec.default(2).F, T=identity_grid(4))
+    report = run_checks(cavity, noise=spec)
+    assert not report.condition("CCR-sum").passed
+    assert report.condition("PR-CCR-sum").passed
+
+
+def test_ccr_and_pr_ccr_residuals_agree(cavity, mutated_models):
+    for name, model in [("fixture", cavity)] + mutated_models:
+        report = run_checks(model, ("preserve", "realize"))
+        for suffix in ("sum", "B-left", "B-right"):
+            ccr = report.condition(f"CCR-{suffix}")
+            pr = report.condition(f"PR-CCR-{suffix}")
+            assert ccr.residuals == pr.residuals, (name, suffix)
+            assert (ccr.passed, ccr.residual_norm, ccr.witness) == (
+                pr.passed, pr.residual_norm, pr.witness), (name, suffix)
 
 
 # -- mutation sweep and the equivalence property ------------------------------

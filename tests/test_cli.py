@@ -73,7 +73,7 @@ def test_check_parse_error_reports_position(capsys, tmp_path, cavity_text):
     path.write_text(cavity_text.replace("C[1] = sqrt(2*k1)*a1", "C[1] = sqrt(2*k1)*a9"))
     code, _, err = run_cli(capsys, "check", str(path))
     assert code == 2
-    assert "unknown mode a9" in err
+    assert "line 15, col 19: unknown mode a9" in err
 
 
 def test_check_division_by_zero_is_parse_error(capsys, tmp_path, cavity_text):
@@ -81,7 +81,7 @@ def test_check_division_by_zero_is_parse_error(capsys, tmp_path, cavity_text):
     path.write_text(cavity_text.replace("param k1 = 2", "param k1 = 1/0"))
     code, _, err = run_cli(capsys, "check", str(path))
     assert code == 2
-    assert "line 6, col 2: division by zero" in err
+    assert "line 6, col 13: division by zero" in err
 
 
 def test_check_json_schema_and_verdict(capsys):
