@@ -19,8 +19,10 @@ from .scalars import (
     ONE,
     ZERO,
     Scalar,
+    block_diag,
     grid,
     grid_conj,
+    grid_equal,
     grid_inverse,
     grid_is_identity,
     grid_neg,
@@ -29,7 +31,11 @@ from .scalars import (
 
 
 class CommutationMatrix:
-    """The commutation data ``[a_j, a_k'] = theta_jk`` for an n-mode algebra."""
+    """The commutation data ``[a_j, a_k'] = theta_jk`` for an n-mode algebra.
+
+    theta is an immutable grid, so its shape (identity, diagonal) is worked
+    out once here and read by every product.
+    """
 
     def __init__(self, theta):
         self.theta = grid(theta)
@@ -37,6 +43,10 @@ class CommutationMatrix:
         if any(len(row) != n for row in self.theta):
             raise ValueError("theta must be square")
         self._inverse = None
+        self._is_identity = grid_is_identity(self.theta)
+        self._is_diagonal = all(
+            self.theta[j][k].is_zero(0.0) for j in range(n) for k in range(n) if j != k
+        )
 
     @classmethod
     def identity(cls, n: int) -> "CommutationMatrix":
@@ -51,16 +61,11 @@ class CommutationMatrix:
 
     @property
     def is_identity(self) -> bool:
-        return grid_is_identity(self.theta)
+        return self._is_identity
 
     @property
     def is_diagonal(self) -> bool:
-        return all(
-            self.theta[j][k].is_zero(0.0)
-            for j in range(self.n)
-            for k in range(self.n)
-            if j != k
-        )
+        return self._is_diagonal
 
     @property
     def invertible(self) -> bool:
@@ -77,14 +82,10 @@ class CommutationMatrix:
 
     def graded(self):
         """The block matrix diag(theta, -theta*), the true value of [abar, abar']."""
-        from .scalars import block_diag
-
         return block_diag(self.theta, grid_neg(grid_conj(self.theta)))
 
     def doubled_printed(self):
         """The block matrix diag(theta, theta*)."""
-        from .scalars import block_diag
-
         return block_diag(self.theta, grid_conj(self.theta))
 
 
@@ -107,8 +108,9 @@ class Algebra:
         self.tol = tol
 
     def compatible(self, other: "Algebra") -> bool:
-        from .scalars import grid_equal
-
+        """Same mode count and theta; polynomials of one model share one algebra."""
+        if self is other:
+            return True
         return self.modes == other.modes and grid_equal(
             self.theta.theta, other.theta.theta, self.tol
         )
@@ -302,7 +304,20 @@ class OperatorPolynomial:
         )
 
     def commutator(self, other: "OperatorPolynomial") -> "OperatorPolynomial":
-        return self * other - other * self
+        """[self, other].  With diagonal theta, only the terms of m1*m2 and
+        m2*m1 with at least one contraction are formed: the uncontracted terms
+        are equal in both orders and cancel."""
+        alg = self.algebra
+        if not alg.theta.is_diagonal:
+            return self * other - other * self
+        alg.require_compatible(other.algebra)
+        out = defaultdict(lambda: ZERO)
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                c = c1 * c2
+                _accumulate_product(alg, m1, c, m2, out, contracted=True)
+                _accumulate_product(alg, m2, -c, m1, out, contracted=True)
+        return OperatorPolynomial(alg, dict(out))
 
     # -- comparison -----------------------------------------------------------
 
@@ -332,43 +347,64 @@ def adjoint(p: OperatorPolynomial) -> OperatorPolynomial:
 
 # -- normal ordering ----------------------------------------------------------
 
-def _accumulate_product(alg: Algebra, m1: Monomial, coeff: Scalar, m2: Monomial, out):
+def _accumulate_product(
+    alg: Algebra, m1: Monomial, coeff: Scalar, m2: Monomial, out, contracted: bool = False
+):
     """Add the normal-ordered expansion of coeff * m1 * m2 into ``out``.
 
     With diagonal theta the modes decouple and the standard single-mode
-    reordering formula applies per mode; otherwise we fall back to the
-    generic rewrite on the concatenated word.
+    reordering formula applies per mode: contracting j of mode i's
+    annihilators in m1 with j of its creators in m2 weighs
+    comb(k1, j) * comb(h2, j) * j! * theta_ii**j.  The weight stays a Python
+    int, and theta_ii**j joins it only where theta_ii is not exactly 1, so
+    each output term costs one Scalar multiply.  With ``contracted`` the term
+    with no contraction is left out.  Otherwise we fall back to the generic
+    rewrite on the concatenated word.
     """
     if coeff.is_zero(0.0):
         return
-    if not alg.theta.is_diagonal:
+    theta = alg.theta
+    if not theta.is_diagonal:
         for mono, c in _rewrite_word(alg, m1.word() + m2.word()).items():
             out[mono] = out[mono] + coeff * c
         return
-    n = alg.modes
-    # combos: (scalar, per-mode contraction counts)
-    combos = [(ONE, [])]
-    for i in range(n):
-        k1 = m1.annihilation[i]
-        h2 = m2.creation[i]
-        theta_i = alg.theta.entry(i, i)
+    unit_theta = theta.is_identity
+    # combos: (int weight, theta factor or None, ((mode, j), ...) with j > 0)
+    combos = [(1, None, ())]
+    for i, (k1, h2) in enumerate(zip(m1.annihilation, m2.creation)):
+        top = min(k1, h2)
+        if top == 0:
+            continue
+        theta_i = theta.entry(i, i)
+        if theta_i.is_zero(0.0):
+            continue
+        unit = unit_theta or (theta_i.re == 1 and theta_i.im == 0)
         nxt = []
-        for c, js in combos:
-            for j in range(min(k1, h2) + 1):
-                if j > 0 and theta_i.is_zero(0.0):
-                    break
-                cj = c * Scalar(comb(k1, j) * comb(h2, j) * factorial(j)) * theta_i**j
-                nxt.append((cj, js + [j]))
+        for w, f, js in combos:
+            nxt.append((w, f, js))
+            for j in range(1, top + 1):
+                fj = f if unit else (theta_i**j if f is None else f * theta_i**j)
+                nxt.append((w * comb(k1, j) * comb(h2, j) * factorial(j), fj, js + ((i, j),)))
         combos = nxt
-    for c, js in combos:
-        cre = tuple(
-            m1.creation[i] + m2.creation[i] - js[i] for i in range(n)
-        )
-        ann = tuple(
-            m1.annihilation[i] - js[i] + m2.annihilation[i] for i in range(n)
-        )
-        mono = Monomial(cre, ann)
-        out[mono] = out[mono] + coeff * c
+    cre0 = [a + b for a, b in zip(m1.creation, m2.creation)]
+    ann0 = [a + b for a, b in zip(m1.annihilation, m2.annihilation)]
+    for w, f, js in combos:
+        if contracted and not js:
+            continue
+        cre, ann = list(cre0), list(ann0)
+        for i, j in js:
+            cre[i] -= j
+            ann[i] -= j
+        if f is not None:
+            term = coeff * (f * w)
+        elif w != 1:
+            term = coeff * Scalar(w)
+        else:
+            # ``out`` starts at ZERO, so adding coeff itself gives the bits
+            # of coeff * ONE, signed zeros included
+            term = coeff
+        mono = Monomial(tuple(cre), tuple(ann))
+        out[mono] = out[mono] + term
 
 
 def _word_mismatch(word, strategy: str):

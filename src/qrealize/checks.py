@@ -7,11 +7,12 @@ residuals; in exact mode a passing condition has residual exactly zero.
 
 All engines read one doubled model (:func:`double`).  ``run_checks`` builds
 it once per run and hands it to every family and to ``synthesize_storage``;
-each public ``check_*`` function takes it as an optional ``dm`` and builds
-its own only when called alone.  A residual matrix that several condition
-ids read is built once per doubled model and cached on it: the CCR sum and
-the ``Bbar`` commutators (``CCR-*`` and ``PR-CCR-*``), and the ``J^-1``
-brackets (the class identity and Hamiltonian extraction).
+``run_checks`` and each public ``check_*`` function take it as an optional
+``dm`` and build their own only when not given one.  A residual matrix that
+several condition ids read is built once per doubled model and cached on
+it: the CCR sum and the ``Bbar`` commutators (``CCR-*`` and ``PR-CCR-*``),
+the ``J^-1`` brackets (the class identity and Hamiltonian extraction), and
+a synthesized storage function with the two reports that verified it.
 """
 
 from __future__ import annotations
@@ -517,6 +518,17 @@ def synthesize_storage(
     and verifies the full lossless and storage-gradient conditions with the
     candidate; returns None when no quadratic witness exists.
     """
+    found = _verified_synthesis(model, dm or double(model))
+    return found[0] if found else None
+
+
+def _verified_synthesis(model: QsdeModel, dm: DoubledModel):
+    """(phi, lossless report, storage report) of the synthesized candidate,
+    or None; searched and verified once per doubled model."""
+    return dm.cached("synthesis", lambda: _synthesize(model, dm))
+
+
+def _synthesize(model: QsdeModel, dm: DoubledModel):
     import numpy as np
 
     alg = model.algebra
@@ -551,13 +563,13 @@ def synthesize_storage(
             phi = phi + alg.monomial(cre, ann, coeff)
 
     try:
-        ok = (
-            check_lossless(model, phi, dm=dm).overall
-            and check_storage_condition(phi, dm=dm).overall
-        )
+        lossless = check_lossless(model, phi, dm=dm)
+        if not lossless.overall:
+            return None
+        storage = check_storage_condition(phi, dm=dm)
     except ValueError:
         return None
-    return phi if ok else None
+    return (phi, lossless, storage) if storage.overall else None
 
 
 def _exact_quadratic_solution(model, b_grid, lam):
@@ -607,9 +619,10 @@ def run_checks(
     noise: NoiseSpec | None = None,
     phi: OperatorPolynomial | None = None,
     model_id: str = "model",
+    dm: DoubledModel | None = None,
 ) -> CheckReport:
     """Run the selected check families on one doubled model; merge their reports."""
-    dm = double(model)
+    dm = dm or double(model)
     conditions, derived = [], {}
 
     def add(report: CheckReport):
@@ -625,8 +638,12 @@ def run_checks(
     if "lossless" in selected or "storage" in selected:
         candidate = phi if phi is not None else model.phi
         synthesized = candidate is None
+        reports = {}
         if synthesized:
             candidate = synthesize_storage(model, dm)
+            if candidate is not None:
+                # cached on dm: the reports synthesis verified its candidate with
+                _, reports["lossless"], reports["storage"] = _verified_synthesis(model, dm)
         if candidate is None:
             conditions.append(
                 _verdict(
@@ -637,9 +654,9 @@ def run_checks(
             )
         else:
             if "lossless" in selected:
-                add(check_lossless(model, candidate, model_id, dm))
+                add(reports.get("lossless") or check_lossless(model, candidate, model_id, dm))
             if "storage" in selected:
-                add(check_storage_condition(candidate, model_id, dm))
+                add(reports.get("storage") or check_storage_condition(candidate, model_id, dm))
             derived["storage_function"] = candidate
             derived["storage_synthesized"] = synthesized
     return CheckReport(model_id=model_id, conditions=conditions, derived=derived or None)

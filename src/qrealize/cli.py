@@ -156,9 +156,10 @@ def _emit(report: CheckReport, args, oracle=None) -> int:
 def _cmd_check(args) -> int:
     model = _load_model(args)
     selected = _selected_checks(args)
-    report = run_checks(model, selected, model_id=args.input)
+    dm = double(model)
+    report = run_checks(model, selected, model_id=args.input, dm=dm)
     if args.literal_theta_bar and not model.A.is_zero:
-        hbar = extract_hamiltonian(model, use_printed_theta_bar=True)
+        hbar = extract_hamiltonian(model, use_printed_theta_bar=True, dm=dm)
         report.derived = {**(report.derived or {}), "hamiltonian_printed_theta_bar": hbar}
     oracle = None
     if args.oracle:

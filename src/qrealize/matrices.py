@@ -97,10 +97,13 @@ class OperatorMatrix:
         self.algebra.require_compatible(other.algebra)
         out = []
         for i in range(self.rows):
+            row = self.row(i)
             for j in range(other.cols):
                 acc = self.algebra.zero()
-                for k in range(self.cols):
-                    acc = acc + self.entry(i, k) * other.entry(k, j)
+                for left, right in zip(row, other.col(j)):
+                    # Bbar, Ibar and J are block-sparse: most factors are zero
+                    if not (left.is_zero or right.is_zero):
+                        acc = acc + left * right
                 out.append(acc)
         return OperatorMatrix(self.algebra, self.rows, other.cols, out)
 

@@ -251,13 +251,17 @@ _GEN_RE = re.compile(r"^a(\d+)$")
 
 
 class _Tokens:
-    """Tokens of ``text``; columns count from the start of its source line,
-    where ``text`` begins at column ``offset + 1``."""
+    """Tokens of ``text``, each with its source position (line, col).
 
-    def __init__(self, text: str, line: int, offset: int = 0):
+    ``spans`` maps text to source lines: ``(start, line, col)`` puts
+    ``text[start]`` at column ``col`` of ``line``, and the text after it
+    follows on that line up to the next span.  A statement continued over
+    several lines has one span per line."""
+
+    def __init__(self, text: str, spans):
         self.text = text
-        self.line = line
-        self.offset = offset
+        self.spans = spans
+        self.line = spans[0][1]
         self.toks = []
         pos = 0
         while pos < len(text):
@@ -266,12 +270,17 @@ class _Tokens:
                 stripped = text[pos:].lstrip()
                 if not stripped:
                     break
-                raise ParseError(f"unexpected character {stripped[0]!r}", line,
-                                 offset + len(text) - len(stripped) + 1)
+                raise ParseError(f"unexpected character {stripped[0]!r}",
+                                 *self.where(len(text) - len(stripped)))
             kind = m.lastgroup
-            self.toks.append((kind, m.group(kind), offset + m.start(kind) + 1))
+            self.toks.append((kind, m.group(kind), self.where(m.start(kind))))
             pos = m.end()
         self.idx = 0
+
+    def where(self, pos: int):
+        """(line, col) of ``text[pos]``."""
+        start, line, col = next(s for s in reversed(self.spans) if s[0] <= pos)
+        return line, col + pos - start
 
     def peek(self):
         return self.toks[self.idx] if self.idx < len(self.toks) else None
@@ -279,15 +288,14 @@ class _Tokens:
     def next(self):
         tok = self.peek()
         if tok is None:
-            raise ParseError("unexpected end of expression", self.line,
-                             self.offset + len(self.text) + 1)
+            raise ParseError("unexpected end of expression", *self.where(len(self.text)))
         self.idx += 1
         return tok
 
     def expect_sym(self, sym: str):
         tok = self.next()
         if tok[0] != "sym" or tok[1] != sym:
-            raise ParseError(f"expected {sym!r}, found {tok[1]!r}", self.line, tok[2])
+            raise ParseError(f"expected {sym!r}, found {tok[1]!r}", *tok[2])
         return tok
 
     def at_end(self) -> bool:
@@ -306,7 +314,7 @@ class _ExprParser:
         expr = self.expr()
         if not self.t.at_end():
             tok = self.t.peek()
-            raise ParseError(f"unexpected {tok[1]!r}", self.t.line, tok[2])
+            raise ParseError(f"unexpected {tok[1]!r}", *tok[2])
         return expr
 
     def expr(self) -> OperatorPolynomial:
@@ -332,16 +340,16 @@ class _ExprParser:
                 else:
                     if not rhs.is_constant:
                         raise ParseError("division by a non-constant operator",
-                                         self.t.line, tok[2])
+                                         *tok[2])
                     try:
                         inverse = ONE / rhs.constant_value()
                     except ZeroDivisionError:
-                        raise ParseError("division by zero", self.t.line, tok[2]) from None
+                        raise ParseError("division by zero", *tok[2]) from None
                     acc = acc.scale(inverse)
             elif tok and tok[0] in ("number", "name"):
                 raise ParseError(
                     "juxtaposition is not multiplication; use '*'",
-                    self.t.line, tok[2],
+                    *tok[2],
                 )
             else:
                 return acc
@@ -361,18 +369,18 @@ class _ExprParser:
                 exp_tok = self.t.next()
                 if exp_tok[0] != "number" or not exp_tok[1].isdigit():
                     raise ParseError("exponent must be a positive integer",
-                                     self.t.line, exp_tok[2])
+                                     *exp_tok[2])
                 k = int(exp_tok[1])
                 if k < 1:
                     raise ParseError("exponent must be a positive integer",
-                                     self.t.line, exp_tok[2])
+                                     *exp_tok[2])
                 base = base**k
             else:
                 return base
 
     def primary(self) -> OperatorPolynomial:
         tok = self.t.next()
-        kind, text, col = tok
+        kind, text, pos = tok
         if kind == "number":
             return self.alg.scalar(Scalar(Fraction(text)))
         if kind == "sym" and text == "(":
@@ -387,7 +395,7 @@ class _ExprParser:
                 inner = self.expr()
                 self.t.expect_sym(")")
                 if not inner.is_constant:
-                    raise ParseError("sqrt of a non-scalar expression", self.t.line, col)
+                    raise ParseError("sqrt of a non-scalar expression", *pos)
                 return self.alg.scalar(inner.constant_value().sqrt())
             gen = _GEN_RE.match(text)
             if gen:
@@ -395,7 +403,7 @@ class _ExprParser:
                 if not 1 <= mode <= self.alg.modes:
                     raise ParseError(
                         f"unknown mode a{mode}; model has {self.alg.modes} modes",
-                        self.t.line, col,
+                        *pos,
                     )
                 nxt = self.t.peek()
                 if nxt and nxt[0] == "sym" and nxt[1] == "'":
@@ -404,13 +412,13 @@ class _ExprParser:
                 return self.alg.annihilator(mode)
             if text in self.params:
                 return self.alg.scalar(self.params[text])
-            raise ParseError(f"unknown parameter {text!r}", self.t.line, col)
-        raise ParseError(f"unexpected {text!r}", self.t.line, col)
+            raise ParseError(f"unknown parameter {text!r}", *pos)
+        raise ParseError(f"unexpected {text!r}", *pos)
 
 
 def parse_expression(text: str, algebra: Algebra, params: dict | None = None,
                      line: int = 0, offset: int = 0) -> OperatorPolynomial:
-    tokens = _Tokens(text, line, offset)
+    tokens = _Tokens(text, ((0, line, offset + 1),))
     return _ExprParser(tokens, algebra, params or {}).parse()
 
 
@@ -424,7 +432,7 @@ def _bracketed(tokens: _Tokens, item):
         if tok[0] == "sym" and tok[1] == "]":
             return items
         if tok[0] != "sym" or tok[1] != ",":
-            raise ParseError(f"expected ',' or ']', found {tok[1]!r}", tokens.line, tok[2])
+            raise ParseError(f"expected ',' or ']', found {tok[1]!r}", *tok[2])
 
 
 def _parse_matrix_rows(tokens: _Tokens, algebra: Algebra, params: dict):
@@ -445,29 +453,34 @@ _PHI_RE = re.compile(r"^phi\s*=\s*(.*)$")
 
 
 def _logical_lines(text: str):
-    """(line number, indent, statement): comment-stripped lines, joined while
-    brackets are unbalanced."""
+    """(spans, statement): comment-stripped lines, joined with one blank while
+    brackets are unbalanced; ``spans`` gives the source position of each
+    joined line's first character, as ``_Tokens`` reads it."""
     pending = ""
-    pending_line = indent = 0
+    spans = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].rstrip()
         if not body.strip() and not pending:
             continue
         if pending:
-            pending += " " + body.strip()
-        else:
-            pending = body.strip()
-            pending_line = lineno
-            indent = len(body) - len(body.lstrip())
+            pending += " "
+        spans.append((len(pending), lineno, len(body) - len(body.lstrip()) + 1))
+        pending += body.strip()
         depth = pending.count("[") + pending.count("(") \
             - pending.count("]") - pending.count(")")
         if depth > 0:
             continue
         if pending:
-            yield pending_line, indent, pending
+            yield tuple(spans), pending
         pending = ""
+        spans = []
     if pending:
-        yield pending_line, indent, pending
+        yield tuple(spans), pending
+
+
+def _tokens_from(statement: str, spans, start: int) -> _Tokens:
+    """Tokens of ``statement[start:]``."""
+    return _Tokens(statement[start:], tuple((s - start, ln, col) for s, ln, col in spans))
 
 
 def parse_model(text: str, tol: float = DEFAULT_TOL) -> QsdeModel:
@@ -507,7 +520,11 @@ def parse_model(text: str, tol: float = DEFAULT_TOL) -> QsdeModel:
             algebra = Algebra(n, theta, tol=tol)
         return algebra
 
-    for lineno, indent, line in _logical_lines(text):
+    def expression(line, spans, start, alg):
+        return _ExprParser(_tokens_from(line, spans, start), alg, params).parse()
+
+    for spans, line in _logical_lines(text):
+        lineno = spans[0][1]
         hm = _HEADER_RE.match(line)
         if hm:
             key, value = hm.group(1), hm.group(2).strip()
@@ -519,7 +536,7 @@ def parse_model(text: str, tol: float = DEFAULT_TOL) -> QsdeModel:
                 if value == "identity":
                     theta_spec = "identity"
                 else:
-                    tokens = _Tokens(value, lineno, indent + hm.start(2))
+                    tokens = _tokens_from(line, spans, hm.start(2))
                     # theta entries may not reference modes; parse over a
                     # 1-mode scratch algebra and demand constants later
                     theta_spec = _parse_matrix_rows(
@@ -529,10 +546,9 @@ def parse_model(text: str, tol: float = DEFAULT_TOL) -> QsdeModel:
             continue
         pm = _PARAM_RE.match(line)
         if pm:
-            name, expr_src = pm.group(1), pm.group(2)
+            name = pm.group(1)
             scratch = Algebra(1, tol=tol)
-            value = parse_expression(expr_src, scratch, params, lineno,
-                                     indent + pm.start(2))
+            value = expression(line, spans, pm.start(2), scratch)
             if not value.is_constant:
                 raise ParseError(f"parameter {name!r} is not a scalar", lineno, 1)
             params[name] = value.constant_value()
@@ -540,15 +556,14 @@ def parse_model(text: str, tol: float = DEFAULT_TOL) -> QsdeModel:
         im = _INDEXED_RE.match(line)
         if im:
             alg = require_algebra(lineno)
-            which, idx, expr_src = im.group(1), int(im.group(2)), im.group(3)
+            which, idx = im.group(1), int(im.group(2))
             limit = n if which == "A" else m
             if not 1 <= idx <= limit:
                 raise ParseError(f"{which}[{idx}] out of range 1..{limit}", lineno, 1)
             target = a_entries if which == "A" else c_entries
             if idx in target:
                 raise ParseError(f"duplicate {which}[{idx}]", lineno, 1)
-            target[idx] = parse_expression(expr_src, alg, params, lineno,
-                                           indent + im.start(3))
+            target[idx] = expression(line, spans, im.start(3), alg)
             continue
         mm = _MATRIX_RE.match(line)
         if mm:
@@ -557,7 +572,7 @@ def parse_model(text: str, tol: float = DEFAULT_TOL) -> QsdeModel:
             if value == "identity":
                 rows = "identity"
             else:
-                rows = _parse_matrix_rows(_Tokens(value, lineno, indent + mm.start(2)),
+                rows = _parse_matrix_rows(_tokens_from(line, spans, mm.start(2)),
                                           alg, params)
             if which == "B":
                 if rows == "identity":
@@ -569,8 +584,7 @@ def parse_model(text: str, tol: float = DEFAULT_TOL) -> QsdeModel:
         fm = _PHI_RE.match(line)
         if fm:
             alg = require_algebra(lineno)
-            phi_src = parse_expression(fm.group(1), alg, params, lineno,
-                                       indent + fm.start(1))
+            phi_src = expression(line, spans, fm.start(1), alg)
             continue
         raise ParseError(f"unrecognized statement {line!r}", lineno, 1)
 

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from qrealize import Scalar
 
 
@@ -25,6 +27,17 @@ def random_poly(rng, alg, max_terms=3, max_degree=4, coeff_range=3):
         )
         p = p + alg.monomial(cre, ann, coeff)
     return p
+
+
+def polynomials(alg, max_terms=4, max_exponent=3):
+    """Hypothesis strategy: exact polynomials over ``alg`` with at most
+    ``max_terms`` terms and every exponent at most ``max_exponent``."""
+    exponents = st.tuples(*[st.integers(0, max_exponent)] * alg.modes)
+    coeffs = st.builds(Scalar, st.integers(-3, 3), st.integers(-3, 3))
+    terms = st.lists(st.tuples(exponents, exponents, coeffs), max_size=max_terms)
+    return terms.map(lambda ts: sum(
+        (alg.monomial(cre, ann, c) for cre, ann, c in ts), alg.zero()
+    ))
 
 
 def chain_text(n):

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_poly
+from helpers import polynomials, random_poly
 from qrealize import (
     Algebra,
     Scalar,
@@ -202,3 +204,86 @@ def test_render_constant_and_zero(one_mode):
 def test_render_degree_ordering(one_mode):
     p = one_mode.creator(1) + one_mode.one() + one_mode.creator(1) ** 2
     assert render(p) == "(1+0i) + (1+0i)*a1' + (1+0i)*a1'^2"
+
+
+# -- the contraction-weight product and the direct commutator -----------------
+
+# theta per kind, cut to the drawn mode count: identity, a non-identity
+# diagonal (one entry exactly 1), a diagonal with a zero and a complex entry,
+# and the non-diagonal theta of test_normal_order_respects_theta (two modes).
+THETAS = {
+    "identity": None,
+    "diagonal": [2, Fraction(1, 3), 1],
+    "diagonal-zero": [0, -1, Scalar(0, 1)],
+    "non-diagonal": [[2, Scalar(0, 1)], [Scalar(0, -1), 3]],
+}
+PROPERTY = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def polynomial_pairs(draw, kind, max_exponent=3):
+    theta = THETAS[kind]
+    if kind == "non-diagonal":
+        alg = Algebra(2, CommutationMatrix(theta))
+    else:
+        n = draw(st.integers(1, 3))
+        if theta is not None:
+            theta = [[theta[j] if j == k else 0 for k in range(n)] for j in range(n)]
+        alg = Algebra(n, theta)
+    poly = polynomials(alg, max_exponent=max_exponent)
+    return draw(poly), draw(poly)
+
+
+def product_by_rewriting(p, q):
+    """p * q term by term through ``normal_order`` of the concatenated words."""
+    alg = p.algebra
+    out = alg.zero()
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            word = [(mode + 1, dag) for mode, dag in m1.word() + m2.word()]
+            out = out + normal_order(alg, word, c1 * c2)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["identity", "diagonal", "diagonal-zero"])
+@PROPERTY
+@given(data=st.data())
+def test_commutator_equals_difference_of_products(kind, data):
+    p, q = data.draw(polynomial_pairs(kind))
+    assert p.commutator(q).terms == (p * q - q * p).terms
+
+
+@PROPERTY
+@given(pair=polynomial_pairs("non-diagonal", max_exponent=2))
+def test_commutator_equals_difference_of_products_non_diagonal(pair):
+    p, q = pair
+    assert p.commutator(q).terms == (p * q - q * p).terms
+
+
+@pytest.mark.parametrize("kind", ["identity", "diagonal", "diagonal-zero"])
+@PROPERTY
+@given(data=st.data())
+def test_product_matches_word_rewriting(kind, data):
+    p, q = data.draw(polynomial_pairs(kind))
+    assert (p * q).terms == product_by_rewriting(p, q).terms
+
+
+@PROPERTY
+@given(
+    diag=st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+    off=st.integers(-2, 2),
+)
+def test_compatible_compares_theta_of_distinct_algebras(diag, off):
+    n = len(diag)
+    theta = [[diag[j] if j == k else (off if j < k else 0) for k in range(n)]
+             for j in range(n)]
+    a, b = Algebra(n, theta), Algebra(n, theta)
+    assert a is not b
+    assert a.compatible(b) and b.compatible(a)
+    assert (a.annihilator(1) + b.creator(1)).algebra is a
+    changed = [row[:] for row in theta]
+    changed[0][0] += 1
+    other = Algebra(n, changed)
+    assert not a.compatible(other) and not other.compatible(a)
+    with pytest.raises(ValueError):
+        a.annihilator(1).commutator(other.creator(1))

@@ -347,6 +347,22 @@ def test_run_checks_doubles_once_when_synthesizing(cavity_text, double_calls, ol
     assert len(double_calls) == 1
 
 
+def test_run_checks_verifies_a_synthesized_phi_once(cavity_text, monkeypatch):
+    calls = []
+    for name in ("check_lossless", "check_storage_condition"):
+        original = getattr(qrealize.checks, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(qrealize.checks, name, counting)
+    text = cavity_text.replace("phi = 2*a1'*a1 + 2*a2'*a2", "")
+    report = run_checks(parse_model(text))
+    assert report.overall and report.derived["storage_synthesized"]
+    assert sorted(calls) == ["check_lossless", "check_storage_condition"]
+
+
 def test_run_checks_keeps_each_family_noise_table(cavity):
     # CCR-sum reads the supplied table, PR-CCR-sum the default one
     spec = NoiseSpec(F=NoiseSpec.default(2).F, T=identity_grid(4))

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import qrealize.checks
+import qrealize.cli
 from qrealize.cli import main
 
 from conftest import CAVITY_PATH, mutate
@@ -76,6 +78,21 @@ def test_check_parse_error_reports_position(capsys, tmp_path, cavity_text):
     assert "line 15, col 19: unknown mode a9" in err
 
 
+@pytest.mark.parametrize("old, new, position", [
+    # on the continuation line of B: its own line and column
+    ("     [0, -sqrt(2*k2)]]", "     [0, -sqrt(2*k2) a1]]", "line 13, col 22"),
+    # on the statement's first line
+    ("B = [[-sqrt(2*k1), 0],", "B = [[-sqrt(2*k1) a1, 0],", "line 12, col 19"),
+], ids=["continuation-line", "first-line"])
+def test_check_parse_error_in_continued_statement(capsys, tmp_path, cavity_text,
+                                                  old, new, position):
+    path = tmp_path / "bad.qsde"
+    path.write_text(mutate(cavity_text, old, new))
+    code, _, err = run_cli(capsys, "check", str(path))
+    assert code == 2
+    assert f"{position}: juxtaposition is not multiplication" in err
+
+
 def test_check_division_by_zero_is_parse_error(capsys, tmp_path, cavity_text):
     path = tmp_path / "div0.qsde"
     path.write_text(cavity_text.replace("param k1 = 2", "param k1 = 1/0"))
@@ -132,6 +149,21 @@ def test_check_literal_theta_bar_audit(capsys):
     payload = json.loads(out)
     audit = payload["derived"]["hamiltonian_printed_theta_bar"]
     assert audit != payload["derived"]["hamiltonian"]
+
+
+def test_check_literal_theta_bar_doubles_the_model_once(capsys, monkeypatch):
+    calls = []
+    original = qrealize.checks.double
+
+    def counting(model):
+        calls.append(model)
+        return original(model)
+
+    monkeypatch.setattr(qrealize.checks, "double", counting)
+    monkeypatch.setattr(qrealize.cli, "double", counting)
+    code, _, _ = run_cli(capsys, "check", str(CAVITY_PATH), "--literal-theta-bar")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_check_with_oracle(capsys):

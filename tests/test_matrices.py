@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrealize import (
     Algebra,
@@ -15,7 +17,7 @@ from qrealize import (
 from qrealize.algebra import CommutationMatrix
 from qrealize.scalars import block_diag, grid, grid_conj, grid_neg
 
-from helpers import random_poly
+from helpers import polynomials, random_poly
 
 
 @pytest.fixture
@@ -126,3 +128,29 @@ def test_order_preserving_product(alg):
     right = OperatorMatrix(alg, 1, 1, [alg.creator(1)])
     got = (left @ right).entry(0, 0)
     assert got == alg.creator(1) * alg.annihilator(1) + 1
+
+
+@st.composite
+def sparse_matrix_pairs(draw):
+    """(a, b) with a.cols == b.rows, over 1-2 modes, about half the entries zero."""
+    alg = Algebra(draw(st.integers(1, 2)))
+    entry = st.one_of(st.just(alg.zero()), polynomials(alg, max_terms=2, max_exponent=2))
+    rows, inner, cols = (draw(st.integers(1, 3)) for _ in range(3))
+
+    def matrix(r, c):
+        return OperatorMatrix(alg, r, c, [draw(entry) for _ in range(r * c)])
+
+    return matrix(rows, inner), matrix(inner, cols)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=sparse_matrix_pairs())
+def test_matmul_skipping_zero_entries_equals_full_sum(pair):
+    a, b = pair
+    got = a @ b
+    for i in range(a.rows):
+        for j in range(b.cols):
+            full = a.algebra.zero()
+            for k in range(a.cols):
+                full = full + a.entry(i, k) * b.entry(k, j)
+            assert got.entry(i, j).terms == full.terms
