@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import comb, factorial
 
@@ -187,6 +188,17 @@ class Monomial:
             out.extend([(i, False)] * k)
         return tuple(out)
 
+    @cached_property
+    def mode_masks(self):
+        """Bitmasks of the modes this word annihilates and creates."""
+        ann = cre = 0
+        for i, (h, k) in enumerate(zip(self.creation, self.annihilation)):
+            if k:
+                ann |= 1 << i
+            if h:
+                cre |= 1 << i
+        return ann, cre
+
     def sort_key(self):
         return (
             self.degree,
@@ -209,10 +221,10 @@ class OperatorPolynomial:
         self.algebra = algebra
         pruned = {}
         for mono, coeff in terms.items():
-            if coeff.is_exact:
-                if coeff.re == 0 and coeff.im == 0:
+            if coeff.den is None:
+                if coeff.magnitude() <= algebra.tol:
                     continue
-            elif coeff.magnitude() <= algebra.tol:
+            elif not (coeff.re_num or coeff.im_num):
                 continue
             pruned[mono] = coeff
         self.terms = pruned
@@ -306,17 +318,28 @@ class OperatorPolynomial:
     def commutator(self, other: "OperatorPolynomial") -> "OperatorPolynomial":
         """[self, other].  With diagonal theta, only the terms of m1*m2 and
         m2*m1 with at least one contraction are formed: the uncontracted terms
-        are equal in both orders and cancel."""
+        are equal in both orders and cancel.  m1*m2 can contract only where
+        m1 annihilates a mode that m2 creates, so a pair, or one order of
+        it, that cannot is skipped before any scalar work."""
         alg = self.algebra
         if not alg.theta.is_diagonal:
             return self * other - other * self
         alg.require_compatible(other.algebra)
         out = defaultdict(lambda: ZERO)
         for m1, c1 in self.terms.items():
+            ann1, cre1 = m1.mode_masks
+            if not (ann1 or cre1):
+                continue  # a constant term commutes with everything
             for m2, c2 in other.terms.items():
+                ann2, cre2 = m2.mode_masks
+                forward, backward = ann1 & cre2, ann2 & cre1
+                if not (forward or backward):
+                    continue
                 c = c1 * c2
-                _accumulate_product(alg, m1, c, m2, out, contracted=True)
-                _accumulate_product(alg, m2, -c, m1, out, contracted=True)
+                if forward:
+                    _accumulate_product(alg, m1, c, m2, out, contracted=True)
+                if backward:
+                    _accumulate_product(alg, m2, -c, m1, out, contracted=True)
         return OperatorPolynomial(alg, dict(out))
 
     # -- comparison -----------------------------------------------------------
@@ -378,7 +401,7 @@ def _accumulate_product(
         theta_i = theta.entry(i, i)
         if theta_i.is_zero(0.0):
             continue
-        unit = unit_theta or (theta_i.re == 1 and theta_i.im == 0)
+        unit = unit_theta or theta_i == ONE
         nxt = []
         for w, f, js in combos:
             nxt.append((w, f, js))

@@ -155,7 +155,7 @@ def _ccr_sum(dm: DoubledModel, t_grid) -> OperatorMatrix:
     return dm.cached(("ccr-sum", t_grid), lambda: (
         outer_commutator(dm.Abar, dm.abar)
         + outer_commutator(dm.abar, dm.Abar)
-        + dm.Bbar @ OperatorMatrix.from_scalars(dm.algebra, t_grid) @ dm.Bbar.adjoint()
+        + dm.Bbar @ OperatorMatrix.from_scalars(dm.algebra, t_grid) @ dm.Bbar_adjoint
     ))
 
 
@@ -163,7 +163,7 @@ def _bbar_commutators(dm: DoubledModel):
     """The nonzero [Bbar_ij, abar_k'] and [Bbar'_ij, abar_k]."""
     return dm.cached("bbar-commutators", lambda: (
         matrix_vector_commutators(dm.Bbar, dm.abar, dagger=True),
-        matrix_vector_commutators(dm.Bbar.adjoint(), dm.abar),
+        matrix_vector_commutators(dm.Bbar_adjoint, dm.abar),
     ))
 
 
@@ -184,15 +184,12 @@ def _brackets(dm: DoubledModel, printed: bool = False):
 
 def coupling_commutator_matrix(lbar: OperatorMatrix, abar: OperatorMatrix) -> OperatorMatrix:
     """The matrix [Lbar', abar] with entry (j, k) = [Lbar_k*, abar_j]."""
+    lbar_adj = [p.adjoint() for p in lbar.col(0)]
     return OperatorMatrix(
         abar.algebra,
         abar.rows,
         lbar.rows,
-        [
-            lbar.entry(k, 0).adjoint().commutator(abar.entry(j, 0))
-            for j in range(abar.rows)
-            for k in range(lbar.rows)
-        ],
+        [l_k.commutator(a_j) for a_j in abar.col(0) for l_k in lbar_adj],
     )
 
 
@@ -402,7 +399,7 @@ def check_lossless(
         _matrix_residual(
             "LL-B-gradient",
             "(1/2) Bbar' grad(phi) equals -Cbar",
-            _half(dm.Bbar.adjoint() @ grad) + dm.Cbar,
+            _half(dm.Bbar_adjoint @ grad) + dm.Cbar,
         ),
         _matrix_residual(
             "LL-D-unitary",

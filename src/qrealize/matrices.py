@@ -201,14 +201,13 @@ def matrix_vector_commutators(m: OperatorMatrix, w: OperatorMatrix, dagger: bool
     """
     _require_column(w)
     m.algebra.require_compatible(w.algebra)
+    targets = [p.adjoint() for p in w.col(0)] if dagger else w.col(0)
     residuals = []
     for i in range(m.rows):
         for j in range(m.cols):
-            for k in range(w.rows):
-                target = w.entry(k, 0)
-                if dagger:
-                    target = target.adjoint()
-                c = m.entry(i, j).commutator(target)
+            entry = m.entry(i, j)
+            for k, target in enumerate(targets):
+                c = entry.commutator(target)
                 if not c.is_zero:
                     residuals.append(((i + 1, j + 1, k + 1), c))
     return residuals

@@ -134,6 +134,11 @@ class DoubledModel:
             self.memo[key] = build()
         return self.memo[key]
 
+    @property
+    def Bbar_adjoint(self) -> OperatorMatrix:
+        """Bbar', read by the CCR sum, the Bbar commutators and LL-B-gradient."""
+        return self.cached("Bbar'", self.Bbar.adjoint)
+
 
 @dataclass
 class NoiseSpec:

@@ -1,11 +1,14 @@
-"""Complex scalar arithmetic with an exact-rational fast path.
+"""Complex scalar arithmetic with an exact Gaussian-rational fast path.
 
-Scalars carry a pair of rational (``fractions.Fraction``) components while
-every input stays rational; the first irrational value (e.g. a square root
-of a non-square) degrades the scalar, and everything computed from it, to
-binary64 components.  Equality of exact scalars is syntactic on reduced
-rationals; floating comparisons are tolerance-based and live at the
-polynomial level.
+An exact scalar is the Gaussian rational ``(re_num + im_num*i) / den``,
+three Python ints with ``den > 0`` and no common factor of all three, so
+equal values have equal fields and every ring operation is integer
+arithmetic.  The first irrational value (e.g. a square root of a
+non-square) degrades the scalar, and everything computed from it, to
+binary64 components, held in ``re_num`` and ``im_num`` with ``den`` None.
+``re`` and ``im`` read the components as ``Fraction`` or ``float``.
+Equality of exact scalars is syntactic; floating comparisons are
+tolerance-based and live at the polynomial level.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from math import gcd
 
 DEFAULT_TOL = 1e-9
 
@@ -26,18 +30,24 @@ def _coerce(x):
 
 
 class Scalar:
-    """A complex number with exact-rational or floating components."""
+    """A complex number with exact Gaussian-rational or floating components."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("re_num", "im_num", "den")
 
     def __init__(self, re=0, im=0):
+        if type(re) is int and type(im) is int:
+            self.re_num, self.im_num, self.den = re, im, 1
+            return
         re = _coerce(re)
         im = _coerce(im)
         if isinstance(re, float) or isinstance(im, float):
-            re = float(re)
-            im = float(im)
-        self.re = re
-        self.im = im
+            self.re_num, self.im_num, self.den = float(re), float(im), None
+            return
+        # over the lcm of two reduced denominators the three share no factor
+        den = math.lcm(re.denominator, im.denominator)
+        self.re_num = re.numerator * (den // re.denominator)
+        self.im_num = im.numerator * (den // im.denominator)
+        self.den = den
 
     # -- construction helpers -------------------------------------------------
 
@@ -51,47 +61,102 @@ class Scalar:
         return Scalar(value)
 
     @property
+    def re(self):
+        d = self.den
+        return self.re_num if d is None else Fraction(self.re_num, d)
+
+    @property
+    def im(self):
+        d = self.den
+        return self.im_num if d is None else Fraction(self.im_num, d)
+
+    @property
     def is_exact(self) -> bool:
-        return isinstance(self.re, Fraction)
+        return self.den is not None
+
+    def _floats(self):
+        """(re, im) as floats; ``num / den`` has the bits of ``float(Fraction)``."""
+        d = self.den
+        if d is None:
+            return self.re_num, self.im_num
+        return self.re_num / d, self.im_num / d
 
     def to_float(self) -> "Scalar":
-        return Scalar(float(self.re), float(self.im))
+        return _float(*self._floats())
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(*self._floats())
 
     # -- ring operations ------------------------------------------------------
+    #
+    # Exact operands combine as integers; as soon as one side is floating the
+    # other is converted and the complex formulas run on floats, term for
+    # term as on Fraction components, so signed zeros come out alike.
 
     def __add__(self, other):
-        o = Scalar.of(other)
-        return Scalar(self.re + o.re, self.im + o.im)
+        o = other if type(other) is Scalar else Scalar.of(other)
+        d, e = self.den, o.den
+        if d is None or e is None:
+            a, b = self._floats()
+            c, f = o._floats()
+            return _float(a + c, b + f)
+        if d == e:
+            return _exact(self.re_num + o.re_num, self.im_num + o.im_num, d)
+        return _exact(self.re_num * e + o.re_num * d, self.im_num * e + o.im_num * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = Scalar.of(other)
-        return Scalar(self.re - o.re, self.im - o.im)
+        o = other if type(other) is Scalar else Scalar.of(other)
+        d, e = self.den, o.den
+        if d is None or e is None:
+            a, b = self._floats()
+            c, f = o._floats()
+            return _float(a - c, b - f)
+        if d == e:
+            return _exact(self.re_num - o.re_num, self.im_num - o.im_num, d)
+        return _exact(self.re_num * e - o.re_num * d, self.im_num * e - o.im_num * d, d * e)
 
     def __rsub__(self, other):
         return Scalar.of(other) - self
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        out = _new(Scalar)
+        out.re_num, out.im_num, out.den = -self.re_num, -self.im_num, self.den
+        return out
 
     def __mul__(self, other):
-        o = Scalar.of(other)
-        return Scalar(self.re * o.re - self.im * o.im,
-                      self.re * o.im + self.im * o.re)
+        o = other if type(other) is Scalar else Scalar.of(other)
+        d, e = self.den, o.den
+        if d is None or e is None:
+            a, b = self._floats()
+            c, f = o._floats()
+            return _float(a * c - b * f, a * f + b * c)
+        a, b, c, f = self.re_num, self.im_num, o.re_num, o.im_num
+        return _exact(a * c - b * f, a * f + b * c, d * e)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = Scalar.of(other)
-        den = o.re * o.re + o.im * o.im
-        if den == 0:
-            raise ZeroDivisionError("scalar division by zero")
-        return Scalar((self.re * o.re + self.im * o.im) / den,
-                      (self.im * o.re - self.re * o.im) / den)
+        o = other if type(other) is Scalar else Scalar.of(other)
+        d, e = self.den, o.den
+        c, f = o.re_num, o.im_num
+        if e is not None:
+            norm = c * c + f * f  # |o|^2 = norm / e^2
+            if norm == 0:
+                raise ZeroDivisionError("scalar division by zero")
+            if d is not None:
+                a, b = self.re_num, self.im_num
+                return _exact((a * c + b * f) * e, (b * c - a * f) * e, d * norm)
+            # |o|^2 is rounded once from its exact value, as float(Fraction) is
+            den = norm / (e * e)
+            c, f = c / e, f / e
+        else:
+            den = c * c + f * f
+            if den == 0:
+                raise ZeroDivisionError("scalar division by zero")
+        a, b = self._floats()
+        return _float((a * c + b * f) / den, (b * c - a * f) / den)
 
     def __rtruediv__(self, other):
         return Scalar.of(other) / self
@@ -105,16 +170,19 @@ class Scalar:
         return out
 
     def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        out = _new(Scalar)
+        out.re_num, out.im_num, out.den = self.re_num, -self.im_num, self.den
+        return out
 
     def sqrt(self) -> "Scalar":
         """Principal square root, kept exact for perfect rational squares."""
-        if self.im == 0:
-            mag = self.re if self.re >= 0 else -self.re
+        re, im = self.re, self.im
+        if im == 0:
+            mag = re if re >= 0 else -re
             root = _rational_sqrt(mag) if isinstance(mag, Fraction) else math.sqrt(mag)
             if root is None:
                 root = math.sqrt(float(mag))
-            if self.re >= 0:
+            if re >= 0:
                 return Scalar(root, 0 if isinstance(root, Fraction) else 0.0)
             return Scalar(0 if isinstance(root, Fraction) else 0.0, root)
         z = cmath.sqrt(self.to_complex())
@@ -123,24 +191,51 @@ class Scalar:
     # -- predicates -----------------------------------------------------------
 
     def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
-        if self.is_exact:
-            return self.re == 0 and self.im == 0
-        return abs(self.re) <= tol and abs(self.im) <= tol
+        if self.den is not None:
+            return not (self.re_num or self.im_num)
+        return abs(self.re_num) <= tol and abs(self.im_num) <= tol
 
     def magnitude(self) -> float:
-        return math.hypot(float(self.re), float(self.im))
+        return math.hypot(*self._floats())
 
     def __eq__(self, other):
         if not isinstance(other, (Scalar, int, Fraction, float, complex)):
             return NotImplemented
         o = Scalar.of(other)
+        if self.den is not None and o.den is not None:
+            # reduced fields: equal values have equal fields
+            return (self.re_num == o.re_num and self.im_num == o.im_num
+                    and self.den == o.den)
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
+        if self.den == 1:
+            # an integral Fraction hashes as its int
+            return hash((self.re_num, self.im_num))
         return hash((self.re, self.im))
 
     def __repr__(self):
         return f"Scalar({self.re!r}, {self.im!r})"
+
+
+_new = object.__new__
+
+
+def _exact(re_num: int, im_num: int, den: int) -> Scalar:
+    """The exact scalar (re_num + im_num*i) / den, den > 0, reduced here."""
+    g = gcd(re_num, im_num, den)
+    out = _new(Scalar)
+    if g == 1:
+        out.re_num, out.im_num, out.den = re_num, im_num, den
+    else:
+        out.re_num, out.im_num, out.den = re_num // g, im_num // g, den // g
+    return out
+
+
+def _float(re: float, im: float) -> Scalar:
+    out = _new(Scalar)
+    out.re_num, out.im_num, out.den = re, im, None
+    return out
 
 
 def _rational_sqrt(f: Fraction):

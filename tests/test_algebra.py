@@ -1,10 +1,12 @@
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qrealize.algebra
 from helpers import polynomials, random_poly
 from qrealize import (
     Algebra,
@@ -15,7 +17,13 @@ from qrealize import (
     render,
     wirtinger_gradient,
 )
-from qrealize.algebra import CommutationMatrix
+from qrealize.algebra import (
+    ZERO,
+    CommutationMatrix,
+    Monomial,
+    OperatorPolynomial,
+    _accumulate_product,
+)
 
 
 @pytest.fixture
@@ -287,3 +295,75 @@ def test_compatible_compares_theta_of_distinct_algebras(diag, off):
     assert not a.compatible(other) and not other.compatible(a)
     with pytest.raises(ValueError):
         a.annihilator(1).commutator(other.creator(1))
+
+
+# -- the commutator's contraction filter --------------------------------------
+
+def all_pairs_commutator(p, q):
+    """[p, q] with diagonal theta, visiting every pair of terms in both orders."""
+    alg = p.algebra
+    out = defaultdict(lambda: ZERO)
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            c = c1 * c2
+            _accumulate_product(alg, m1, c, m2, out, contracted=True)
+            _accumulate_product(alg, m2, -c, m1, out, contracted=True)
+    return OperatorPolynomial(alg, dict(out))
+
+
+def component_reprs(p):
+    """Each term, in order, with the repr of both coefficient components."""
+    return [(m, repr(c.re), repr(c.im)) for m, c in p.terms.items()]
+
+
+FLOAT_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.5, 0.25]),
+    st.floats(min_value=-8, max_value=8, allow_subnormal=False),
+)
+FLOAT_THETAS = {
+    "identity": None,
+    "diagonal": [2, Fraction(1, 3), 1],
+    "float-diagonal": [2.0, -0.5, 1.0],
+}
+
+
+@st.composite
+def float_polynomial_pairs(draw, kind):
+    n = draw(st.integers(1, 3))
+    theta = FLOAT_THETAS[kind]
+    if theta is not None:
+        theta = [[theta[j] if j == k else 0 for k in range(n)] for j in range(n)]
+    alg = Algebra(n, theta)
+    exponents = st.tuples(*[st.integers(0, 2)] * n)
+    coeffs = st.builds(Scalar, FLOAT_PARTS, FLOAT_PARTS)
+    terms = st.lists(st.tuples(exponents, exponents, coeffs), max_size=4)
+
+    def poly():
+        return OperatorPolynomial(
+            alg, {Monomial(cre, ann): c for cre, ann, c in draw(terms)})
+
+    return poly(), poly()
+
+
+@pytest.mark.parametrize("kind", FLOAT_THETAS)
+@PROPERTY
+@given(data=st.data())
+def test_float_commutator_matches_all_pairs_loop(kind, data):
+    p, q = data.draw(float_polynomial_pairs(kind))
+    assert component_reprs(p.commutator(q)) == component_reprs(all_pairs_commutator(p, q))
+    assert component_reprs(q.commutator(p)) == component_reprs(all_pairs_commutator(q, p))
+
+
+def test_commutator_with_a_constant_forms_no_product(monkeypatch):
+    alg = Algebra(2)
+    p = alg.annihilator(1) * alg.creator(2) ** 2 + alg.creator(1) + alg.scalar(3)
+    c = alg.scalar(Scalar(2, -1))
+    calls = []
+    original = qrealize.algebra._accumulate_product
+    monkeypatch.setattr(qrealize.algebra, "_accumulate_product",
+                        lambda *args, **kw: calls.append(args) or original(*args, **kw))
+    assert c.commutator(p).is_zero and p.commutator(c).is_zero
+    assert calls == []
+    # a pair that contracts in one order only forms that order
+    assert alg.annihilator(1).commutator(alg.creator(1)) == alg.one()
+    assert len(calls) == 1

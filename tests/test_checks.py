@@ -3,6 +3,7 @@ import pytest
 from qrealize import (
     NoiseSpec,
     OperatorMatrix,
+    OperatorPolynomial,
     Scalar,
     check_class,
     check_lossless,
@@ -362,6 +363,22 @@ def test_run_checks_verifies_a_synthesized_phi_once(cavity_text, monkeypatch):
     assert report.overall and report.derived["storage_synthesized"]
     assert sorted(calls) == ["check_lossless", "check_storage_condition"]
 
+
+
+def test_run_checks_takes_each_adjoint_once(cavity, monkeypatch):
+    # Bbar' (16 entries on the fixture) is built once per doubled model, and
+    # the adjoints of abar and Cbar are taken once per commutator construction,
+    # not once per entry pair: rebuilding them made 182 calls
+    calls = []
+    original = OperatorPolynomial.adjoint
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(OperatorPolynomial, "adjoint", counting)
+    assert run_checks(cavity).overall
+    assert len(calls) <= 78
 
 def test_run_checks_keeps_each_family_noise_table(cavity):
     # CCR-sum reads the supplied table, PR-CCR-sum the default one

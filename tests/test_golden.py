@@ -1,0 +1,57 @@
+"""CLI output pinned byte for byte.
+
+``fixtures/golden`` holds the standard output and exit code of four
+commands on three models: the cavity fixture, the three-mode chain and the
+cavity with the sign of B[1,1] flipped, whose float report prints a signed
+zero, ``(4.0+-0.0i)``.  The files were recorded with the Fraction-pair
+scalars that preceded the integer Gaussian-rational ones, so they pin every
+exact and every float rendering across that change.
+"""
+
+import json
+
+import pytest
+
+from qrealize.cli import main
+
+from conftest import FIXTURE_DIR
+
+GOLDEN_DIR = FIXTURE_DIR / "golden"
+EXIT_CODES = json.loads((GOLDEN_DIR / "exit_codes.json").read_text())
+
+MODELS = {
+    "lossless_cavity": "lossless_cavity.qsde",
+    "chain3": "golden/chain3.qsde",
+    "cavity_b11_sign_flip": "golden/cavity_b11_sign_flip.qsde",
+}
+COMMANDS = {
+    "check": ["check"],
+    "check-json": ["check", "--json"],
+    "check-float-oracle-json": ["check", "--float", "--oracle", "--json"],
+    "extract-force": ["extract", "--force"],
+}
+
+
+def test_every_golden_output_is_compared():
+    expected = {f"{m}.{c}" for m in MODELS for c in COMMANDS}
+    assert set(EXIT_CODES) == expected
+    assert {p.name[:-4] for p in GOLDEN_DIR.glob("*.out")} == expected
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("model", MODELS)
+def test_cli_output_matches_golden(model, command, capsys, monkeypatch):
+    # the report names the model by the path it was given, so run from the
+    # fixture directory with the path the golden files were recorded with
+    monkeypatch.chdir(FIXTURE_DIR)
+    argv = COMMANDS[command]
+    code = main([argv[0], MODELS[model]] + argv[1:])
+    out = capsys.readouterr().out
+    key = f"{model}.{command}"
+    assert out == (GOLDEN_DIR / f"{key}.out").read_text()
+    assert code == EXIT_CODES[key]
+
+
+def test_golden_float_report_shows_signed_zero():
+    text = (GOLDEN_DIR / "cavity_b11_sign_flip.check-float-oracle-json.out").read_text()
+    assert "(4.0+-0.0i)" in text
