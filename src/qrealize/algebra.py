@@ -107,6 +107,7 @@ class Algebra:
             raise ValueError("theta size does not match mode count")
         self.theta = theta
         self.tol = tol
+        self._zero = OperatorPolynomial(self, {})
 
     def compatible(self, other: "Algebra") -> bool:
         """Same mode count and theta; polynomials of one model share one algebra."""
@@ -127,7 +128,7 @@ class Algebra:
     # -- constructors ---------------------------------------------------------
 
     def zero(self) -> "OperatorPolynomial":
-        return OperatorPolynomial(self, {})
+        return self._zero  # one shared instance: polynomials are immutable
 
     def one(self) -> "OperatorPolynomial":
         return self.scalar(ONE)
@@ -198,6 +199,13 @@ class Monomial:
             if h:
                 cre |= 1 << i
         return ann, cre
+
+    @cached_property
+    def generator(self):
+        """(j, creates) when the word is a_j' (creates) or a_j, 0-based j."""
+        if self.degree == 1:
+            ann, cre = self.mode_masks
+            return (ann | cre).bit_length() - 1, bool(cre)
 
     def sort_key(self):
         return (
@@ -320,11 +328,18 @@ class OperatorPolynomial:
         m2*m1 with at least one contraction are formed: the uncontracted terms
         are equal in both orders and cancel.  m1*m2 can contract only where
         m1 annihilates a mode that m2 creates, so a pair, or one order of
-        it, that cannot is skipped before any scalar work."""
+        it, that cannot is skipped before any scalar work.  Against a
+        generator a_j or a_j' each term has one contraction, formed directly
+        by ``_generator_commutator``; two generators make one product here."""
         alg = self.algebra
         if not alg.theta.is_diagonal:
             return self * other - other * self
         alg.require_compatible(other.algebra)
+        gen_self, gen_other = _generator(self), _generator(other)
+        if gen_self is None and gen_other is not None:
+            return _generator_commutator(self, *gen_other, left=True)
+        if gen_other is None and gen_self is not None:
+            return _generator_commutator(other, *gen_self, left=False)
         out = defaultdict(lambda: ZERO)
         for m1, c1 in self.terms.items():
             ann1, cre1 = m1.mode_masks
@@ -369,6 +384,41 @@ def adjoint(p: OperatorPolynomial) -> OperatorPolynomial:
 
 
 # -- normal ordering ----------------------------------------------------------
+
+def _generator(p: OperatorPolynomial):
+    """``Monomial.generator`` of p's one term when p is exactly a_j' or a_j,
+    with the exact coefficient 1."""
+    if len(p.terms) == 1:
+        (m, c), = p.terms.items()
+        return m.generator if c.den == 1 and c.re_num == 1 and not c.im_num else None
+
+
+def _generator_commutator(p: OperatorPolynomial, j: int, creates: bool, left: bool):
+    """[p, g] (``left``) or [g, p] for g = a_j' (``creates``) or a_j, diagonal
+    theta: [p, a_j'] = theta_jj dp/da_j and [p, a_j] = -theta_jj dp/da_j'.
+    Each term takes the scalar steps of ``_accumulate_product``, so float
+    bits match."""
+    alg = p.algebra
+    theta_j = alg.theta.entry(j, j)
+    if theta_j.is_zero(0.0):
+        return alg.zero()
+    factor = None if alg.theta.is_identity or theta_j == ONE else theta_j**1
+    negate = creates != left
+    out = {}
+    for m, c in p.terms.items():
+        cre, ann = m.creation, m.annihilation
+        block = ann if creates else cre
+        w = block[j]
+        if not w:
+            continue
+        block = block[:j] + (w - 1,) + block[j + 1:]
+        mono = Monomial(cre, block) if creates else Monomial(block, ann)
+        c = -c if negate else c
+        # ZERO + ... and theta_j**1 are the accumulator's steps; the ZERO start
+        # settles float signed zeros
+        out[mono] = ZERO + (c * Scalar(w) if factor is None else c * (factor * w))
+    return OperatorPolynomial(alg, out) if out else alg.zero()
+
 
 def _accumulate_product(
     alg: Algebra, m1: Monomial, coeff: Scalar, m2: Monomial, out, contracted: bool = False

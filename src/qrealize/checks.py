@@ -23,6 +23,7 @@ from fractions import Fraction
 from .algebra import OperatorPolynomial, render, wirtinger_gradient
 from .matrices import (
     OperatorMatrix,
+    commutator_table,
     matrix_vector_commutators,
     outer_commutator,
     row_commutator,
@@ -184,12 +185,9 @@ def _brackets(dm: DoubledModel, printed: bool = False):
 
 def coupling_commutator_matrix(lbar: OperatorMatrix, abar: OperatorMatrix) -> OperatorMatrix:
     """The matrix [Lbar', abar] with entry (j, k) = [Lbar_k*, abar_j]."""
-    lbar_adj = [p.adjoint() for p in lbar.col(0)]
-    return OperatorMatrix(
-        abar.algebra,
-        abar.rows,
-        lbar.rows,
-        [l_k.commutator(a_j) for a_j in abar.col(0) for l_k in lbar_adj],
+    table = commutator_table(lbar.conj().nonzero, abar.nonzero)
+    return OperatorMatrix.from_nonzero(
+        abar.algebra, abar.rows, lbar.rows, {(j, k): c for ((k, _), (j, _)), c in table.items()}
     )
 
 
@@ -581,16 +579,9 @@ def _exact_quadratic_solution(model, b_grid, lam):
 
 
 def _constant_grid(mat: OperatorMatrix):
-    rows = []
-    for i in range(mat.rows):
-        row = []
-        for j in range(mat.cols):
-            e = mat.entry(i, j)
-            if not e.is_constant:
-                raise ValueError("non-constant entry")
-            row.append(e.constant_value())
-        rows.append(tuple(row))
-    return tuple(rows)
+    if not all(e.is_constant for e in mat.nonzero.values()):
+        raise ValueError("non-constant entry")
+    return tuple(tuple(e.constant_value() for e in mat.row(i)) for i in range(mat.rows))
 
 
 def _linear_output_matrix(model: QsdeModel):

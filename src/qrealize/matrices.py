@@ -1,9 +1,10 @@
-"""Matrices and vectors of operator polynomials.
+"""Sparse matrices and vectors of operator polynomials.
 
 Multiplication keeps the left-to-right operator order of the entries, and
 the module provides the structured commutator constructions used by the
 verification engines: outer commutators ``[u_j, v_k']``, row commutators
-``[u_j, w_k]`` and scalar-vector commutators ``[s, v_j]``.
+``[u_j, w_k]`` and scalar-vector commutators ``[s, v_j]``, all through
+:func:`commutator_table`.
 """
 
 from __future__ import annotations
@@ -13,9 +14,14 @@ from .scalars import Scalar
 
 
 class OperatorMatrix:
-    """Rectangular array of operator polynomials over one algebra."""
+    """Rectangular array of operator polynomials over one algebra.
 
-    __slots__ = ("algebra", "rows", "cols", "entries")
+    Only the nonzero entries are stored: ``nonzero`` maps (row, col) to them
+    in row-major order, and ``entry``, ``row``, ``col`` and ``entries`` read
+    the algebra's shared zero elsewhere.  Bbar, Ibar and J are block-sparse.
+    """
+
+    __slots__ = ("algebra", "rows", "cols", "nonzero")
 
     def __init__(self, algebra: Algebra, rows: int, cols: int, entries):
         entries = list(entries)
@@ -25,25 +31,22 @@ class OperatorMatrix:
             raise ValueError("entry count does not match shape")
         for e in entries:
             algebra.require_compatible(e.algebra)
-        self.algebra = algebra
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
+        self.algebra, self.rows, self.cols = algebra, rows, cols
+        self.nonzero = {divmod(n, cols): e for n, e in enumerate(entries) if not e.is_zero}
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def zeros(cls, algebra: Algebra, rows: int, cols: int) -> "OperatorMatrix":
-        return cls(algebra, rows, cols, [algebra.zero() for _ in range(rows * cols)])
+    def from_nonzero(cls, algebra: Algebra, rows: int, cols: int, nonzero: dict):
+        """Matrix from {(i, j): polynomial} over one algebra; zeros are dropped."""
+        out = cls.__new__(cls)
+        out.algebra, out.rows, out.cols = algebra, rows, cols
+        out.nonzero = {key: nonzero[key] for key in sorted(nonzero) if not nonzero[key].is_zero}
+        return out
 
     @classmethod
     def identity(cls, algebra: Algebra, n: int) -> "OperatorMatrix":
-        return cls(
-            algebra,
-            n,
-            n,
-            [algebra.one() if i == j else algebra.zero() for i in range(n) for j in range(n)],
-        )
+        return cls.from_nonzero(algebra, n, n, {(i, i): algebra.one() for i in range(n)})
 
     @classmethod
     def column(cls, algebra: Algebra, entries) -> "OperatorMatrix":
@@ -52,80 +55,71 @@ class OperatorMatrix:
 
     @classmethod
     def from_scalars(cls, algebra: Algebra, scalar_grid) -> "OperatorMatrix":
-        rows = len(scalar_grid)
-        cols = len(scalar_grid[0])
-        return cls(
-            algebra,
-            rows,
-            cols,
-            [algebra.scalar(x) for row in scalar_grid for x in row],
-        )
+        return cls(algebra, len(scalar_grid), len(scalar_grid[0]),
+                   [algebra.scalar(x) for row in scalar_grid for x in row])
 
     # -- access ---------------------------------------------------------------
 
     def entry(self, i: int, j: int) -> OperatorPolynomial:
-        return self.entries[i * self.cols + j]
+        return self.nonzero.get((i, j), self.algebra.zero())
 
     def row(self, i: int):
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+        return [self.entry(i, j) for j in range(self.cols)]
 
     def col(self, j: int):
         return [self.entry(i, j) for i in range(self.rows)]
 
+    @property
+    def entries(self):
+        return [self.entry(i, j) for i in range(self.rows) for j in range(self.cols)]
+
     # -- algebra --------------------------------------------------------------
+
+    def _map(self, f) -> "OperatorMatrix":
+        nonzero = {key: f(e) for key, e in self.nonzero.items()}
+        return OperatorMatrix.from_nonzero(self.algebra, self.rows, self.cols, nonzero)
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         self._check_same_shape(other)
-        return OperatorMatrix(
-            self.algebra,
-            self.rows,
-            self.cols,
-            [a + b for a, b in zip(self.entries, other.entries)],
-        )
+        zero = self.algebra.zero()
+        a, b = self.nonzero, other.nonzero
+        return OperatorMatrix.from_nonzero(self.algebra, self.rows, self.cols, {
+            key: a.get(key, zero) + b.get(key, zero) for key in a.keys() | b.keys()})
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         return self + (-other)
 
     def __neg__(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.algebra, self.rows, self.cols, [-e for e in self.entries])
+        return self._map(lambda e: -e)
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         if self.cols != other.rows:
-            raise ValueError(
-                f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
-            )
+            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ "
+                             f"{other.rows}x{other.cols}")
         self.algebra.require_compatible(other.algebra)
-        out = []
-        for i in range(self.rows):
-            row = self.row(i)
-            for j in range(other.cols):
-                acc = self.algebra.zero()
-                for left, right in zip(row, other.col(j)):
-                    # Bbar, Ibar and J are block-sparse: most factors are zero
-                    if not (left.is_zero or right.is_zero):
-                        acc = acc + left * right
-                out.append(acc)
-        return OperatorMatrix(self.algebra, self.rows, other.cols, out)
+        right_rows = {}
+        for (k, j), right in other.nonzero.items():
+            right_rows.setdefault(k, []).append((j, right))
+        zero = self.algebra.zero()
+        out = {}
+        # the left entries are row-major, so each sum runs over ascending k
+        for (i, k), left in self.nonzero.items():
+            for j, right in right_rows.get(k, ()):
+                out[i, j] = out.get((i, j), zero) + left * right
+        return OperatorMatrix.from_nonzero(self.algebra, self.rows, other.cols, out)
 
     def scale(self, c) -> "OperatorMatrix":
         c = Scalar.of(c)
-        return OperatorMatrix(
-            self.algebra, self.rows, self.cols, [e.scale(c) for e in self.entries]
-        )
+        return self._map(lambda e: e.scale(c))
 
     def transpose(self) -> "OperatorMatrix":
-        return OperatorMatrix(
-            self.algebra,
-            self.cols,
-            self.rows,
-            [self.entry(i, j) for j in range(self.cols) for i in range(self.rows)],
+        return OperatorMatrix.from_nonzero(
+            self.algebra, self.cols, self.rows, {(j, i): e for (i, j), e in self.nonzero.items()}
         )
 
     def conj(self) -> "OperatorMatrix":
         """Entrywise adjoint, no transposition."""
-        return OperatorMatrix(
-            self.algebra, self.rows, self.cols, [e.adjoint() for e in self.entries]
-        )
+        return self._map(OperatorPolynomial.adjoint)
 
     def adjoint(self) -> "OperatorMatrix":
         return self.conj().transpose()
@@ -134,7 +128,7 @@ class OperatorMatrix:
 
     @property
     def is_zero(self) -> bool:
-        return all(e.is_zero for e in self.entries)
+        return not self.nonzero
 
     def equals(self, other: "OperatorMatrix") -> bool:
         return (self - other).is_zero
@@ -147,23 +141,36 @@ class OperatorMatrix:
     __hash__ = None
 
     def coeff_norm(self) -> float:
-        return max((e.coeff_norm() for e in self.entries), default=0.0)
+        return max((e.coeff_norm() for e in self.nonzero.values()), default=0.0)
 
     def render(self) -> str:
-        rows = []
-        for i in range(self.rows):
-            rows.append("[" + ", ".join(render(e) for e in self.row(i)) + "]")
+        rows = ("[" + ", ".join(map(render, self.row(i))) + "]" for i in range(self.rows))
         return "[" + ", ".join(rows) + "]"
 
     def _check_same_shape(self, other: "OperatorMatrix"):
         if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError(
-                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
+            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} vs "
+                             f"{other.rows}x{other.cols}")
         self.algebra.require_compatible(other.algebra)
 
     def __repr__(self):
         return f"<OperatorMatrix {self.rows}x{self.cols} {self.render()}>"
+
+
+def commutator_table(left: dict, right: dict) -> dict:
+    """The nonzero [l, r] over the entries of ``left`` and ``right``, keyed by
+    (left key, right key) in the order of ``left`` then ``right``.  A constant
+    commutes with everything, so a pair with a constant operand is skipped
+    before any call."""
+    right = [(k, r) for k, r in right.items() if not r.is_constant]
+    out = {}
+    for j, l in left.items():
+        if not l.is_constant:
+            for k, r in right:
+                c = l.commutator(r)
+                if not c.is_zero:
+                    out[j, k] = c
+    return out
 
 
 def outer_commutator(u: OperatorMatrix, v: OperatorMatrix) -> OperatorMatrix:
@@ -173,22 +180,19 @@ def outer_commutator(u: OperatorMatrix, v: OperatorMatrix) -> OperatorMatrix:
 
 def row_commutator(u: OperatorMatrix, w: OperatorMatrix) -> OperatorMatrix:
     """Matrix with entry (j, k) = [u_j, w_k]; both arguments column vectors."""
-    _require_column(u)
-    _require_column(w)
-    u.algebra.require_compatible(w.algebra)
-    entries = []
-    for j in range(u.rows):
-        for k in range(w.rows):
-            entries.append(u.entry(j, 0).commutator(w.entry(k, 0)))
-    return OperatorMatrix(u.algebra, u.rows, w.rows, entries)
+    _require_column(u, w)
+    _require_column(w, u)
+    table = commutator_table(u.nonzero, w.nonzero)
+    return OperatorMatrix.from_nonzero(
+        u.algebra, u.rows, w.rows, {(j, k): c for ((j, _), (k, _)), c in table.items()}
+    )
 
 
 def scalar_vec_commutator(s: OperatorPolynomial, v: OperatorMatrix) -> OperatorMatrix:
     """Column vector with entry j = [s, v_j]."""
-    _require_column(v)
-    return OperatorMatrix.column(
-        v.algebra, [s.commutator(v.entry(j, 0)) for j in range(v.rows)]
-    )
+    _require_column(v, s)
+    table = commutator_table({0: s}, v.nonzero)
+    return OperatorMatrix.from_nonzero(v.algebra, v.rows, 1, {k: c for (_, k), c in table.items()})
 
 
 def matrix_vector_commutators(m: OperatorMatrix, w: OperatorMatrix, dagger: bool = False):
@@ -199,20 +203,13 @@ def matrix_vector_commutators(m: OperatorMatrix, w: OperatorMatrix, dagger: bool
     nonzero entries.  This is how the matrix-against-vector commutation
     assertions of the check engines are evaluated.
     """
-    _require_column(w)
-    m.algebra.require_compatible(w.algebra)
-    targets = [p.adjoint() for p in w.col(0)] if dagger else w.col(0)
-    residuals = []
-    for i in range(m.rows):
-        for j in range(m.cols):
-            entry = m.entry(i, j)
-            for k, target in enumerate(targets):
-                c = entry.commutator(target)
-                if not c.is_zero:
-                    residuals.append(((i + 1, j + 1, k + 1), c))
-    return residuals
+    _require_column(w, m)
+    table = commutator_table(m.nonzero, (w.conj() if dagger else w).nonzero)
+    return [((i + 1, j + 1, k + 1), c) for ((i, j), (k, _)), c in table.items()]
 
 
-def _require_column(v: OperatorMatrix):
+def _require_column(v: OperatorMatrix, other):
+    """``v`` is a column vector over the algebra of ``other``."""
     if v.cols != 1:
         raise ValueError("expected a column vector")
+    v.algebra.require_compatible(other.algebra)

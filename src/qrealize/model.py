@@ -194,11 +194,10 @@ def double(model: QsdeModel) -> DoubledModel:
 
 
 def _block_diag_op(top: OperatorMatrix, bottom: OperatorMatrix) -> OperatorMatrix:
-    alg = top.algebra
-    rows = [top.row(i) + [alg.zero() for _ in range(bottom.cols)] for i in range(top.rows)]
-    rows += [[alg.zero() for _ in range(top.cols)] + bottom.row(i) for i in range(bottom.rows)]
-    return OperatorMatrix(alg, top.rows + bottom.rows, top.cols + bottom.cols,
-                          [e for row in rows for e in row])
+    nonzero = dict(top.nonzero)
+    nonzero.update(((i + top.rows, j + top.cols), e) for (i, j), e in bottom.nonzero.items())
+    return OperatorMatrix.from_nonzero(top.algebra, top.rows + bottom.rows,
+                                       top.cols + bottom.cols, nonzero)
 
 
 def compute_nbar(model: QsdeModel) -> int:

@@ -367,3 +367,58 @@ def test_commutator_with_a_constant_forms_no_product(monkeypatch):
     # a pair that contracts in one order only forms that order
     assert alg.annihilator(1).commutator(alg.creator(1)) == alg.one()
     assert len(calls) == 1
+
+
+# -- commutators against a generator ------------------------------------------
+
+GENERATOR_THETAS = {
+    "identity": None,
+    "diagonal": THETAS["diagonal"],
+    "diagonal-zero": THETAS["diagonal-zero"],
+    "float-diagonal": FLOAT_THETAS["float-diagonal"],
+}
+
+
+@st.composite
+def generator_pairs(draw, kind, floats):
+    """(p, g): p with exact or float coefficients (±0.0 parts among the
+    floats), g = a_j or a_j' of the same algebra."""
+    n = draw(st.integers(1, 3))
+    theta = GENERATOR_THETAS[kind]
+    if theta is not None:
+        theta = [[theta[j] if j == k else 0 for k in range(n)] for j in range(n)]
+    alg = Algebra(n, theta)
+    exponents = st.tuples(*[st.integers(0, 3)] * n)
+    parts = FLOAT_PARTS if floats else st.integers(-3, 3)
+    coeffs = st.builds(Scalar, parts, parts)
+    terms = draw(st.lists(st.tuples(exponents, exponents, coeffs), max_size=4))
+    p = OperatorPolynomial(alg, {Monomial(cre, ann): c for cre, ann, c in terms})
+    j = draw(st.integers(1, n))
+    return p, alg.creator(j) if draw(st.booleans()) else alg.annihilator(j)
+
+
+@pytest.mark.parametrize("floats", [False, True], ids=["exact", "float"])
+@pytest.mark.parametrize("kind", GENERATOR_THETAS)
+@PROPERTY
+@given(data=st.data())
+def test_generator_commutator_matches_all_pairs_loop(kind, floats, data):
+    p, g = data.draw(generator_pairs(kind, floats))
+    assert component_reprs(p.commutator(g)) == component_reprs(all_pairs_commutator(p, g))
+    assert component_reprs(g.commutator(p)) == component_reprs(all_pairs_commutator(g, p))
+
+
+def test_generator_commutator_forms_no_product(monkeypatch):
+    alg = Algebra(2, [[2, 0], [0, Scalar(0, 1)]])
+    p = alg.creator(1) ** 2 * alg.annihilator(2) + alg.annihilator(1) * alg.creator(2)
+    calls = []
+    original = qrealize.algebra._accumulate_product
+    monkeypatch.setattr(qrealize.algebra, "_accumulate_product",
+                        lambda *args, **kw: calls.append(args) or original(*args, **kw))
+    for j in (1, 2):
+        for g in (alg.annihilator(j), alg.creator(j)):
+            assert not p.commutator(g).is_zero
+            assert g.commutator(p) == -p.commutator(g)
+    assert calls == []
+    # [p, a_1'] = theta_11 dp/da_1 and [p, a_2] = -theta_22 dp/da_2'
+    assert p.commutator(alg.creator(1)) == alg.creator(2).scale(2)
+    assert p.commutator(alg.annihilator(2)) == alg.annihilator(1).scale(Scalar(0, -1))

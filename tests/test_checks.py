@@ -23,6 +23,7 @@ import qrealize.checks
 from qrealize.scalars import identity_grid
 
 from conftest import mutate
+from helpers import chain_text
 
 
 def expr_column(alg, sources):
@@ -420,3 +421,38 @@ def test_realizability_lossless_equivalence(cavity, mutated_models):
         realizable = check_physical_realizability(model).overall
         assert not realizable, f"mutation {name} unexpectedly realizable"
         assert synthesize_storage(model) is None, f"mutation {name} has a witness"
+
+
+# -- chains past the fixture --------------------------------------------------
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_chain_passes_every_condition_with_zero_residual(n):
+    model = parse_model(chain_text(n))
+    report = run_checks(model)
+    assert [c.condition_id for c in report.conditions if not c.passed] == []
+    assert all(c.residual_norm == 0 for c in report.conditions)
+    alg = model.algebra
+    a, ad = alg.annihilator, alg.creator
+    h = sum(
+        (ad(j) ** 2 * a(j + 1) ** 2 - ad(j + 1) ** 2 * a(j) ** 2 for j in range(1, n)),
+        alg.zero(),
+    ).scale(Scalar(0, 1))
+    assert report.derived["hamiltonian"].terms == h.terms
+    assert extract_hamiltonian(model).terms == h.terms
+
+
+def test_run_checks_forms_no_commutator_with_a_constant(monkeypatch):
+    # a constant commutes with everything, so the commutator constructions
+    # skip such a pair before any call; chain(8) made 8,704 of its 9,888
+    # commutator calls with a constant operand when they did not
+    model = parse_model(chain_text(8))
+    calls = []
+    original = OperatorPolynomial.commutator
+
+    def counting(self, other):
+        calls.append(self.is_constant or other.is_constant)
+        return original(self, other)
+
+    monkeypatch.setattr(OperatorPolynomial, "commutator", counting)
+    assert run_checks(model).overall
+    assert calls and not any(calls)

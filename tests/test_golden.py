@@ -6,6 +6,12 @@ cavity with the sign of B[1,1] flipped, whose float report prints a signed
 zero, ``(4.0+-0.0i)``.  The files were recorded with the Fraction-pair
 scalars that preceded the integer Gaussian-rational ones, so they pin every
 exact and every float rendering across that change.
+
+It also holds the exact and float JSON reports of the cavity at the
+non-unit diagonal thetas diag(2, 1/3) and diag(2, i/2), with and without
+phi, where a generator commutator carries a theta weight other than 1.
+They were recorded with dense operator matrices and generator commutators
+formed through the general product, before the closed-form contraction.
 """
 
 import json
@@ -30,22 +36,36 @@ COMMANDS = {
     "check-float-oracle-json": ["check", "--float", "--oracle", "--json"],
     "extract-force": ["extract", "--force"],
 }
+THETA_MODELS = {
+    f"cavity_theta_diag_{kind}{phi}": f"golden/cavity_theta_diag_{kind}{phi}.qsde"
+    for kind in ("real", "complex")
+    for phi in ("", "_nophi")
+}
+THETA_COMMANDS = {
+    "check-json": ["check", "--json"],
+    "check-float-json": ["check", "--float", "--json"],
+}
+CASES = {
+    (model, command): (path, argv)
+    for models, commands in ((MODELS, COMMANDS), (THETA_MODELS, THETA_COMMANDS))
+    for model, path in models.items()
+    for command, argv in commands.items()
+}
 
 
 def test_every_golden_output_is_compared():
-    expected = {f"{m}.{c}" for m in MODELS for c in COMMANDS}
+    expected = {f"{model}.{command}" for model, command in CASES}
     assert set(EXIT_CODES) == expected
     assert {p.name[:-4] for p in GOLDEN_DIR.glob("*.out")} == expected
 
 
-@pytest.mark.parametrize("command", COMMANDS)
-@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("model, command", CASES)
 def test_cli_output_matches_golden(model, command, capsys, monkeypatch):
     # the report names the model by the path it was given, so run from the
     # fixture directory with the path the golden files were recorded with
     monkeypatch.chdir(FIXTURE_DIR)
-    argv = COMMANDS[command]
-    code = main([argv[0], MODELS[model]] + argv[1:])
+    path, argv = CASES[model, command]
+    code = main([argv[0], path] + argv[1:])
     out = capsys.readouterr().out
     key = f"{model}.{command}"
     assert out == (GOLDEN_DIR / f"{key}.out").read_text()

@@ -14,7 +14,7 @@ from qrealize import (
     row_commutator,
     scalar_vec_commutator,
 )
-from qrealize.algebra import CommutationMatrix
+from qrealize.algebra import CommutationMatrix, Monomial, OperatorPolynomial, render
 from qrealize.scalars import block_diag, grid, grid_conj, grid_neg
 
 from helpers import polynomials, random_poly
@@ -130,23 +130,120 @@ def test_order_preserving_product(alg):
     assert got == alg.creator(1) * alg.annihilator(1) + 1
 
 
+FLOAT_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.5]),
+    st.floats(min_value=-8, max_value=8, allow_subnormal=False),
+)
+
+
+def float_polynomials(alg):
+    """Float-coefficient polynomials, ±0.0 parts included, at most 2 terms."""
+    exponents = st.tuples(*[st.integers(0, 2)] * alg.modes)
+    coeffs = st.builds(Scalar, FLOAT_PARTS, FLOAT_PARTS)
+    terms = st.lists(st.tuples(exponents, exponents, coeffs), max_size=2)
+    return terms.map(lambda ts: OperatorPolynomial(
+        alg, {Monomial(cre, ann): c for cre, ann, c in ts}))
+
+
+class DenseMatrix:
+    """Reference: the list-backed matrix that stored every entry and looped
+    over all of them, as OperatorMatrix did before it kept only nonzeros."""
+
+    def __init__(self, alg, rows, cols, entries):
+        self.algebra, self.rows, self.cols, self.entries = alg, rows, cols, list(entries)
+
+    def entry(self, i, j):
+        return self.entries[i * self.cols + j]
+
+    def like(self, entries, rows=None, cols=None):
+        return DenseMatrix(self.algebra, rows or self.rows, cols or self.cols, entries)
+
+    def __add__(self, other):
+        return self.like([a + b for a, b in zip(self.entries, other.entries)])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self.like([-e for e in self.entries])
+
+    def __matmul__(self, other):
+        out = []
+        for i in range(self.rows):
+            for j in range(other.cols):
+                acc = self.algebra.zero()
+                for k in range(self.cols):
+                    left, right = self.entry(i, k), other.entry(k, j)
+                    if not (left.is_zero or right.is_zero):
+                        acc = acc + left * right
+                out.append(acc)
+        return self.like(out, self.rows, other.cols)
+
+    def scale(self, c):
+        return self.like([e.scale(c) for e in self.entries])
+
+    def transpose(self):
+        return self.like([self.entry(i, j) for j in range(self.cols) for i in range(self.rows)],
+                         self.cols, self.rows)
+
+    def conj(self):
+        return self.like([e.adjoint() for e in self.entries])
+
+    def adjoint(self):
+        return self.conj().transpose()
+
+    @property
+    def is_zero(self):
+        return all(e.is_zero for e in self.entries)
+
+    def render(self):
+        rows = []
+        for i in range(self.rows):
+            rows.append("[" + ", ".join(render(self.entry(i, j)) for j in range(self.cols)) + "]")
+        return "[" + ", ".join(rows) + "]"
+
+    def sparse(self):
+        return OperatorMatrix(self.algebra, self.rows, self.cols, self.entries)
+
+
+def dense_vector_commutators(m, w, dagger=False):
+    """The all-pairs loop ``matrix_vector_commutators`` replaced."""
+    targets = [p.adjoint() for p in w.entries] if dagger else w.entries
+    return [((i + 1, j + 1, k + 1), c)
+            for i in range(m.rows) for j in range(m.cols)
+            for k, t in enumerate(targets)
+            for c in [m.entry(i, j).commutator(t)] if not c.is_zero]
+
+
+def component_reprs(p):
+    return [(mono, repr(c.re), repr(c.im)) for mono, c in p.terms.items()]
+
+
+def matrix_reprs(m):
+    return (m.rows, m.cols, [component_reprs(e) for e in m.entries])
+
+
 @st.composite
-def sparse_matrix_pairs(draw):
-    """(a, b) with a.cols == b.rows, over 1-2 modes, about half the entries zero."""
+def sparse_matrix_pairs(draw, floats=False):
+    """Dense (a, b, c) with a.cols == b.rows and c shaped like a, over 1-2
+    modes, about half the entries zero; with ``floats`` the coefficients are
+    floats with ±0.0 parts."""
     alg = Algebra(draw(st.integers(1, 2)))
-    entry = st.one_of(st.just(alg.zero()), polynomials(alg, max_terms=2, max_exponent=2))
+    poly = float_polynomials(alg) if floats else polynomials(alg, max_terms=2, max_exponent=2)
+    entry = st.one_of(st.just(alg.zero()), poly.filter(lambda p: not p.is_zero))
     rows, inner, cols = (draw(st.integers(1, 3)) for _ in range(3))
 
     def matrix(r, c):
-        return OperatorMatrix(alg, r, c, [draw(entry) for _ in range(r * c)])
+        return DenseMatrix(alg, r, c, [draw(entry) for _ in range(r * c)])
 
-    return matrix(rows, inner), matrix(inner, cols)
+    return matrix(rows, inner), matrix(inner, cols), matrix(rows, inner)
 
 
 @settings(max_examples=40, deadline=None)
-@given(pair=sparse_matrix_pairs())
+@given(pair=st.booleans().flatmap(sparse_matrix_pairs))
 def test_matmul_skipping_zero_entries_equals_full_sum(pair):
-    a, b = pair
+    da, db, _ = pair
+    a, b = da.sparse(), db.sparse()
     got = a @ b
     for i in range(a.rows):
         for j in range(b.cols):
@@ -154,3 +251,31 @@ def test_matmul_skipping_zero_entries_equals_full_sum(pair):
             for k in range(a.cols):
                 full = full + a.entry(i, k) * b.entry(k, j)
             assert got.entry(i, j).terms == full.terms
+    assert matrix_reprs(got) == matrix_reprs(da @ db)
+
+
+@settings(max_examples=60, deadline=None)
+@given(triple=st.booleans().flatmap(sparse_matrix_pairs), c=st.builds(Scalar, FLOAT_PARTS))
+def test_sparse_matrix_matches_dense_reference(triple, c):
+    da, db, dc = triple
+    a, b, m = da.sparse(), db.sparse(), dc.sparse()
+    assert matrix_reprs(a) == matrix_reprs(da)
+    assert [e is a.algebra.zero() for e in a.entries] == [e.is_zero for e in da.entries]
+    for got, want in [
+        (a @ b, da @ db), (a + m, da + dc), (a - m, da - dc), (-a, -da),
+        (a.scale(c), da.scale(c)), (a.scale(2), da.scale(2)), (a.conj(), da.conj()),
+        (a.adjoint(), da.adjoint()), (a.transpose(), da.transpose()),
+    ]:
+        assert matrix_reprs(got) == matrix_reprs(want)
+        assert got.is_zero == want.is_zero
+        assert got.render() == want.render()
+    assert (a == m) == (da - dc).is_zero
+    assert a == a.adjoint().adjoint()
+    vector = DenseMatrix(a.algebra, a.algebra.modes, 1,
+                         [a.algebra.annihilator(j) for j in range(1, a.algebra.modes + 1)])
+    vector.entries[-1] = vector.entries[-1] + b.entry(0, 0)
+    for dagger in (False, True):
+        got = matrix_vector_commutators(a, vector.sparse(), dagger=dagger)
+        want = dense_vector_commutators(da, vector, dagger=dagger)
+        assert [(label, component_reprs(p)) for label, p in got] == [
+            (label, component_reprs(p)) for label, p in want]
