@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import comb, factorial
+from operator import add
 
 from .scalars import (
     DEFAULT_TOL,
@@ -34,8 +35,10 @@ from .scalars import (
 class CommutationMatrix:
     """The commutation data ``[a_j, a_k'] = theta_jk`` for an n-mode algebra.
 
-    theta is an immutable grid, so its shape (identity, diagonal) is worked
-    out once here and read by every product.
+    theta is an immutable grid, so its shape is worked out once here and read
+    by every product: the nonzero ``(l, theta_jl, theta_jl == 1)`` of each
+    row j, the nonzero ``(j, theta_jl, theta_jl == 1)`` of each column l, and
+    for each column l the bitmask of the rows j with theta_jl != 0.
     """
 
     def __init__(self, theta):
@@ -45,9 +48,14 @@ class CommutationMatrix:
             raise ValueError("theta must be square")
         self._inverse = None
         self._is_identity = grid_is_identity(self.theta)
-        self._is_diagonal = all(
-            self.theta[j][k].is_zero(0.0) for j in range(n) for k in range(n) if j != k
-        )
+        nonzero = [(j, l, t) for j, row in enumerate(self.theta)
+                   for l, t in enumerate(row) if not t.is_zero(0.0)]
+        self.row_entries = tuple(tuple((l, t, t == ONE) for r, l, t in nonzero if r == j)
+                                 for j in range(n))
+        self.col_entries = tuple(tuple((j, t, t == ONE) for j, c, t in nonzero if c == l)
+                                 for l in range(n))
+        self.col_reach = tuple(sum(1 << j for j, _, _ in col) for col in self.col_entries)
+        self._is_diagonal = all(j == l for j, l, _ in nonzero)
 
     @classmethod
     def identity(cls, n: int) -> "CommutationMatrix":
@@ -67,6 +75,16 @@ class CommutationMatrix:
     @property
     def is_diagonal(self) -> bool:
         return self._is_diagonal
+
+    def reach(self, creates: int) -> int:
+        """Bitmask of the modes j with theta_jl != 0 for some mode l in the
+        bitmask ``creates``: the annihilators that contract with its creators."""
+        out = 0
+        while creates:
+            low = creates & -creates
+            out |= self.col_reach[low.bit_length() - 1]
+            creates ^= low
+        return out
 
     @property
     def invertible(self) -> bool:
@@ -179,15 +197,6 @@ class Monomial:
     @property
     def is_unit(self) -> bool:
         return self.degree == 0
-
-    def word(self):
-        """Expand to a factor sequence of (mode, dagger) pairs, 0-based modes."""
-        out = []
-        for i, h in enumerate(self.creation):
-            out.extend([(i, True)] * h)
-        for i, k in enumerate(self.annihilation):
-            out.extend([(i, False)] * k)
-        return tuple(out)
 
     @cached_property
     def mode_masks(self):
@@ -324,30 +333,32 @@ class OperatorPolynomial:
         )
 
     def commutator(self, other: "OperatorPolynomial") -> "OperatorPolynomial":
-        """[self, other].  With diagonal theta, only the terms of m1*m2 and
-        m2*m1 with at least one contraction are formed: the uncontracted terms
-        are equal in both orders and cancel.  m1*m2 can contract only where
-        m1 annihilates a mode that m2 creates, so a pair, or one order of
-        it, that cannot is skipped before any scalar work.  Against a
-        generator a_j or a_j' each term has one contraction, formed directly
-        by ``_generator_commutator``; two generators make one product here."""
+        """[self, other].  Only the terms of m1*m2 and m2*m1 with at least one
+        contraction are formed: the uncontracted terms are equal in both
+        orders and cancel.  m1*m2 can contract only where m1 annihilates a
+        mode j and m2 creates a mode l with theta_jl != 0, read from
+        ``CommutationMatrix.reach``, so a pair, or one order of it, that
+        cannot is skipped before any scalar work.  Against a generator a_j or
+        a_j' each term's contractions are formed directly by
+        ``_generator_commutator``; two generators make one product here."""
         alg = self.algebra
-        if not alg.theta.is_diagonal:
-            return self * other - other * self
         alg.require_compatible(other.algebra)
         gen_self, gen_other = _generator(self), _generator(other)
         if gen_self is None and gen_other is not None:
             return _generator_commutator(self, *gen_other, left=True)
         if gen_other is None and gen_self is not None:
             return _generator_commutator(other, *gen_self, left=False)
+        reach = alg.theta.reach
+        terms2 = [(m2, c2, m2.mode_masks[0], reach(m2.mode_masks[1]))
+                  for m2, c2 in other.terms.items()]
         out = defaultdict(lambda: ZERO)
         for m1, c1 in self.terms.items():
             ann1, cre1 = m1.mode_masks
             if not (ann1 or cre1):
                 continue  # a constant term commutes with everything
-            for m2, c2 in other.terms.items():
-                ann2, cre2 = m2.mode_masks
-                forward, backward = ann1 & cre2, ann2 & cre1
+            reach1 = reach(cre1)
+            for m2, c2, ann2, reach2 in terms2:
+                forward, backward = ann1 & reach2, ann2 & reach1
                 if not (forward or backward):
                     continue
                 c = c1 * c2
@@ -394,29 +405,29 @@ def _generator(p: OperatorPolynomial):
 
 
 def _generator_commutator(p: OperatorPolynomial, j: int, creates: bool, left: bool):
-    """[p, g] (``left``) or [g, p] for g = a_j' (``creates``) or a_j, diagonal
-    theta: [p, a_j'] = theta_jj dp/da_j and [p, a_j] = -theta_jj dp/da_j'.
-    Each term takes the scalar steps of ``_accumulate_product``, so float
-    bits match."""
+    """[p, g] (``left``) or [g, p] for g = a_j' (``creates``) or a_j:
+    [p, a_j'] = sum_i theta_ij dp/da_i and [p, a_j] = -sum_i theta_ji dp/da_i'.
+    Each term takes the scalar steps of ``_accumulate_product``, and the
+    theta entries are walked last first, the order in which it lists single
+    contractions, so float bits and term order match."""
     alg = p.algebra
-    theta_j = alg.theta.entry(j, j)
-    if theta_j.is_zero(0.0):
-        return alg.zero()
-    factor = None if alg.theta.is_identity or theta_j == ONE else theta_j**1
+    entries = (alg.theta.col_entries if creates else alg.theta.row_entries)[j][::-1]
     negate = creates != left
     out = {}
     for m, c in p.terms.items():
         cre, ann = m.creation, m.annihilation
         block = ann if creates else cre
-        w = block[j]
-        if not w:
-            continue
-        block = block[:j] + (w - 1,) + block[j + 1:]
-        mono = Monomial(cre, block) if creates else Monomial(block, ann)
-        c = -c if negate else c
-        # ZERO + ... and theta_j**1 are the accumulator's steps; the ZERO start
-        # settles float signed zeros
-        out[mono] = ZERO + (c * Scalar(w) if factor is None else c * (factor * w))
+        for i, theta_i, unit in entries:
+            w = block[i]
+            if not w:
+                continue
+            cut = block[:i] + (w - 1,) + block[i + 1:]
+            mono = Monomial(cre, cut) if creates else Monomial(cut, ann)
+            signed = -c if negate else c
+            # out.get(mono, ZERO) + ... and theta_i**1 are the accumulator's
+            # steps; the ZERO start settles float signed zeros
+            term = signed * Scalar(w) if unit else signed * (theta_i**1 * w)
+            out[mono] = out.get(mono, ZERO) + term
     return OperatorPolynomial(alg, out) if out else alg.zero()
 
 
@@ -425,49 +436,37 @@ def _accumulate_product(
 ):
     """Add the normal-ordered expansion of coeff * m1 * m2 into ``out``.
 
-    With diagonal theta the modes decouple and the standard single-mode
-    reordering formula applies per mode: contracting j of mode i's
-    annihilators in m1 with j of its creators in m2 weighs
-    comb(k1, j) * comb(h2, j) * j! * theta_ii**j.  The weight stays a Python
-    int, and theta_ii**j joins it only where theta_ii is not exactly 1, so
-    each output term costs one Scalar multiply.  With ``contracted`` the term
-    with no contraction is left out.  Otherwise we fall back to the generic
-    rewrite on the concatenated word.
+    Wick's theorem, for every theta: each way of contracting annihilators of
+    m1 with creators of m2 leaves one normal-ordered word.  The pairs (j, l)
+    with theta_jl != 0 are taken in row-major order, and contracting t of the
+    K still free mode-j annihilators with t of the H still free mode-l
+    creators weighs comb(K, t) * comb(H, t) * t! * theta_jl**t.  The weight
+    stays a Python int, and theta_jl**t joins it only where theta_jl is not
+    exactly 1, so each output term costs one Scalar multiply.  With
+    ``contracted`` the term with no contraction is left out.
     """
     if coeff.is_zero(0.0):
         return
-    theta = alg.theta
-    if not theta.is_diagonal:
-        for mono, c in _rewrite_word(alg, m1.word() + m2.word()).items():
-            out[mono] = out[mono] + coeff * c
-        return
-    unit_theta = theta.is_identity
-    # combos: (int weight, theta factor or None, ((mode, j), ...) with j > 0)
-    combos = [(1, None, ())]
-    for i, (k1, h2) in enumerate(zip(m1.annihilation, m2.creation)):
-        top = min(k1, h2)
-        if top == 0:
+    k1, h2 = m1.annihilation, m2.creation
+    # combos: (int weight, theta factor or None, free k1, free h2); the first
+    # one has no contraction
+    combos = [(1, None, k1, h2)]
+    for j, rows in enumerate(alg.theta.row_entries):
+        if not k1[j]:
             continue
-        theta_i = theta.entry(i, i)
-        if theta_i.is_zero(0.0):
-            continue
-        unit = unit_theta or theta_i == ONE
-        nxt = []
-        for w, f, js in combos:
-            nxt.append((w, f, js))
-            for j in range(1, top + 1):
-                fj = f if unit else (theta_i**j if f is None else f * theta_i**j)
-                nxt.append((w * comb(k1, j) * comb(h2, j) * factorial(j), fj, js + ((i, j),)))
-        combos = nxt
-    cre0 = [a + b for a, b in zip(m1.creation, m2.creation)]
-    ann0 = [a + b for a, b in zip(m1.annihilation, m2.annihilation)]
-    for w, f, js in combos:
-        if contracted and not js:
-            continue
-        cre, ann = list(cre0), list(ann0)
-        for i, j in js:
-            cre[i] -= j
-            ann[i] -= j
+        for l, theta_jl, unit in rows:
+            if not h2[l]:
+                continue
+            nxt = []
+            for w, f, ks, hs in combos:
+                nxt.append((w, f, ks, hs))
+                K, H = ks[j], hs[l]
+                for t in range(1, min(K, H) + 1):
+                    ft = f if unit else (theta_jl**t if f is None else f * theta_jl**t)
+                    nxt.append((w * comb(K, t) * comb(H, t) * factorial(t), ft,
+                                ks[:j] + (K - t,) + ks[j + 1:], hs[:l] + (H - t,) + hs[l + 1:]))
+            combos = nxt
+    for w, f, ks, hs in combos[1:] if contracted else combos:
         if f is not None:
             term = coeff * (f * w)
         elif w != 1:
@@ -476,69 +475,17 @@ def _accumulate_product(
             # ``out`` starts at ZERO, so adding coeff itself gives the bits
             # of coeff * ONE, signed zeros included
             term = coeff
-        mono = Monomial(tuple(cre), tuple(ann))
+        mono = Monomial(tuple(map(add, m1.creation, hs)), tuple(map(add, ks, m2.annihilation)))
         out[mono] = out[mono] + term
 
 
-def _word_mismatch(word, strategy: str):
-    rng = range(len(word) - 1)
-    if strategy == "rightmost":
-        rng = reversed(rng)
-    for i in rng:
-        if not word[i][1] and word[i + 1][1]:
-            return i
-    return None
-
-
-def _rewrite_word(alg: Algebra, word, strategy: str = "leftmost"):
-    """Fixpoint of the rewrite a_j a_k' -> a_k' a_j + theta_jk on one word."""
-    n = alg.modes
-    out = defaultdict(lambda: ZERO)
-    stack = [(ONE, tuple(word))]
-    while stack:
-        coeff, w = stack.pop()
-        i = _word_mismatch(w, strategy)
-        if i is None:
-            cre = [0] * n
-            ann = [0] * n
-            for mode, dag in w:
-                if dag:
-                    cre[mode] += 1
-                else:
-                    ann[mode] += 1
-            mono = Monomial(tuple(cre), tuple(ann))
-            out[mono] = out[mono] + coeff
-            continue
-        (j, _), (k, _) = w[i], w[i + 1]
-        stack.append((coeff, w[:i] + (w[i + 1], w[i]) + w[i + 2:]))
-        theta_jk = alg.theta.entry(j, k)
-        if not theta_jk.is_zero(0.0):
-            stack.append((coeff * theta_jk, w[:i] + w[i + 2:]))
-    return dict(out)
-
-
-def normal_order(
-    algebra: Algebra,
-    word,
-    coefficient=1,
-    strategy: str = "leftmost",
-) -> OperatorPolynomial:
-    """Normal-order a word of generators.
-
-    ``word`` is a sequence of ``(mode, dagger)`` pairs with 1-based mode
-    indices; ``coefficient`` is a scalar prefactor.  The result is
-    independent of the rewrite ``strategy`` (confluence), which is exposed
-    only so that tests can assert exactly that.
-    """
-    internal = []
+def normal_order(algebra: Algebra, word, coefficient=1) -> OperatorPolynomial:
+    """Normal-order ``coefficient`` times a word of generators, a sequence of
+    ``(mode, dagger)`` pairs with 1-based mode indices, one product at a time."""
+    out = algebra.scalar(coefficient)
     for mode, dag in word:
-        algebra._check_mode(mode)
-        internal.append((mode - 1, bool(dag)))
-    coeff = Scalar.of(coefficient)
-    terms = {
-        m: coeff * c for m, c in _rewrite_word(algebra, internal, strategy).items()
-    }
-    return OperatorPolynomial(algebra, terms)
+        out = out * (algebra.creator(mode) if dag else algebra.annihilator(mode))
+    return out
 
 
 # -- formal derivatives -------------------------------------------------------
@@ -551,28 +498,19 @@ def wirtinger_gradient(phi: OperatorPolynomial):
     defined termwise on the normal-ordered form.
     """
     alg = phi.algebra
-    n = alg.modes
     grad = []
-    for j in range(n):
-        terms = {}
-        for m, c in phi.terms.items():
-            h = m.creation[j]
-            if h == 0:
-                continue
-            cre = m.creation[:j] + (h - 1,) + m.creation[j + 1:]
-            mono = Monomial(cre, m.annihilation)
-            terms[mono] = terms.get(mono, ZERO) + c * Scalar(h)
-        grad.append(OperatorPolynomial(alg, terms))
-    for j in range(n):
-        terms = {}
-        for m, c in phi.terms.items():
-            k = m.annihilation[j]
-            if k == 0:
-                continue
-            ann = m.annihilation[:j] + (k - 1,) + m.annihilation[j + 1:]
-            mono = Monomial(m.creation, ann)
-            terms[mono] = terms.get(mono, ZERO) + c * Scalar(k)
-        grad.append(OperatorPolynomial(alg, terms))
+    for creates in (True, False):
+        for j in range(alg.modes):
+            terms = {}
+            for m, c in phi.terms.items():
+                block = m.creation if creates else m.annihilation
+                h = block[j]
+                if h == 0:
+                    continue
+                cut = block[:j] + (h - 1,) + block[j + 1:]
+                mono = Monomial(cut, m.annihilation) if creates else Monomial(m.creation, cut)
+                terms[mono] = terms.get(mono, ZERO) + c * Scalar(h)
+            grad.append(OperatorPolynomial(alg, terms))
     return grad
 
 

@@ -112,7 +112,7 @@ def _residual_condition(cid, desc, labelled_residuals):
         condition_id=cid,
         description=desc,
         passed=not nonzero,
-        residual_norm=max((p.coeff_norm() for _, p in labelled_residuals), default=0.0),
+        residual_norm=max((p.coeff_norm() for _, p in nonzero), default=0.0),
         witness=[{"entry": lab, "residual": render(p)} for lab, p in nonzero],
         residuals=[p for _, p in labelled_residuals],
     )

@@ -18,6 +18,7 @@ from qrealize import (
     wirtinger_gradient,
 )
 from qrealize.algebra import (
+    ONE,
     ZERO,
     CommutationMatrix,
     Monomial,
@@ -37,6 +38,37 @@ def two_modes():
 
 
 # -- normal ordering ----------------------------------------------------------
+
+def monomial_word(m):
+    """m as a factor sequence of (mode, dagger) pairs, 1-based modes."""
+    cre = [(i + 1, True) for i, h in enumerate(m.creation) for _ in range(h)]
+    return cre + [(i + 1, False) for i, k in enumerate(m.annihilation) for _ in range(k)]
+
+
+def rewrite_word(alg, word, strategy="leftmost"):
+    """Reference normal form of a word of 1-based ``(mode, dagger)`` pairs:
+    the fixpoint of the rewrite a_j a_k' -> a_k' a_j + theta_jk, applied at
+    the leftmost or the rightmost out-of-order pair."""
+    out = defaultdict(lambda: ZERO)
+    stack = [(ONE, tuple((mode - 1, bool(dag)) for mode, dag in word))]
+    while stack:
+        coeff, w = stack.pop()
+        bad = [i for i in range(len(w) - 1) if not w[i][1] and w[i + 1][1]]
+        if not bad:
+            cre, ann = [0] * alg.modes, [0] * alg.modes
+            for mode, dag in w:
+                (cre if dag else ann)[mode] += 1
+            mono = Monomial(tuple(cre), tuple(ann))
+            out[mono] = out[mono] + coeff
+            continue
+        i = bad[0] if strategy == "leftmost" else bad[-1]
+        (j, _), (k, _) = w[i], w[i + 1]
+        stack.append((coeff, w[:i] + (w[i + 1], w[i]) + w[i + 2:]))
+        theta_jk = alg.theta.entry(j, k)
+        if not theta_jk.is_zero(0.0):
+            stack.append((coeff * theta_jk, w[:i] + w[i + 2:]))
+    return OperatorPolynomial(alg, dict(out))
+
 
 def test_single_forced_rewrite(one_mode):
     got = normal_order(one_mode, [(1, False), (1, True)])
@@ -66,15 +98,31 @@ def test_confluence_on_random_words(two_modes):
         word = [
             (rng.randint(1, 2), rng.random() < 0.5) for _ in range(rng.randint(1, 6))
         ]
-        left = normal_order(two_modes, word, strategy="leftmost")
-        right = normal_order(two_modes, word, strategy="rightmost")
+        left = rewrite_word(two_modes, word, "leftmost")
+        right = rewrite_word(two_modes, word, "rightmost")
         assert left.terms == right.terms
+        assert normal_order(two_modes, word).terms == left.terms
 
 
 def test_normal_order_respects_theta():
     alg = Algebra(2, CommutationMatrix([[2, Scalar(0, 1)], [Scalar(0, -1), 3]]))
     got = normal_order(alg, [(1, False), (2, True)])
     assert got == alg.creator(2) * alg.annihilator(1) + alg.scalar(Scalar(0, 1))
+
+
+# a symmetric theta, and a triangular one whose theta_21 = 0 tells the rows
+# of theta from its columns
+@pytest.mark.parametrize("theta", [[[2, Fraction(1, 3)], [Fraction(1, 3), 1]],
+                                   [[1, Fraction(1, 2)], [0, 2]]])
+def test_wick_product_at_rational_non_diagonal_theta(theta):
+    # a1^2 * a2'^2 = a2'^2 a1^2 + 4 theta_12 a2' a1 + 2 theta_12^2
+    alg = Algebra(2, theta)
+    t12 = theta[0][1]
+    a1, a2d = alg.annihilator(1), alg.creator(2)
+    expected = a2d**2 * a1**2 + (a2d * a1).scale(4 * t12) + alg.scalar(2 * t12**2)
+    assert (a1**2 * a2d**2).terms == expected.terms
+    assert a1.commutator(a2d) == alg.scalar(t12)
+    assert (a1**2).commutator(a2d**2).terms == (expected - a2d**2 * a1**2).terms
 
 
 # -- products, adjoints, commutators ------------------------------------------
@@ -216,44 +264,51 @@ def test_render_degree_ordering(one_mode):
 
 # -- the contraction-weight product and the direct commutator -----------------
 
-# theta per kind, cut to the drawn mode count: identity, a non-identity
-# diagonal (one entry exactly 1), a diagonal with a zero and a complex entry,
-# and the non-diagonal theta of test_normal_order_respects_theta (two modes).
+# theta per kind: identity; a non-identity diagonal (one entry exactly 1)
+# and a diagonal with a zero and a complex entry, both cut to the drawn mode
+# count; the two-mode non-diagonal theta of test_normal_order_respects_theta;
+# and a triangular two-mode theta, whose zero pattern is not symmetric, so
+# that rows and columns of theta cannot be confused unseen.
 THETAS = {
     "identity": None,
     "diagonal": [2, Fraction(1, 3), 1],
     "diagonal-zero": [0, -1, Scalar(0, 1)],
     "non-diagonal": [[2, Scalar(0, 1)], [Scalar(0, -1), 3]],
+    "triangular": [[1, Fraction(1, 2)], [0, 2]],
 }
 PROPERTY = settings(max_examples=40, deadline=None)
 
 
+def draw_algebra(draw, theta):
+    """An algebra at ``theta``: a full matrix as given, or a diagonal (a flat
+    list) cut to a drawn mode count."""
+    if theta is not None and isinstance(theta[0], list):
+        return Algebra(len(theta), CommutationMatrix(theta))
+    n = draw(st.integers(1, 3))
+    if theta is not None:
+        theta = [[theta[j] if j == k else 0 for k in range(n)] for j in range(n)]
+    return Algebra(n, theta)
+
+
 @st.composite
 def polynomial_pairs(draw, kind, max_exponent=3):
-    theta = THETAS[kind]
-    if kind == "non-diagonal":
-        alg = Algebra(2, CommutationMatrix(theta))
-    else:
-        n = draw(st.integers(1, 3))
-        if theta is not None:
-            theta = [[theta[j] if j == k else 0 for k in range(n)] for j in range(n)]
-        alg = Algebra(n, theta)
+    alg = draw_algebra(draw, THETAS[kind])
     poly = polynomials(alg, max_exponent=max_exponent)
     return draw(poly), draw(poly)
 
 
 def product_by_rewriting(p, q):
-    """p * q term by term through ``normal_order`` of the concatenated words."""
+    """p * q term by term through ``rewrite_word`` of the concatenated words."""
     alg = p.algebra
     out = alg.zero()
     for m1, c1 in p.terms.items():
         for m2, c2 in q.terms.items():
-            word = [(mode + 1, dag) for mode, dag in m1.word() + m2.word()]
-            out = out + normal_order(alg, word, c1 * c2)
+            word = monomial_word(m1) + monomial_word(m2)
+            out = out + rewrite_word(alg, word).scale(c1 * c2)
     return out
 
 
-@pytest.mark.parametrize("kind", ["identity", "diagonal", "diagonal-zero"])
+@pytest.mark.parametrize("kind", ["identity", "diagonal", "diagonal-zero", "triangular"])
 @PROPERTY
 @given(data=st.data())
 def test_commutator_equals_difference_of_products(kind, data):
@@ -268,11 +323,12 @@ def test_commutator_equals_difference_of_products_non_diagonal(pair):
     assert p.commutator(q).terms == (p * q - q * p).terms
 
 
-@pytest.mark.parametrize("kind", ["identity", "diagonal", "diagonal-zero"])
+@pytest.mark.parametrize("kind", THETAS)
 @PROPERTY
 @given(data=st.data())
 def test_product_matches_word_rewriting(kind, data):
-    p, q = data.draw(polynomial_pairs(kind))
+    max_exponent = 2 if kind in ("non-diagonal", "triangular") else 3
+    p, q = data.draw(polynomial_pairs(kind, max_exponent))
     assert (p * q).terms == product_by_rewriting(p, q).terms
 
 
@@ -300,7 +356,7 @@ def test_compatible_compares_theta_of_distinct_algebras(diag, off):
 # -- the commutator's contraction filter --------------------------------------
 
 def all_pairs_commutator(p, q):
-    """[p, q] with diagonal theta, visiting every pair of terms in both orders."""
+    """[p, q] visiting every pair of terms in both orders."""
     alg = p.algebra
     out = defaultdict(lambda: ZERO)
     for m1, c1 in p.terms.items():
@@ -329,12 +385,8 @@ FLOAT_THETAS = {
 
 @st.composite
 def float_polynomial_pairs(draw, kind):
-    n = draw(st.integers(1, 3))
-    theta = FLOAT_THETAS[kind]
-    if theta is not None:
-        theta = [[theta[j] if j == k else 0 for k in range(n)] for j in range(n)]
-    alg = Algebra(n, theta)
-    exponents = st.tuples(*[st.integers(0, 2)] * n)
+    alg = draw_algebra(draw, FLOAT_THETAS[kind])
+    exponents = st.tuples(*[st.integers(0, 2)] * alg.modes)
     coeffs = st.builds(Scalar, FLOAT_PARTS, FLOAT_PARTS)
     terms = st.lists(st.tuples(exponents, exponents, coeffs), max_size=4)
 
@@ -376,6 +428,8 @@ GENERATOR_THETAS = {
     "diagonal": THETAS["diagonal"],
     "diagonal-zero": THETAS["diagonal-zero"],
     "float-diagonal": FLOAT_THETAS["float-diagonal"],
+    "non-diagonal": THETAS["non-diagonal"],
+    "triangular": THETAS["triangular"],
 }
 
 
@@ -383,11 +437,8 @@ GENERATOR_THETAS = {
 def generator_pairs(draw, kind, floats):
     """(p, g): p with exact or float coefficients (±0.0 parts among the
     floats), g = a_j or a_j' of the same algebra."""
-    n = draw(st.integers(1, 3))
-    theta = GENERATOR_THETAS[kind]
-    if theta is not None:
-        theta = [[theta[j] if j == k else 0 for k in range(n)] for j in range(n)]
-    alg = Algebra(n, theta)
+    alg = draw_algebra(draw, GENERATOR_THETAS[kind])
+    n = alg.modes
     exponents = st.tuples(*[st.integers(0, 3)] * n)
     parts = FLOAT_PARTS if floats else st.integers(-3, 3)
     coeffs = st.builds(Scalar, parts, parts)

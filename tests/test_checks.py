@@ -456,3 +456,20 @@ def test_run_checks_forms_no_commutator_with_a_constant(monkeypatch):
     monkeypatch.setattr(OperatorPolynomial, "commutator", counting)
     assert run_checks(model).overall
     assert calls and not any(calls)
+
+
+def test_run_checks_takes_no_norm_of_a_zero_residual(monkeypatch):
+    # a zero polynomial's norm is 0.0, so residual_norm is taken over the
+    # nonzero residuals only; chain(8) took 1,640 norms, all of zero
+    # residuals, when it was taken over every entry
+    model = parse_model(chain_text(8))
+    zero_norms = []
+    original = OperatorPolynomial.coeff_norm
+
+    def counting(self):
+        zero_norms.append(self.is_zero)
+        return original(self)
+
+    monkeypatch.setattr(OperatorPolynomial, "coeff_norm", counting)
+    assert run_checks(model).overall
+    assert sum(zero_norms) == 0

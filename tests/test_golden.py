@@ -12,6 +12,10 @@ non-unit diagonal thetas diag(2, 1/3) and diag(2, i/2), with and without
 phi, where a generator commutator carries a theta weight other than 1.
 They were recorded with dense operator matrices and generator commutators
 formed through the general product, before the closed-form contraction.
+The same two reports of the cavity at the non-diagonal thetas
+[[2, 1], [1, 2]] and [[2, i], [-i, 2]], with and without phi, were recorded
+while non-diagonal products still went through word rewriting, before the
+one Wick contraction path.
 """
 
 import json
@@ -37,7 +41,8 @@ COMMANDS = {
     "extract-force": ["extract", "--force"],
 }
 THETA_MODELS = {
-    f"cavity_theta_diag_{kind}{phi}": f"golden/cavity_theta_diag_{kind}{phi}.qsde"
+    f"cavity_theta_{shape}_{kind}{phi}": f"golden/cavity_theta_{shape}_{kind}{phi}.qsde"
+    for shape in ("diag", "offdiag")
     for kind in ("real", "complex")
     for phi in ("", "_nophi")
 }
