@@ -199,7 +199,7 @@ def main(argv=None) -> int:
         if args.command == "extract":
             return _cmd_extract(args)
         raise ValueError(f"unknown command {args.command!r}")
-    except (ParseError, OSError, ValueError) as exc:
+    except (ParseError, OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

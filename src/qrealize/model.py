@@ -15,7 +15,13 @@ The model format is line-oriented (``#`` starts a comment):
 Operator expressions use generators ``a1``, ``a1'`` (prime = dagger),
 explicit ``*`` for products, ``^`` for positive integer powers, ``i`` for
 the imaginary unit and ``sqrt(...)`` of scalar subexpressions.  Parameter
-values are evaluated once, at parse time.
+values are evaluated once, at parse time.  A statement continues over the
+following lines while its brackets are open.  A ParseError names the line
+and the 1-based column, counted from the start of that source line, of the
+offending token.  Parsing refuses there more than MAX_MODES = 128 modes or
+channels, an exponent above MAX_EXPONENT = 64, a product or power of degree
+above MAX_DEGREE = 32 or of more than MAX_TERM_PAIRS = 10,000 term pairs,
+and brackets nested deeper than MAX_NESTING = 64.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isfinite
 
 from .algebra import Algebra, CommutationMatrix, OperatorPolynomial, format_scalar, render
 from .matrices import OperatorMatrix
@@ -244,47 +251,51 @@ def _mono_label(mono) -> str:
     return _format_monomial(mono) or "1"
 
 
-# -- expression parsing -------------------------------------------------------
+# -- parsing ------------------------------------------------------------------
+
+# Resource bounds, each checked before the work it bounds is done.
+MAX_MODES = 128           # modes: and channels: (the grids are n x n)
+MAX_EXPONENT = 64         # k in x^k
+MAX_DEGREE = 32           # total degree of a product or power
+MAX_TERM_PAIRS = 10_000   # term pairs multiplied out by one product
+MAX_NESTING = 64          # nested ( and sqrt( in one expression
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<sym>[-+*/^()\[\],'=:]))"
 )
 
-_GEN_RE = re.compile(r"^a(\d+)$")
+
+def _tokenize(body: str, line: int) -> list:
+    """Tokens of one source line as ``(kind, text, (line, col))``."""
+    tokens = []
+    pos = 0
+    while m := _TOKEN_RE.match(body, pos):
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), (line, m.start(kind) + 1)))
+        pos = m.end()
+    rest = body[pos:].lstrip()
+    if rest:
+        raise ParseError(f"unexpected character {rest[0]!r}", line, len(body) - len(rest) + 1)
+    return tokens
 
 
-class _Tokens:
-    """Tokens of ``text``, each with its source position (line, col).
+class _Parser:
+    """Recursive descent over one statement's tokens, from index ``start``.
 
-    ``spans`` maps text to source lines: ``(start, line, col)`` puts
-    ``text[start]`` at column ``col`` of ``line``, and the text after it
-    follows on that line up to the next span.  A statement continued over
-    several lines has one span per line."""
+    Expressions become polynomials over ``algebra``.  A ``scalar`` statement
+    (a param or theta) names no mode: each generator in it stands for a1 of
+    the one-mode scratch algebra and sets ``nonscalar``.
+    """
 
-    def __init__(self, text: str, spans):
-        self.text = text
-        self.spans = spans
-        self.line = spans[0][1]
-        self.toks = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if not m or m.end() == pos:
-                stripped = text[pos:].lstrip()
-                if not stripped:
-                    break
-                raise ParseError(f"unexpected character {stripped[0]!r}",
-                                 *self.where(len(text) - len(stripped)))
-            kind = m.lastgroup
-            self.toks.append((kind, m.group(kind), self.where(m.start(kind))))
-            pos = m.end()
-        self.idx = 0
-
-    def where(self, pos: int):
-        """(line, col) of ``text[pos]``."""
-        start, line, col = next(s for s in reversed(self.spans) if s[0] <= pos)
-        return line, col + pos - start
+    def __init__(self, tokens, start, algebra, params, scalar=False):
+        self.toks = tokens
+        self.idx = start
+        self.alg = algebra
+        self.params = params
+        self.scalar = scalar
+        self.nonscalar = False
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.idx] if self.idx < len(self.toks) else None
@@ -292,344 +303,282 @@ class _Tokens:
     def next(self):
         tok = self.peek()
         if tok is None:
-            raise ParseError("unexpected end of expression", *self.where(len(self.text)))
+            _, text, (line, col) = self.toks[-1] if self.toks else ("", "", (0, 1))
+            raise ParseError("unexpected end of expression", line, col + len(text))
         self.idx += 1
         return tok
 
-    def expect_sym(self, sym: str):
+    def accept(self, *syms):
+        """The next token, consumed, when it is one of the symbols ``syms``."""
+        tok = self.peek()
+        if tok and tok[0] == "sym" and tok[1] in syms:
+            self.idx += 1
+            return tok
+        return None
+
+    def expect(self, sym: str):
         tok = self.next()
-        if tok[0] != "sym" or tok[1] != sym:
+        if tok[1] != sym:
             raise ParseError(f"expected {sym!r}, found {tok[1]!r}", *tok[2])
-        return tok
-
-    def at_end(self) -> bool:
-        return self.idx >= len(self.toks)
-
-
-class _ExprParser:
-    """Recursive-descent parser producing operator polynomials."""
-
-    def __init__(self, tokens: _Tokens, algebra: Algebra, params: dict):
-        self.t = tokens
-        self.alg = algebra
-        self.params = params
 
     def parse(self) -> OperatorPolynomial:
-        expr = self.expr()
-        if not self.t.at_end():
-            tok = self.t.peek()
+        """The rest of the statement, as one expression."""
+        value = self.expr()
+        tok = self.peek()
+        if tok:
             raise ParseError(f"unexpected {tok[1]!r}", *tok[2])
-        return expr
+        return value
+
+    def count(self, what: str) -> int:
+        """The rest of the statement, as a positive integer up to MAX_MODES."""
+        rest = self.toks[self.idx:]
+        if len(rest) != 1 or not rest[0][1].isdigit() or int(rest[0][1]) < 1:
+            raise ParseError(f"{what} must be a positive integer", self.toks[0][2][0], 1)
+        if int(rest[0][1]) > MAX_MODES:
+            raise ParseError(f"{what} exceeds {MAX_MODES}", *rest[0][2])
+        return int(rest[0][1])
+
+    def bracketed(self, item):
+        """``[item, item, ...]``: the items."""
+        self.expect("[")
+        items = []
+        while True:
+            items.append(item())
+            tok = self.next()
+            if tok[1] == "]":
+                return items
+            if tok[1] != ",":
+                raise ParseError(f"expected ',' or ']', found {tok[1]!r}", *tok[2])
+
+    def matrix(self):
+        """A ``[[...], ...]`` literal: its rows of polynomials."""
+        rows = self.bracketed(lambda: self.bracketed(self.expr))
+        if any(len(r) != len(rows[0]) for r in rows):
+            raise ParseError("ragged matrix literal", self.toks[0][2][0], 1)
+        return rows
 
     def expr(self) -> OperatorPolynomial:
         acc = self.term()
-        while True:
-            tok = self.t.peek()
-            if tok and tok[0] == "sym" and tok[1] in "+-":
-                self.t.next()
-                rhs = self.term()
-                acc = acc + rhs if tok[1] == "+" else acc - rhs
-            else:
-                return acc
+        while tok := self.accept("+", "-"):
+            rhs = self.term()
+            acc = self.arith(tok, lambda: acc + rhs if tok[1] == "+" else acc - rhs)
+        return acc
 
     def term(self) -> OperatorPolynomial:
         acc = self.factor()
         while True:
-            tok = self.t.peek()
-            if tok and tok[0] == "sym" and tok[1] in "*/":
-                self.t.next()
-                rhs = self.factor()
-                if tok[1] == "*":
-                    acc = acc * rhs
-                else:
-                    if not rhs.is_constant:
-                        raise ParseError("division by a non-constant operator",
-                                         *tok[2])
-                    try:
-                        inverse = ONE / rhs.constant_value()
-                    except ZeroDivisionError:
-                        raise ParseError("division by zero", *tok[2]) from None
-                    acc = acc.scale(inverse)
-            elif tok and tok[0] in ("number", "name"):
-                raise ParseError(
-                    "juxtaposition is not multiplication; use '*'",
-                    *tok[2],
-                )
-            else:
+            tok = self.accept("*", "/")
+            if tok is None:
+                nxt = self.peek()
+                if nxt and nxt[0] != "sym":
+                    raise ParseError("juxtaposition is not multiplication; use '*'", *nxt[2])
                 return acc
+            rhs = self.factor()
+            if tok[1] == "*":
+                acc = self.product(tok, acc, rhs)
+            elif not rhs.is_constant:
+                raise ParseError("division by a non-constant operator", *tok[2])
+            else:
+                acc = self.arith(tok, lambda: acc.scale(ONE / rhs.constant_value()))
 
     def factor(self) -> OperatorPolynomial:
         # unary signs bind looser than '^', so -a1^2 means -(a1^2)
-        tok = self.t.peek()
-        if tok and tok[0] == "sym" and tok[1] in "+-":
-            self.t.next()
-            inner = self.factor()
-            return -inner if tok[1] == "-" else inner
+        negate = False
+        while sign := self.accept("+", "-"):
+            negate ^= sign[1] == "-"
         base = self.primary()
-        while True:
-            tok = self.t.peek()
-            if tok and tok[0] == "sym" and tok[1] == "^":
-                self.t.next()
-                exp_tok = self.t.next()
-                if exp_tok[0] != "number" or not exp_tok[1].isdigit():
-                    raise ParseError("exponent must be a positive integer",
-                                     *exp_tok[2])
-                k = int(exp_tok[1])
-                if k < 1:
-                    raise ParseError("exponent must be a positive integer",
-                                     *exp_tok[2])
-                base = base**k
-            else:
-                return base
+        while self.accept("^"):
+            tok = self.next()
+            if not tok[1].isdigit() or int(tok[1]) < 1:
+                raise ParseError("exponent must be a positive integer", *tok[2])
+            k = int(tok[1])
+            if k > MAX_EXPONENT:
+                raise ParseError(f"exponent exceeds {MAX_EXPONENT}", *tok[2])
+            if base.max_degree * k > MAX_DEGREE:
+                raise ParseError(f"degree exceeds {MAX_DEGREE}", *tok[2])
+            power = self.alg.one()
+            for _ in range(k):
+                power = self.product(tok, power, base)
+            base = power
+        return -base if negate else base
 
     def primary(self) -> OperatorPolynomial:
-        tok = self.t.next()
+        tok = self.next()
         kind, text, pos = tok
         if kind == "number":
             return self.alg.scalar(Scalar(Fraction(text)))
-        if kind == "sym" and text == "(":
-            inner = self.expr()
-            self.t.expect_sym(")")
-            return inner
-        if kind == "name":
-            if text == "i":
-                return self.alg.scalar(Scalar(0, 1))
+        if text in ("(", "sqrt"):
             if text == "sqrt":
-                self.t.expect_sym("(")
-                inner = self.expr()
-                self.t.expect_sym(")")
-                if not inner.is_constant:
-                    raise ParseError("sqrt of a non-scalar expression", *pos)
-                return self.alg.scalar(inner.constant_value().sqrt())
-            gen = _GEN_RE.match(text)
-            if gen:
-                mode = int(gen.group(1))
-                if not 1 <= mode <= self.alg.modes:
-                    raise ParseError(
-                        f"unknown mode a{mode}; model has {self.alg.modes} modes",
-                        *pos,
-                    )
-                nxt = self.t.peek()
-                if nxt and nxt[0] == "sym" and nxt[1] == "'":
-                    self.t.next()
-                    return self.alg.creator(mode)
-                return self.alg.annihilator(mode)
-            if text in self.params:
-                return self.alg.scalar(self.params[text])
-            raise ParseError(f"unknown parameter {text!r}", *pos)
-        raise ParseError(f"unexpected {text!r}", *pos)
+                self.expect("(")
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"brackets nested deeper than {MAX_NESTING}", *pos)
+            self.depth += 1
+            inner = self.expr()
+            self.depth -= 1
+            self.expect(")")
+            if text == "(":
+                return inner
+            if not inner.is_constant:
+                raise ParseError("sqrt of a non-scalar expression", *pos)
+            return self.arith(tok, lambda: self.alg.scalar(inner.constant_value().sqrt()))
+        if kind == "sym":
+            raise ParseError(f"unexpected {text!r}", *pos)
+        if text == "i":
+            return self.alg.scalar(Scalar(0, 1))
+        if text[0] == "a" and text[1:].isdigit():
+            mode = int(text[1:])
+            if self.scalar:
+                self.nonscalar = True
+                mode = 1
+            elif not 1 <= mode <= self.alg.modes:
+                raise ParseError(f"unknown mode a{mode}; model has {self.alg.modes} modes", *pos)
+            if self.accept("'"):
+                return self.alg.creator(mode)
+            return self.alg.annihilator(mode)
+        if text in self.params:
+            return self.alg.scalar(self.params[text])
+        raise ParseError(f"unknown parameter {text!r}", *pos)
+
+    def product(self, tok, lhs, rhs) -> OperatorPolynomial:
+        """lhs * rhs, refused at ``tok`` when it would exceed a bound."""
+        if lhs.max_degree + rhs.max_degree > MAX_DEGREE:
+            raise ParseError(f"degree exceeds {MAX_DEGREE}", *tok[2])
+        if len(lhs.terms) * len(rhs.terms) > MAX_TERM_PAIRS:
+            raise ParseError(f"product exceeds {MAX_TERM_PAIRS} term pairs", *tok[2])
+        return self.arith(tok, lambda: lhs * rhs)
+
+    def arith(self, tok, step):
+        """``step()``, the arithmetic of the operator ``tok``, refused there
+        when it divides by zero or leaves the binary64 range."""
+        try:
+            value = step()
+            if all(c.den is not None or isfinite(c.re_num) and isfinite(c.im_num)
+                   for c in value.terms.values()):
+                return value
+        except ZeroDivisionError:
+            raise ParseError("division by zero", *tok[2]) from None
+        except OverflowError:
+            pass
+        raise ParseError("number too large for binary64", *tok[2])
 
 
-def parse_expression(text: str, algebra: Algebra, params: dict | None = None,
-                     line: int = 0, offset: int = 0) -> OperatorPolynomial:
-    tokens = _Tokens(text, ((0, line, offset + 1),))
-    return _ExprParser(tokens, algebra, params or {}).parse()
+def parse_expression(text: str, algebra: Algebra,
+                     params: dict | None = None) -> OperatorPolynomial:
+    return _Parser(_tokenize(text, 0), 0, algebra, params or {}).parse()
 
 
-def _bracketed(tokens: _Tokens, item):
-    """Parse ``[item, item, ...]``; return the items."""
-    tokens.expect_sym("[")
-    items = []
-    while True:
-        items.append(item())
-        tok = tokens.next()
-        if tok[0] == "sym" and tok[1] == "]":
-            return items
-        if tok[0] != "sym" or tok[1] != ",":
-            raise ParseError(f"expected ',' or ']', found {tok[1]!r}", *tok[2])
-
-
-def _parse_matrix_rows(tokens: _Tokens, algebra: Algebra, params: dict):
-    entry = _ExprParser(tokens, algebra, params).expr
-    rows = _bracketed(tokens, lambda: _bracketed(tokens, entry))
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise ParseError("ragged matrix literal", tokens.line, 1)
-    return rows
-
-
-# -- model file parsing -------------------------------------------------------
-
-_HEADER_RE = re.compile(r"^(modes|channels|theta)\s*:\s*(.*)$")
-_PARAM_RE = re.compile(r"^param\s+([A-Za-z_][A-Za-z_0-9]*)\s*=\s*(.*)$")
-_INDEXED_RE = re.compile(r"^([AC])\s*\[\s*(\d+)\s*\]\s*=\s*(.*)$")
-_MATRIX_RE = re.compile(r"^([BD])\s*=\s*(.*)$")
-_PHI_RE = re.compile(r"^phi\s*=\s*(.*)$")
-
-
-def _logical_lines(text: str):
-    """(spans, statement): comment-stripped lines, joined with one blank while
-    brackets are unbalanced; ``spans`` gives the source position of each
-    joined line's first character, as ``_Tokens`` reads it."""
-    pending = ""
-    spans = []
+def _statements(text: str):
+    """(source, tokens) of each statement: the tokens of a line, continued
+    over the following lines while a bracket is open."""
+    source, tokens, depth = [], [], 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].rstrip()
-        if not body.strip() and not pending:
+        body = raw.split("#", 1)[0]
+        line_tokens = _tokenize(body, lineno)
+        if not line_tokens:
             continue
-        if pending:
-            pending += " "
-        spans.append((len(pending), lineno, len(body) - len(body.lstrip()) + 1))
-        pending += body.strip()
-        depth = pending.count("[") + pending.count("(") \
-            - pending.count("]") - pending.count(")")
-        if depth > 0:
-            continue
-        if pending:
-            yield tuple(spans), pending
-        pending = ""
-        spans = []
-    if pending:
-        yield tuple(spans), pending
-
-
-def _tokens_from(statement: str, spans, start: int) -> _Tokens:
-    """Tokens of ``statement[start:]``."""
-    return _Tokens(statement[start:], tuple((s - start, ln, col) for s, ln, col in spans))
+        source.append(body.strip())
+        tokens += line_tokens
+        texts = [tok[1] for tok in line_tokens]
+        depth += texts.count("(") + texts.count("[") - texts.count(")") - texts.count("]")
+        if depth <= 0:
+            yield " ".join(source), tokens
+            source, tokens, depth = [], [], 0
+    if tokens:
+        yield " ".join(source), tokens
 
 
 def parse_model(text: str, tol: float = DEFAULT_TOL) -> QsdeModel:
     """Parse and fully bind a model; raises ParseError on any defect."""
     n = m = None
-    theta_spec = None
-    theta_line = 0
+    theta = None  # (line, rows, nonscalar) of a theta literal; None is the identity
     params: dict = {}
-    a_entries: dict = {}
-    c_entries: dict = {}
-    b_rows = None
-    d_rows = "identity"
-    phi_src = None
+    entries = {"A": {}, "C": {}}
+    literals = {"D": "identity"}  # B and D: "identity" or (line, rows)
+    phi = None
     algebra = None
+    scratch = Algebra(1, tol=tol)  # params and theta name no mode
 
     def require_algebra(lineno):
         nonlocal algebra
         if algebra is None:
             if n is None or m is None:
                 raise ParseError("modes and channels must be declared first", lineno, 1)
-            if theta_spec is None or theta_spec == "identity":
-                theta = CommutationMatrix.identity(n)
-            else:
-                rows = []
-                for row in theta_spec:
-                    scal_row = []
-                    for e in row:
-                        if not e.is_constant:
-                            raise ParseError("theta entries must be scalars", theta_line, 1)
-                        scal_row.append(e.constant_value())
-                    rows.append(scal_row)
+            grid_theta = CommutationMatrix.identity(n)
+            if theta is not None:
+                line, rows, nonscalar = theta
+                if nonscalar or not all(e.is_constant for r in rows for e in r):
+                    raise ParseError("theta entries must be scalars", line, 1)
                 if len(rows) != n or any(len(r) != n for r in rows):
-                    raise ParseError(
-                        f"theta must be {n}x{n}", theta_line, 1
-                    )
-                theta = CommutationMatrix(grid(rows))
-            algebra = Algebra(n, theta, tol=tol)
+                    raise ParseError(f"theta must be {n}x{n}", line, 1)
+                grid_theta = CommutationMatrix(grid([[e.constant_value() for e in r]
+                                                     for r in rows]))
+            algebra = Algebra(n, grid_theta, tol=tol)
         return algebra
 
-    def expression(line, spans, start, alg):
-        return _ExprParser(_tokens_from(line, spans, start), alg, params).parse()
-
-    for spans, line in _logical_lines(text):
-        lineno = spans[0][1]
-        hm = _HEADER_RE.match(line)
-        if hm:
-            key, value = hm.group(1), hm.group(2).strip()
-            if key == "modes":
-                n = _parse_count(value, lineno, "modes")
-            elif key == "channels":
-                m = _parse_count(value, lineno, "channels")
-            else:
-                if value == "identity":
-                    theta_spec = "identity"
-                else:
-                    tokens = _tokens_from(line, spans, hm.start(2))
-                    # theta entries may not reference modes; parse over a
-                    # 1-mode scratch algebra and demand constants later
-                    theta_spec = _parse_matrix_rows(
-                        tokens, Algebra(1, tol=tol), params
-                    )
-                theta_line = lineno
-            continue
-        pm = _PARAM_RE.match(line)
-        if pm:
-            name = pm.group(1)
-            scratch = Algebra(1, tol=tol)
-            value = expression(line, spans, pm.start(2), scratch)
-            if not value.is_constant:
-                raise ParseError(f"parameter {name!r} is not a scalar", lineno, 1)
-            params[name] = value.constant_value()
-            continue
-        im = _INDEXED_RE.match(line)
-        if im:
-            alg = require_algebra(lineno)
-            which, idx = im.group(1), int(im.group(2))
-            limit = n if which == "A" else m
-            if not 1 <= idx <= limit:
-                raise ParseError(f"{which}[{idx}] out of range 1..{limit}", lineno, 1)
-            target = a_entries if which == "A" else c_entries
-            if idx in target:
-                raise ParseError(f"duplicate {which}[{idx}]", lineno, 1)
-            target[idx] = expression(line, spans, im.start(3), alg)
-            continue
-        mm = _MATRIX_RE.match(line)
-        if mm:
-            alg = require_algebra(lineno)
-            which, value = mm.group(1), mm.group(2).strip()
-            if value == "identity":
-                rows = "identity"
-            else:
-                rows = _parse_matrix_rows(_tokens_from(line, spans, mm.start(2)),
-                                          alg, params)
-            if which == "B":
-                if rows == "identity":
+    for source, toks in _statements(text):
+        lineno = toks[0][2][0]
+        identity = len(toks) == 3 and toks[2][1] == "identity"
+        match [tok[1] for tok in toks[:5]]:
+            case ["modes", ":", *_]:
+                n = _Parser(toks, 2, scratch, params).count("modes")
+            case ["channels", ":", *_]:
+                m = _Parser(toks, 2, scratch, params).count("channels")
+            case ["theta", ":", *_]:
+                theta = None
+                if not identity:
+                    parser = _Parser(toks, 2, scratch, params, scalar=True)
+                    theta = (lineno, parser.matrix(), parser.nonscalar)
+            case ["param", name, "=", *_] if toks[1][0] == "name":
+                parser = _Parser(toks, 3, scratch, params, scalar=True)
+                value = parser.parse()
+                if parser.nonscalar or not value.is_constant:
+                    raise ParseError(f"parameter {name!r} is not a scalar", lineno, 1)
+                params[name] = value.constant_value()
+            case ["A" | "C" as which, "[", index, "]", "="] if index.isdigit():
+                alg = require_algebra(lineno)
+                idx, limit = int(index), n if which == "A" else m
+                if not 1 <= idx <= limit:
+                    raise ParseError(f"{which}[{idx}] out of range 1..{limit}", lineno, 1)
+                if idx in entries[which]:
+                    raise ParseError(f"duplicate {which}[{idx}]", lineno, 1)
+                entries[which][idx] = _Parser(toks, 5, alg, params).parse()
+            case ["B" | "D" as which, "=", *_]:
+                alg = require_algebra(lineno)
+                if identity and which == "B":
                     raise ParseError("B must be a matrix literal", lineno, 1)
-                b_rows = (lineno, rows)
-            else:
-                d_rows = rows if rows == "identity" else (lineno, rows)
-            continue
-        fm = _PHI_RE.match(line)
-        if fm:
-            alg = require_algebra(lineno)
-            phi_src = expression(line, spans, fm.start(1), alg)
-            continue
-        raise ParseError(f"unrecognized statement {line!r}", lineno, 1)
+                literals[which] = "identity" if identity else (
+                    lineno, _Parser(toks, 2, alg, params).matrix())
+            case ["phi", "=", *_]:
+                phi = _Parser(toks, 2, require_algebra(lineno), params).parse()
+            case _:
+                raise ParseError(f"unrecognized statement {source!r}", lineno, 1)
 
     if n is None:
         raise ParseError("missing 'modes:' declaration")
     if m is None:
         raise ParseError("missing 'channels:' declaration")
     alg = require_algebra(0)
-
-    missing_a = [i for i in range(1, n + 1) if i not in a_entries]
-    if missing_a:
-        raise ParseError(f"missing drift entries A{missing_a}")
-    missing_c = [v for v in range(1, m + 1) if v not in c_entries]
-    if missing_c:
-        raise ParseError(f"missing output entries C{missing_c}")
-    if b_rows is None:
+    for which, size, role in (("A", n, "drift"), ("C", m, "output")):
+        missing = [i for i in range(1, size + 1) if i not in entries[which]]
+        if missing:
+            raise ParseError(f"missing {role} entries {which}{missing}")
+    if "B" not in literals:
         raise ParseError("missing noise matrix B")
 
-    b_line, rows = b_rows
-    if len(rows) != n or any(len(r) != m for r in rows):
-        raise ParseError(f"B must be {n}x{m}", b_line, 1)
-    B = OperatorMatrix(alg, n, m, [e for row in rows for e in row])
+    def literal(which, rows, cols):
+        if literals[which] == "identity":
+            return OperatorMatrix.identity(alg, cols)
+        line, values = literals[which]
+        if len(values) != rows or any(len(r) != cols for r in values):
+            raise ParseError(f"{which} must be {rows}x{cols}", line, 1)
+        return OperatorMatrix(alg, rows, cols, [e for r in values for e in r])
 
-    if d_rows == "identity":
-        D = OperatorMatrix.identity(alg, m)
-    else:
-        d_line, rows = d_rows
-        if len(rows) != m or any(len(r) != m for r in rows):
-            raise ParseError(f"D must be {m}x{m}", d_line, 1)
-        D = OperatorMatrix(alg, m, m, [e for row in rows for e in row])
-
-    A = OperatorMatrix.column(alg, [a_entries[i] for i in range(1, n + 1)])
-    C = OperatorMatrix.column(alg, [c_entries[v] for v in range(1, m + 1)])
+    B = literal("B", n, m)
+    D = literal("D", m, m)
+    A = OperatorMatrix.column(alg, [entries["A"][i] for i in range(1, n + 1)])
+    C = OperatorMatrix.column(alg, [entries["C"][v] for v in range(1, m + 1)])
     return QsdeModel(algebra=alg, n=n, m=m, A=A, B=B, C=C, D=D,
-                     params=params, phi=phi_src)
-
-
-def _parse_count(value: str, lineno: int, what: str) -> int:
-    if not value.isdigit() or int(value) < 1:
-        raise ParseError(f"{what} must be a positive integer", lineno, 1)
-    return int(value)
+                     params=params, phi=phi)
 
 
 # -- rendering ----------------------------------------------------------------

@@ -1,0 +1,147 @@
+"""Golden table of parse errors: one case per ``raise ParseError`` in model.py.
+
+Each case edits the cavity fixture, runs ``qreal check`` on the result and
+pins the exit code 2 and the exact ``line L, col C: message``.
+"""
+
+import pytest
+
+from qrealize.cli import main
+
+from conftest import CAVITY_PATH, FIXTURE_DIR, mutate
+
+CAVITY = CAVITY_PATH.read_text()
+B_LITERAL = "B = [[-sqrt(2*k1), 0],\n     [0, -sqrt(2*k2)]]"
+
+# (id, old, new, message): ``old`` replaced once by ``new`` in the fixture
+CASES = [
+    # tokens and the expression grammar
+    ("unexpected-character", "A[1] = -k1*a1", "A[1] = -k1*a1 $",
+     "line 9, col 15: unexpected character '$'"),
+    ("end-of-expression", "C[2] = sqrt(2*k2)*a2", "C[2] = sqrt(2*k2)*",
+     "line 16, col 19: unexpected end of expression"),
+    ("expected-symbol", "C[1] = sqrt(2*k1)*a1", "C[1] = sqrt 2*k1*a1",
+     "line 15, col 13: expected '(', found '2'"),
+    ("trailing-token", "C[1] = sqrt(2*k1)*a1", "C[1] = sqrt(2*k1)*a1)",
+     "line 15, col 21: unexpected ')'"),
+    ("division-by-operator", "C[1] = sqrt(2*k1)*a1", "C[1] = sqrt(2*k1)/a1",
+     "line 15, col 18: division by a non-constant operator"),
+    ("division-by-zero", "param k2 = 2", "param k2 = 2/(k1-2)",
+     "line 7, col 13: division by zero"),
+    ("juxtaposition", "A[2] = -k2*a2", "A[2] = -k2 a2",
+     "line 10, col 12: juxtaposition is not multiplication; use '*'"),
+    ("exponent-not-a-number", "2*a1'*a2^2", "2*a1'*a2^k1",
+     "line 9, col 26: exponent must be a positive integer"),
+    ("exponent-zero", "2*a1'*a2^2", "2*a1'*a2^0",
+     "line 9, col 26: exponent must be a positive integer"),
+    ("sqrt-of-operator", "C[1] = sqrt(2*k1)*a1", "C[1] = sqrt(2*a1)",
+     "line 15, col 8: sqrt of a non-scalar expression"),
+    ("unknown-mode", "C[2] = sqrt(2*k2)*a2", "C[2] = sqrt(2*k2)*a3",
+     "line 16, col 19: unknown mode a3; model has 2 modes"),
+    ("unknown-parameter", "C[2] = sqrt(2*k2)*a2", "C[2] = sqrt(2*k3)*a2",
+     "line 16, col 15: unknown parameter 'k3'"),
+    ("unexpected-token", "phi = 2*a1'*a1", "phi = *a1'*a1",
+     "line 20, col 7: unexpected '*'"),
+    ("expected-comma-or-bracket", "[0, -sqrt(2*k2)]]", "[0, -sqrt(2*k2)][",
+     "line 13, col 22: expected ',' or ']', found '['"),
+    ("ragged-matrix", "[0, -sqrt(2*k2)]]", "[0]]",
+     "line 12, col 1: ragged matrix literal"),
+    # statements
+    ("algebra-before-header", "modes: 2\nchannels: 2\n", "modes: 2\n",
+     "line 8, col 1: modes and channels must be declared first"),
+    ("theta-not-scalar", "theta: identity", "theta: [[a1, 0], [0, 1]]",
+     "line 4, col 1: theta entries must be scalars"),
+    ("theta-shape", "theta: identity", "theta: [[1, 0, 0], [0, 1, 0]]",
+     "line 4, col 1: theta must be 2x2"),
+    ("param-not-scalar", "param k2 = 2", "param k2 = a1",
+     "line 7, col 1: parameter 'k2' is not a scalar"),
+    ("index-out-of-range", "C[2] = sqrt(2*k2)*a2", "C[3] = sqrt(2*k2)*a2",
+     "line 16, col 1: C[3] out of range 1..2"),
+    ("duplicate-entry", "C[2] = sqrt(2*k2)*a2", "C[1] = sqrt(2*k2)*a2",
+     "line 16, col 1: duplicate C[1]"),
+    ("b-identity", B_LITERAL, "B = identity",
+     "line 12, col 1: B must be a matrix literal"),
+    ("unrecognized-statement", "D = identity", "E = identity",
+     "line 18, col 1: unrecognized statement 'E = identity'"),
+    ("modes-not-positive", "modes: 2", "modes: 0",
+     "line 2, col 1: modes must be a positive integer"),
+    ("channels-not-integer", "channels: 2", "channels: two",
+     "line 3, col 1: channels must be a positive integer"),
+    # the model as a whole
+    ("missing-modes", CAVITY[CAVITY.index("modes"):], "channels: 2\n",
+     "missing 'modes:' declaration"),
+    ("missing-channels", CAVITY[CAVITY.index("channels"):], "theta: identity\n",
+     "missing 'channels:' declaration"),
+    ("missing-drift", "A[2] = -k2*a2 - 2*a2'*a1^2\n", "",
+     "missing drift entries A[2]"),
+    ("missing-output", "C[2] = sqrt(2*k2)*a2\n", "",
+     "missing output entries C[2]"),
+    ("missing-b", B_LITERAL + "\n", "",
+     "missing noise matrix B"),
+    ("b-shape", "[0, -sqrt(2*k2)]]", "[0, -sqrt(2*k2)], [0, 0]]",
+     "line 12, col 1: B must be 2x2"),
+    ("d-shape", "D = identity", "D = [[1]]",
+     "line 18, col 1: D must be 2x2"),
+    # resource bounds, each just above its value
+    ("modes-bound", "modes: 2", "modes: 129",
+     "line 2, col 8: modes exceeds 128"),
+    ("exponent-bound", "2*a1'*a2^2", "2*a1'*a2^65",
+     "line 9, col 26: exponent exceeds 64"),
+    ("power-degree-bound", "2*a1'*a2^2", "2*a1'*a2^33",
+     "line 9, col 26: degree exceeds 32"),
+    ("product-degree-bound", "C[1] = sqrt(2*k1)*a1", "C[1] = a1^32*a1",
+     "line 15, col 13: degree exceeds 32"),
+    ("term-pair-bound", "C[1] = sqrt(2*k1)*a1", "C[1] = (1+a1+a1')^13*(1+a2+a2')^13",
+     "line 15, col 21: product exceeds 10000 term pairs"),
+    ("nesting-bound", "C[1] = sqrt(2*k1)*a1", "C[1] = " + "(" * 65 + "a1" + ")" * 65,
+     "line 15, col 72: brackets nested deeper than 64"),
+    # numbers beyond binary64 where a sqrt made the arithmetic floating
+    ("sqrt-overflow", "param k2 = 2", "param k2 = sqrt(2e400)",
+     "line 7, col 12: number too large for binary64"),
+    ("operator-overflow", "param k2 = 2", "param k2 = sqrt(2)*1e400",
+     "line 7, col 19: number too large for binary64"),
+    # theta and params name no mode, whatever its number
+    ("theta-other-mode", "theta: identity", "theta: [[a2, 0], [0, 1]]",
+     "line 4, col 1: theta entries must be scalars"),
+    ("param-other-mode", "param k2 = 2", "param k2 = a2",
+     "line 7, col 1: parameter 'k2' is not a scalar"),
+    # a character no token matches is reported first, at its own column
+    ("character-before-statement-error", "modes: 2", "modes: 2!",
+     "line 2, col 9: unexpected character '!'"),
+    # a statement is quoted as its nonblank lines joined by single blanks
+    ("unrecognized-continued-statement", "D = identity", "E = [[1,\n\n 0]]",
+     "line 18, col 1: unrecognized statement 'E = [[1, 0]]'"),
+    # the end of a statement is just past its last token
+    ("end-after-blank-lines", "phi = 2*a1'*a1 + 2*a2'*a2", "phi = (2*a1'*a1 + 2*a2'*a2 +\n\n",
+     "line 20, col 29: unexpected end of expression"),
+]
+
+
+def run_check(capsys, tmp_path, text, *options):
+    path = tmp_path / "model.qsde"
+    path.write_text(text)
+    code = main(["check", str(path), *options])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("old, new, message", [c[1:] for c in CASES],
+                         ids=[c[0] for c in CASES])
+def test_parse_error_table(capsys, tmp_path, old, new, message):
+    code, out, err = run_check(capsys, tmp_path, mutate(CAVITY, old, new))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_float_mode_rejects_a_number_beyond_binary64(capsys, tmp_path):
+    text = mutate(CAVITY, "param k2 = 2", "param k2 = 2\nparam big = 1e400")
+    assert run_check(capsys, tmp_path, text)[0] == 0
+    code, out, err = run_check(capsys, tmp_path, text, "--float")
+    assert (code, out) == (2, "")
+    assert err == "error: integer division result too large for a float\n"
+
+
+def test_malformed_fixture(capsys):
+    code = main(["check", str(FIXTURE_DIR / "malformed_cavity.qsde")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: line 14, col 22: juxtaposition is not multiplication; use '*'\n"
