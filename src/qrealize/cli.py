@@ -12,6 +12,7 @@ Exit codes: 0 = all selected checks pass, 1 = at least one check failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -35,7 +36,9 @@ EXIT_FAIL = 1
 EXIT_ERROR = 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``qreal`` argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="qreal",
         description="Symbolic physical-realizability checks for nonlinear QSDE models.",

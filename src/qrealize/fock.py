@@ -3,14 +3,17 @@
 A normal-ordered monomial a'^h a^k sends a number state n to zero unless
 n >= k in every mode, and otherwise to the state n - k + h with amplitude
 prod_i sqrt(n_i!/(n_i-k_i)! * (n_i-k_i+h_i)!/(n_i-k_i)!).  ``_block`` builds
-the matrix of a polynomial between the states whose every occupation is at
-most ``cap`` from these index and amplitude arrays, in O(terms x states).
+the matrix of a polynomial on the given modes, between the states whose
+every occupation is at most ``cap``, from these index and amplitude arrays.
 Identities and positivity are judged on the guarded block, cap = N - 1 -
 guard, which excludes the truncation-corrupted top occupation levels and so
 makes the truncation error exactly zero for polynomial identities.  With no
 guard the block equals the dense truncated product, whose a' annihilates the
-top level.  ``MAX_DIMENSION`` bounds the number of states in the block built.
-The oracle needs theta = I.
+top level.  On a mode that a residual does not touch every amplitude factor
+is 1.0, so ``residual_deviation`` skips zero residuals and builds the others
+on their touched modes, (cap+1)^(2 x touched) entries, with the same largest
+|entry| bit for bit.  ``MAX_DIMENSION`` bounds (cap+1)^n for every residual
+all the same.  The oracle needs theta = I.
 """
 
 from __future__ import annotations
@@ -25,11 +28,19 @@ ORACLE_TOL = 1e-9
 MAX_DIMENSION = 4096
 
 
-def _check_truncation(p: OperatorPolynomial, truncation: int):
+def _cap(p: OperatorPolynomial, truncation: int, guard: int) -> int:
+    """Guarded occupation bound, once truncation, guard and (cap+1)^n are admissible."""
     if not p.algebra.theta.is_identity:
         raise ValueError("the oracle requires theta = I")
     if truncation < p.max_degree + 2:
         raise ValueError(f"truncation {truncation} too small for degree {p.max_degree}")
+    if guard >= truncation:
+        raise ValueError("guard band larger than the truncation")
+    side = truncation - max(guard, 0)
+    dim = side**p.algebra.modes
+    if dim > MAX_DIMENSION:
+        raise ValueError(f"representation dimension {dim} exceeds {MAX_DIMENSION}")
+    return side - 1
 
 
 def _flat(per_mode, base: int) -> np.ndarray:
@@ -40,16 +51,16 @@ def _flat(per_mode, base: int) -> np.ndarray:
     return flat
 
 
-def _block(p: OperatorPolynomial, cap: int) -> np.ndarray:
-    """Matrix of p between the states whose every occupation is at most cap."""
+def _block(p: OperatorPolynomial, cap: int, modes) -> np.ndarray:
+    """Matrix of p on ``modes`` (0-based, ascending) between the states whose
+    every occupation is at most cap; p must act as the identity elsewhere."""
     side = cap + 1
-    dim = side**p.algebra.modes
-    if dim > MAX_DIMENSION:
-        raise ValueError(f"representation dimension {dim} exceeds {MAX_DIMENSION}")
+    dim = side**len(modes)
     out = np.zeros((dim, dim), dtype=complex)
     for mono, coeff in p.terms.items():
         sources, targets, amp = [], [], np.ones(1)
-        for h, k in zip(mono.creation, mono.annihilation):
+        for i in modes:
+            h, k = mono.creation[i], mono.annihilation[i]
             src = range(k, side + min(0, k - h))
             sources.append(src)
             targets.append([n - k + h for n in src])
@@ -61,10 +72,7 @@ def _block(p: OperatorPolynomial, cap: int) -> np.ndarray:
 
 
 def _guarded_block(p: OperatorPolynomial, truncation: int, guard: int) -> np.ndarray:
-    _check_truncation(p, truncation)
-    if guard >= truncation:
-        raise ValueError("guard band larger than the truncation")
-    return _block(p, truncation - 1 - max(guard, 0))
+    return _block(p, _cap(p, truncation, guard), range(p.algebra.modes))
 
 
 def represent(p: OperatorPolynomial, truncation: int) -> np.ndarray:
@@ -111,10 +119,13 @@ def residual_deviation(residuals, truncation: int, guard: int) -> float:
     each with the guard raised to its degree and the truncation to fit both."""
     worst = 0.0
     for p in residuals:
-        eff_guard = max(guard, p.max_degree)
-        eff_trunc = max(truncation, p.max_degree + 2, eff_guard + 1)
-        block = _guarded_block(p, eff_trunc, eff_guard)
-        worst = max(worst, float(np.max(np.abs(block))))
+        degree = p.max_degree
+        eff_guard = max(guard, degree)
+        cap = _cap(p, max(truncation, degree + 2, eff_guard + 1), eff_guard)
+        if not p.is_zero:
+            touched = [i for i in range(p.algebra.modes)
+                       if any(m.creation[i] or m.annihilation[i] for m in p.terms)]
+            worst = max(worst, float(np.max(np.abs(_block(p, cap, touched)))))
     return worst
 
 

@@ -21,7 +21,9 @@ and the 1-based column, counted from the start of that source line, of the
 offending token.  Parsing refuses there more than MAX_MODES = 128 modes or
 channels, an exponent above MAX_EXPONENT = 64, a product or power of degree
 above MAX_DEGREE = 32 or of more than MAX_TERM_PAIRS = 10,000 term pairs,
-and brackets nested deeper than MAX_NESTING = 64.
+brackets nested deeper than MAX_NESTING = 64, and a number literal of more
+than MAX_DIGITS = 1,000 digits written out without its exponent (so
+``1e400`` has 401).  A matrix literal ends its statement.
 """
 
 from __future__ import annotations
@@ -259,6 +261,7 @@ MAX_EXPONENT = 64         # k in x^k
 MAX_DEGREE = 32           # total degree of a product or power
 MAX_TERM_PAIRS = 10_000   # term pairs multiplied out by one product
 MAX_NESTING = 64          # nested ( and sqrt( in one expression
+MAX_DIGITS = 1000         # digits of a number literal written out without exponent
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
@@ -272,7 +275,13 @@ def _tokenize(body: str, line: int) -> list:
     pos = 0
     while m := _TOKEN_RE.match(body, pos):
         kind = m.lastgroup
-        tokens.append((kind, m.group(kind), (line, m.start(kind) + 1)))
+        text, where = m.group(kind), (line, m.start(kind) + 1)
+        if kind == "number":
+            mantissa, _, exp = text.lower().partition("e")
+            digits = len(mantissa.replace(".", ""))
+            if max(digits, len(exp)) > MAX_DIGITS or digits + abs(int(exp or 0)) > MAX_DIGITS:
+                raise ParseError(f"number exceeds {MAX_DIGITS} digits", *where)
+        tokens.append((kind, text, where))
         pos = m.end()
     rest = body[pos:].lstrip()
     if rest:
@@ -321,13 +330,16 @@ class _Parser:
         if tok[1] != sym:
             raise ParseError(f"expected {sym!r}, found {tok[1]!r}", *tok[2])
 
-    def parse(self) -> OperatorPolynomial:
-        """The rest of the statement, as one expression."""
-        value = self.expr()
+    def end(self, value):
+        """``value``, once no token is left in the statement."""
         tok = self.peek()
         if tok:
             raise ParseError(f"unexpected {tok[1]!r}", *tok[2])
         return value
+
+    def parse(self) -> OperatorPolynomial:
+        """The rest of the statement, as one expression."""
+        return self.end(self.expr())
 
     def count(self, what: str) -> int:
         """The rest of the statement, as a positive integer up to MAX_MODES."""
@@ -351,8 +363,9 @@ class _Parser:
                 raise ParseError(f"expected ',' or ']', found {tok[1]!r}", *tok[2])
 
     def matrix(self):
-        """A ``[[...], ...]`` literal: its rows of polynomials."""
-        rows = self.bracketed(lambda: self.bracketed(self.expr))
+        """The rest of the statement, a ``[[...], ...]`` literal: its rows of
+        polynomials."""
+        rows = self.end(self.bracketed(lambda: self.bracketed(self.expr)))
         if any(len(r) != len(rows[0]) for r in rows):
             raise ParseError("ragged matrix literal", self.toks[0][2][0], 1)
         return rows

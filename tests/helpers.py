@@ -1,6 +1,8 @@
 """Shared random-instance generators for the property suites."""
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -61,3 +63,12 @@ def chain_text(n):
     lines.append("D = identity")
     lines.append("phi = " + " + ".join(f"2*a{j}'*a{j}" for j in range(1, n + 1)))
     return "\n".join(lines) + "\n"
+
+
+def load_workloads():
+    """perfbench/workloads.py: the chain family, its edit kinds and mutants."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

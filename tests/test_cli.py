@@ -7,7 +7,7 @@ import qrealize.cli
 from qrealize.cli import main
 
 from conftest import CAVITY_PATH, mutate
-from helpers import chain_text
+from helpers import chain_text, load_workloads
 
 GOLDEN_H = "(0+1i)*a1'^2*a2^2 + (0-1i)*a2'^2*a1^2"
 
@@ -227,6 +227,36 @@ def test_oracle_rejects_block_over_dimension_bound(capsys):
                            "--fock-n", "69", "--guard", "4")
     assert code == 2
     assert "dimension 4225" in err
+
+
+def test_oracle_scales_to_ten_modes(capsys, tmp_path):
+    # each nonzero residual is represented on the modes it touches only
+    path = tmp_path / "chain10.qsde"
+    path.write_text(load_workloads().chain_text(10))
+    code, out, err = run_cli(capsys, "check", str(path), "--float", "--oracle", "--json")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["oracle"]
+    assert all(e["pass"] and e["max_deviation"] == 0.0 for e in payload["oracle"])
+
+
+def test_oracle_fails_the_ccr_sums_of_a_ten_mode_mutant(capsys, tmp_path):
+    path = tmp_path / "chain10_mutant.qsde"
+    path.write_text(load_workloads().chain_mutant_text(10, "A-cubic-sign", 2))
+    code, out, _ = run_cli(capsys, "check", str(path), "--oracle", "--json")
+    assert code == 1
+    failed = [e["condition_id"] for e in json.loads(out)["oracle"] if not e["pass"]]
+    assert failed == ["CCR-sum", "PR-CCR-sum"]
+
+
+def test_oracle_still_refuses_thirteen_modes(capsys, tmp_path):
+    # cap = 6 - 1 - 4 = 1, so 13 modes give 2^13 = 8192 > 4096 states,
+    # although no residual touches more than three of them
+    path = tmp_path / "chain13.qsde"
+    path.write_text(load_workloads().chain_text(13))
+    code, out, err = run_cli(capsys, "oracle", str(path))
+    assert (code, out) == (2, "")
+    assert "dimension 8192" in err
 
 
 def test_oracle_rejects_bad_guard(capsys):

@@ -4,17 +4,20 @@ import random
 import numpy as np
 import pytest
 
-from helpers import random_poly
+from conftest import CAVITY_PATH, FIXTURE_DIR
+from helpers import load_workloads, random_poly
 from qrealize import (
     Algebra,
     Scalar,
     guarded_indices,
+    parse_model,
     psd_check,
     represent,
+    run_checks,
     verify_identity,
 )
 from qrealize.algebra import CommutationMatrix
-from qrealize.fock import _guarded_block
+from qrealize.fock import _guarded_block, residual_deviation
 
 
 @pytest.fixture
@@ -203,3 +206,47 @@ def test_blocks_match_dense_reference(n_modes, truncation, guard):
         _, min_eig = psd_check(phi, truncation, guard)
         expected = np.linalg.eigvalsh(dense_reference(phi, truncation)[sub]).min()
         assert abs(min_eig - expected) < 1e-12
+
+
+# -- residual_deviation against the block on every mode ----------------------
+
+@pytest.fixture(scope="module")
+def check_residuals():
+    """The distinct residuals, exact and float, of the fixture, the theta = I
+    goldens, chain(2..5) and every chain edit kind at modes 1 and n."""
+    workloads = load_workloads()
+    texts = [CAVITY_PATH.read_text()] + [
+        (FIXTURE_DIR / "golden" / f"{name}.qsde").read_text()
+        for name in ("chain3", "cavity_b11_sign_flip")
+    ]
+    for n in range(2, 6):
+        texts.append(workloads.chain_text(n))
+        texts += [workloads.chain_mutant_text(n, kind, mode)
+                  for kind in workloads.CHAIN_EDIT_KINDS for mode in sorted({1, n})]
+    distinct = {}
+    for text in texts:
+        model = parse_model(text)
+        for m in (model, model.to_float()):
+            for cond in run_checks(m).conditions:
+                for p in cond.residuals:
+                    # equal terms in equal order give equal blocks
+                    distinct.setdefault((p.algebra.modes, tuple(p.terms.items())), p)
+    return list(distinct.values())
+
+
+@pytest.mark.parametrize("truncation, guard", [(6, 4), (8, 5)])
+def test_touched_mode_deviation_equals_full_block(check_residuals, truncation, guard):
+    assert sum(not p.is_zero for p in check_residuals) > 100
+    for p in check_residuals:
+        eff_guard = max(guard, p.max_degree)
+        eff_trunc = max(truncation, p.max_degree + 2, eff_guard + 1)
+        full = float(np.max(np.abs(_guarded_block(p, eff_trunc, eff_guard))))
+        assert residual_deviation([p], truncation, guard) == full
+
+
+def test_zero_residual_is_held_to_the_dimension_bound():
+    # no block is built for a zero residual, but (cap+1)^n is still bounded
+    alg = Algebra(13)
+    assert residual_deviation([Algebra(12).zero()], 6, 4) == 0.0
+    with pytest.raises(ValueError, match="dimension 8192"):
+        residual_deviation([alg.zero()], 6, 4)

@@ -114,6 +114,22 @@ CASES = [
     # the end of a statement is just past its last token
     ("end-after-blank-lines", "phi = 2*a1'*a1 + 2*a2'*a2", "phi = (2*a1'*a1 + 2*a2'*a2 +\n\n",
      "line 20, col 29: unexpected end of expression"),
+    # a matrix literal ends its statement
+    ("matrix-trailing-operator", "[0, -sqrt(2*k2)]]", "[0, -sqrt(2*k2)]] + junk",
+     "line 13, col 24: unexpected '+'"),
+    ("matrix-extra-bracket", "[0, -sqrt(2*k2)]]", "[0, -sqrt(2*k2)]]]",
+     "line 13, col 23: unexpected ']'"),
+    ("matrix-trailing-name", "[0, -sqrt(2*k2)]]", "[0, -sqrt(2*k2)]] a1",
+     "line 13, col 24: unexpected 'a1'"),
+    ("theta-trailing-name", "theta: identity", "theta: [[1, 0], [0, 1]] x",
+     "line 4, col 25: unexpected 'x'"),
+    # a number literal has at most MAX_DIGITS digits written out
+    ("number-exponent-bound", "param k2 = 2", "param k2 = 1e2000000",
+     "line 7, col 12: number exceeds 1000 digits"),
+    ("number-digits-bound", "param k2 = 2", "param k2 = " + "1" * 5000,
+     "line 7, col 12: number exceeds 1000 digits"),
+    ("count-digits-bound", "modes: 2", "modes: " + "0" * 5000 + "2",
+     "line 2, col 8: number exceeds 1000 digits"),
 ]
 
 
@@ -138,6 +154,12 @@ def test_float_mode_rejects_a_number_beyond_binary64(capsys, tmp_path):
     code, out, err = run_check(capsys, tmp_path, text, "--float")
     assert (code, out) == (2, "")
     assert err == "error: integer division result too large for a float\n"
+
+
+def test_number_bound_admits_a_thousand_digits(capsys, tmp_path):
+    for number in ("1e999", "9" * 1000, "0." + "5" * 999, "1.5e-998"):
+        text = mutate(CAVITY, "param k2 = 2", f"param k2 = 2\nparam big = {number}")
+        assert run_check(capsys, tmp_path, text)[0] == 0, number
 
 
 def test_malformed_fixture(capsys):
