@@ -13,6 +13,13 @@ several condition ids read is built once per doubled model and cached on
 it: the CCR sum and the ``Bbar`` commutators (``CCR-*`` and ``PR-CCR-*``),
 the ``J^-1`` brackets (the class identity and Hamiltonian extraction), and
 a synthesized storage function with the two reports that verified it.
+
+Storage synthesis has one candidate, ``phi* = 2 sum_j a_j' a_j``: for
+``phi = 2 a' P a`` the ``ST-gradient-commutator`` target's top-right block
+``2 theta`` holds only at P = I when theta is invertible.  grad(phi*) is
+``2 abar``, so synthesis returns None at once where ``LL-B-gradient`` at
+phi*, ``Bbar' abar + Cbar = 0``, fails; otherwise it verifies phi* with the
+lossless and storage conditions.
 """
 
 from __future__ import annotations
@@ -38,15 +45,7 @@ from .model import (
     sign_grid,
     structural_class_check,
 )
-from .scalars import (
-    Scalar,
-    grid_adjoint,
-    grid_inverse,
-    grid_neg,
-    grid_scale,
-    grid_transpose,
-    zero_grid,
-)
+from .scalars import Scalar, grid_inverse, grid_neg, grid_scale, grid_transpose, zero_grid
 
 
 @dataclass
@@ -502,98 +501,45 @@ def check_storage_condition(
     return CheckReport(model_id=model_id, conditions=[cond])
 
 
+def _storage_candidate(alg) -> OperatorPolynomial:
+    """phi* = 2 sum_j a_j' a_j (2.0 when theta is binary64), the only candidate:
+    the target's top-right block 2 theta admits only P = I at invertible theta."""
+    exact = all(x.is_exact for row in alg.theta.theta for x in row)
+    pairs = (alg.creator(j) * alg.annihilator(j) for j in range(1, alg.modes + 1))
+    return sum(pairs, alg.zero()).scale(2 if exact else 2.0)
+
+
 # -- storage-function synthesis -----------------------------------------------
 
 def synthesize_storage(
     model: QsdeModel, dm: DoubledModel | None = None
 ) -> OperatorPolynomial | None:
-    """Search for a quadratic storage function certifying the lossless property.
+    """phi* = 2 sum_j a_j' a_j when it certifies the lossless property, else None.
 
-    Solves the linear gradient condition for a Hermitian coefficient matrix
-    and verifies the full lossless and storage-gradient conditions with the
-    candidate; returns None when no quadratic witness exists.
+    phi* is the one quadratic form the storage target admits at invertible
+    theta.  None comes at once where ``Bbar' abar + Cbar``, which is
+    ``LL-B-gradient`` at phi*, is not zero; otherwise phi* must pass the
+    full lossless and storage-gradient conditions.
     """
     found = _verified_synthesis(model, dm or double(model))
     return found[0] if found else None
 
 
 def _verified_synthesis(model: QsdeModel, dm: DoubledModel):
-    """(phi, lossless report, storage report) of the synthesized candidate,
-    or None; searched and verified once per doubled model."""
+    """(phi*, lossless report, storage report) when phi* certifies the model,
+    or None; decided once per doubled model."""
     return dm.cached("synthesis", lambda: _synthesize(model, dm))
 
 
 def _synthesize(model: QsdeModel, dm: DoubledModel):
-    import numpy as np
-
-    alg = model.algebra
-    n, m = model.n, model.m
-    try:
-        b_grid = _constant_grid(model.B)
-        lam = _linear_output_matrix(model)
-    except ValueError:
+    if not (dm.Bbar_adjoint @ dm.abar + dm.Cbar).is_zero:
         return None
-    b_dag = np.array([[x.to_complex() for x in row] for row in grid_adjoint(b_grid)])
-    lam_c = np.array([[x.to_complex() for x in row] for row in lam])
-    # gradient condition for phi = 2 sum P_ij ai' aj reduces to B' P = -Lambda
-    try:
-        p_mat, residuals, rank, _ = np.linalg.lstsq(b_dag, -lam_c, rcond=None)
-    except np.linalg.LinAlgError:
+    phi = _storage_candidate(model.algebra)
+    lossless = check_lossless(model, phi, dm=dm)
+    if not lossless.overall:
         return None
-    if np.max(np.abs(b_dag @ p_mat - (-lam_c))) > alg.tol:
-        return None
-    if np.max(np.abs(p_mat - p_mat.conj().T)) > alg.tol:
-        return None
-
-    exact = _exact_quadratic_solution(model, b_grid, lam) if m == n else None
-    phi = alg.zero()
-    for i in range(n):
-        for j in range(n):
-            if exact is not None:
-                coeff = exact[i][j] * Scalar(2)
-            else:
-                coeff = Scalar(2) * Scalar.of(complex(p_mat[i, j]))
-            cre = tuple(1 if t == i else 0 for t in range(n))
-            ann = tuple(1 if t == j else 0 for t in range(n))
-            phi = phi + alg.monomial(cre, ann, coeff)
-
-    try:
-        lossless = check_lossless(model, phi, dm=dm)
-        if not lossless.overall:
-            return None
-        storage = check_storage_condition(phi, dm=dm)
-    except ValueError:
-        return None
+    storage = check_storage_condition(phi, dm=dm)
     return (phi, lossless, storage) if storage.overall else None
-
-
-def _exact_quadratic_solution(model, b_grid, lam):
-    """Exact P from B' P = -Lambda when B' is square and invertible."""
-    try:
-        inv = grid_inverse(grid_adjoint(b_grid))
-    except ValueError:
-        return None
-    from .scalars import grid_matmul
-
-    return grid_matmul(inv, grid_neg(lam))
-
-
-def _constant_grid(mat: OperatorMatrix):
-    if not all(e.is_constant for e in mat.nonzero.values()):
-        raise ValueError("non-constant entry")
-    return tuple(tuple(e.constant_value() for e in mat.row(i)) for i in range(mat.rows))
-
-
-def _linear_output_matrix(model: QsdeModel):
-    """Coefficient matrix Lambda with C = Lambda a; requires linear C."""
-    n, m = model.n, model.m
-    lam = [[Scalar(0)] * n for _ in range(m)]
-    for v in range(m):
-        for mono, coeff in model.C.entry(v, 0).terms.items():
-            if mono.degree != 1 or sum(mono.annihilation) != 1:
-                raise ValueError("output map is not linear in the mode operators")
-            lam[v][mono.annihilation.index(1)] = coeff
-    return tuple(tuple(row) for row in lam)
 
 
 # -- aggregate runner ---------------------------------------------------------

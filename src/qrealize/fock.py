@@ -12,8 +12,9 @@ guard the block equals the dense truncated product, whose a' annihilates the
 top level.  On a mode that a residual does not touch every amplitude factor
 is 1.0, so ``residual_deviation`` skips zero residuals and builds the others
 on their touched modes, (cap+1)^(2 x touched) entries, with the same largest
-|entry| bit for bit.  ``MAX_DIMENSION`` bounds (cap+1)^n for every residual
-all the same.  The oracle needs theta = I.
+|entry| bit for bit.  ``MAX_DIMENSION`` bounds (cap+1)^n for every nonzero
+residual all the same, and once per call for the zero ones, which all share
+degree 0.  The oracle needs theta = I.
 """
 
 from __future__ import annotations
@@ -117,8 +118,11 @@ def psd_check(phi: OperatorPolynomial, truncation: int, guard: int):
 def residual_deviation(residuals, truncation: int, guard: int) -> float:
     """Largest guarded-subspace deviation of residual polynomials from zero,
     each with the guard raised to its degree and the truncation to fit both."""
-    worst = 0.0
+    worst, zero_seen = 0.0, False
     for p in residuals:
+        if p.is_zero and zero_seen:
+            continue  # every zero residual passes _cap the same arguments
+        zero_seen = zero_seen or p.is_zero
         degree = p.max_degree
         eff_guard = max(guard, degree)
         cap = _cap(p, max(truncation, degree + 2, eff_guard + 1), eff_guard)

@@ -285,10 +285,6 @@ def grid_transpose(g):
     return tuple(tuple(g[i][j] for i in range(len(g))) for j in range(len(g[0])))
 
 
-def grid_adjoint(g):
-    return grid_transpose(grid_conj(g))
-
-
 def grid_matmul(a, b):
     if len(a[0]) != len(b):
         raise ValueError("scalar matrix shape mismatch")

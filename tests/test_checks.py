@@ -267,12 +267,14 @@ def test_synthesize_none_for_broken_model(cavity_text):
 
 
 def test_synthesize_zero_coupling_edge_case():
-    # with zero coupling the gradient system only admits the zero candidate,
-    # which fails the storage-gradient constant, so no witness is returned
+    # A = B = C = 0 and D = I is trivially lossless; 2*a1'*a1 certifies it
     model = parse_model(
         "modes: 1\nchannels: 1\nA[1] = 0\nB = [[0]]\nC[1] = 0\n"
     )
-    assert synthesize_storage(model) is None
+    phi = synthesize_storage(model)
+    assert phi is not None and phi.terms == parse_expression("2*a1'*a1", model.algebra).terms
+    assert check_lossless(model, phi).overall
+    assert check_storage_condition(phi).overall
 
 
 # -- aggregate runner ---------------------------------------------------------

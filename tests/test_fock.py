@@ -250,3 +250,23 @@ def test_zero_residual_is_held_to_the_dimension_bound():
     assert residual_deviation([Algebra(12).zero()], 6, 4) == 0.0
     with pytest.raises(ValueError, match="dimension 8192"):
         residual_deviation([alg.zero()], 6, 4)
+
+
+def test_zero_residuals_share_one_bound_check(monkeypatch):
+    # every zero residual passes _cap the same arguments, so only the first
+    # one of a call is checked, at its place among the nonzero residuals
+    import qrealize.fock as fock
+
+    calls = []
+    original = fock._cap
+
+    def counting(p, truncation, guard):
+        calls.append(p.is_zero)
+        return original(p, truncation, guard)
+
+    monkeypatch.setattr(fock, "_cap", counting)
+    alg = Algebra(2)
+    a1 = alg.annihilator(1)
+    residuals = [a1, alg.zero(), alg.zero(), a1 + a1, alg.zero()]
+    assert residual_deviation(residuals, 6, 4) == 2.0
+    assert calls == [False, True, False]
