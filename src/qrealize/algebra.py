@@ -5,16 +5,20 @@ their adjoints, subject to ``[a_j, a_k'] = theta_jk`` while annihilators
 (and creators) commute among themselves.  Every polynomial is kept in
 normal-ordered canonical form: creation factors to the left of
 annihilation factors, each block described by a multidegree.
+
+A :class:`Monomial` is the pair ``(creation, annihilation)`` as a ``tuple``
+subclass, so hashing and equality run in C.  A word's mode masks and whether
+it is a generator are worked out once per distinct word, in the intern table
+of the :class:`Algebra` (``Algebra.word``), which lives as long as the
+algebra, i.e. the model; nothing is kept at module level.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial
-from operator import add
+from operator import add, itemgetter
 
 from .scalars import (
     DEFAULT_TOL,
@@ -126,6 +130,20 @@ class Algebra:
         self.theta = theta
         self.tol = tol
         self._zero = OperatorPolynomial(self, {})
+        self._words = {}
+
+    def word(self, m: "Monomial"):
+        """(annihilated modes, created modes, generator) of the word m: two
+        bitmasks, and (j, creates) when m is a_j' (creates) or a_j, 0-based j.
+        Interned on first use; hot loops read ``_words.get(m) or word(m)``."""
+        info = self._words.get(m)
+        if info is None:
+            cre, ann = m
+            a = sum(1 << i for i, k in enumerate(ann) if k)
+            c = sum(1 << i for i, h in enumerate(cre) if h)
+            gen = ((a | c).bit_length() - 1, bool(c)) if sum(cre) + sum(ann) == 1 else None
+            info = self._words[m] = (a, c, gen)
+        return info
 
     def compatible(self, other: "Algebra") -> bool:
         """Same mode count and theta; polynomials of one model share one algebra."""
@@ -179,12 +197,19 @@ class Algebra:
         return OperatorPolynomial(self, {m: c})
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(tuple):
     """A normal-ordered word: creation multidegree, then annihilation multidegree."""
 
-    creation: tuple
-    annihilation: tuple
+    __slots__ = ()
+
+    def __new__(cls, creation: tuple, annihilation: tuple):
+        return tuple.__new__(cls, (creation, annihilation))
+
+    def __getnewargs__(self):  # copy and pickle call __new__ with these
+        return tuple(self)
+
+    creation = property(itemgetter(0))
+    annihilation = property(itemgetter(1))
 
     @staticmethod
     def unit(n: int) -> "Monomial":
@@ -192,36 +217,20 @@ class Monomial:
 
     @property
     def degree(self) -> int:
-        return sum(self.creation) + sum(self.annihilation)
+        return sum(self[0]) + sum(self[1])
 
     @property
     def is_unit(self) -> bool:
         return self.degree == 0
 
-    @cached_property
-    def mode_masks(self):
-        """Bitmasks of the modes this word annihilates and creates."""
-        ann = cre = 0
-        for i, (h, k) in enumerate(zip(self.creation, self.annihilation)):
-            if k:
-                ann |= 1 << i
-            if h:
-                cre |= 1 << i
-        return ann, cre
-
-    @cached_property
-    def generator(self):
-        """(j, creates) when the word is a_j' (creates) or a_j, 0-based j."""
-        if self.degree == 1:
-            ann, cre = self.mode_masks
-            return (ann | cre).bit_length() - 1, bool(cre)
-
     def sort_key(self):
-        return (
-            self.degree,
-            tuple(-x for x in self.creation),
-            tuple(-x for x in self.annihilation),
-        )
+        return self.degree, tuple(-x for x in self[0]), tuple(-x for x in self[1])
+
+    def __repr__(self):
+        return f"Monomial(creation={self[0]!r}, annihilation={self[1]!r})"
+
+
+_word = partial(tuple.__new__, Monomial)  # _word((cre, ann)), with no Python-level call
 
 
 class OperatorPolynomial:
@@ -232,7 +241,7 @@ class OperatorPolynomial:
     tolerance in floating mode).
     """
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra", "terms", "_support")
 
     def __init__(self, algebra: Algebra, terms: dict):
         self.algebra = algebra
@@ -268,6 +277,19 @@ class OperatorPolynomial:
     def coeff_norm(self) -> float:
         return max((c.magnitude() for c in self.terms.values()), default=0.0)
 
+    def support(self):
+        """(annihilated, reached): bitmasks of the modes the terms annihilate and
+        of those ``CommutationMatrix.reach`` of the modes they create; cached."""
+        try:
+            return self._support
+        except AttributeError:
+            alg, ann, cre = self.algebra, 0, 0
+            for m in self.terms:
+                a, c, _ = alg.word(m)
+                ann, cre = ann | a, cre | c
+            self._support = ann, alg.theta.reach(cre)
+            return self._support
+
     # -- ring operations ------------------------------------------------------
 
     def __add__(self, other):
@@ -275,10 +297,13 @@ class OperatorPolynomial:
             other = self.algebra.scalar(other)
         if not isinstance(other, OperatorPolynomial):
             return NotImplemented
-        self.algebra.require_compatible(other.algebra)
+        if other.algebra is not self.algebra:
+            self.algebra.require_compatible(other.algebra)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, ZERO) + c
+            # an exact c is ZERO + c; a float ZERO + c turns a -0.0 part into 0.0
+            prev = out.get(m)
+            out[m] = c if prev is None and c.den is not None else (prev or ZERO) + c
         return OperatorPolynomial(self.algebra, out)
 
     __radd__ = __add__
@@ -301,12 +326,28 @@ class OperatorPolynomial:
             return self.scale(other)
         if not isinstance(other, OperatorPolynomial):
             return NotImplemented
-        self.algebra.require_compatible(other.algebra)
-        out = defaultdict(lambda: ZERO)
+        alg = self.algebra
+        if other.algebra is not alg:
+            alg.require_compatible(other.algebra)
+        words, reach = alg._words, alg.theta.reach
+        terms2 = [(m2, c2, reach((words.get(m2) or alg.word(m2))[1]))
+                  for m2, c2 in other.terms.items()]
+        out = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                _accumulate_product(self.algebra, m1, c1 * c2, m2, out)
-        return OperatorPolynomial(self.algebra, dict(out))
+            ann1 = (words.get(m1) or alg.word(m1))[0]
+            cre1, k1 = m1
+            for m2, c2, reach2 in terms2:
+                c = c1 * c2
+                if ann1 & reach2:
+                    _accumulate_product(alg, m1, c, m2, out)
+                    continue
+                # no contraction: m1 * m2 is one word, as the first Wick term
+                if c.den is None and c.is_zero(0.0):
+                    continue
+                mono = _word((tuple(map(add, cre1, m2[0])), tuple(map(add, k1, m2[1]))))
+                prev = out.get(mono)
+                out[mono] = c if prev is None and c.den is not None else (prev or ZERO) + c
+        return OperatorPolynomial(alg, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, float, complex, Scalar)):
@@ -324,13 +365,8 @@ class OperatorPolynomial:
     def adjoint(self) -> "OperatorPolynomial":
         # The adjoint of a normal-ordered monomial is again normal-ordered:
         # the blocks swap and each block reverses internally, which is a no-op.
-        return OperatorPolynomial(
-            self.algebra,
-            {
-                Monomial(m.annihilation, m.creation): c.conjugate()
-                for m, c in self.terms.items()
-            },
-        )
+        return OperatorPolynomial(self.algebra, {_word((ann, cre)): c.conjugate()
+                                                 for (cre, ann), c in self.terms.items()})
 
     def commutator(self, other: "OperatorPolynomial") -> "OperatorPolynomial":
         """[self, other].  Only the terms of m1*m2 and m2*m1 with at least one
@@ -342,18 +378,21 @@ class OperatorPolynomial:
         a_j' each term's contractions are formed directly by
         ``_generator_commutator``; two generators make one product here."""
         alg = self.algebra
-        alg.require_compatible(other.algebra)
+        if other.algebra is not alg:
+            alg.require_compatible(other.algebra)
         gen_self, gen_other = _generator(self), _generator(other)
         if gen_self is None and gen_other is not None:
             return _generator_commutator(self, *gen_other, left=True)
         if gen_other is None and gen_self is not None:
             return _generator_commutator(other, *gen_self, left=False)
-        reach = alg.theta.reach
-        terms2 = [(m2, c2, m2.mode_masks[0], reach(m2.mode_masks[1]))
-                  for m2, c2 in other.terms.items()]
-        out = defaultdict(lambda: ZERO)
+        words, reach = alg._words, alg.theta.reach
+        terms2 = []
+        for m2, c2 in other.terms.items():
+            ann2, cre2, _ = words.get(m2) or alg.word(m2)
+            terms2.append((m2, c2, ann2, reach(cre2)))
+        out = {}
         for m1, c1 in self.terms.items():
-            ann1, cre1 = m1.mode_masks
+            ann1, cre1, _ = words.get(m1) or alg.word(m1)
             if not (ann1 or cre1):
                 continue  # a constant term commutes with everything
             reach1 = reach(cre1)
@@ -366,7 +405,7 @@ class OperatorPolynomial:
                     _accumulate_product(alg, m1, c, m2, out, contracted=True)
                 if backward:
                     _accumulate_product(alg, m2, -c, m1, out, contracted=True)
-        return OperatorPolynomial(alg, dict(out))
+        return OperatorPolynomial(alg, out)
 
     # -- comparison -----------------------------------------------------------
 
@@ -397,11 +436,12 @@ def adjoint(p: OperatorPolynomial) -> OperatorPolynomial:
 # -- normal ordering ----------------------------------------------------------
 
 def _generator(p: OperatorPolynomial):
-    """``Monomial.generator`` of p's one term when p is exactly a_j' or a_j,
-    with the exact coefficient 1."""
+    """(j, creates) of ``Algebra.word`` when p is exactly a_j' or a_j, with
+    the exact coefficient 1."""
     if len(p.terms) == 1:
         (m, c), = p.terms.items()
-        return m.generator if c.den == 1 and c.re_num == 1 and not c.im_num else None
+        if c.den == 1 and c.re_num == 1 and not c.im_num:
+            return p.algebra.word(m)[2]
 
 
 def _generator_commutator(p: OperatorPolynomial, j: int, creates: bool, left: bool):
@@ -422,12 +462,13 @@ def _generator_commutator(p: OperatorPolynomial, j: int, creates: bool, left: bo
             if not w:
                 continue
             cut = block[:i] + (w - 1,) + block[i + 1:]
-            mono = Monomial(cre, cut) if creates else Monomial(cut, ann)
+            mono = _word((cre, cut) if creates else (cut, ann))
             signed = -c if negate else c
-            # out.get(mono, ZERO) + ... and theta_i**1 are the accumulator's
-            # steps; the ZERO start settles float signed zeros
+            # the accumulator's steps, theta_i**1 included; a float term starts
+            # at ZERO + term, which settles a -0.0 part
             term = signed * Scalar(w) if unit else signed * (theta_i**1 * w)
-            out[mono] = out.get(mono, ZERO) + term
+            prev = out.get(mono)
+            out[mono] = term if prev is None and term.den is not None else (prev or ZERO) + term
     return OperatorPolynomial(alg, out) if out else alg.zero()
 
 
@@ -447,7 +488,7 @@ def _accumulate_product(
     """
     if coeff.is_zero(0.0):
         return
-    k1, h2 = m1.annihilation, m2.creation
+    k1, h2 = m1[1], m2[0]
     # combos: (int weight, theta factor or None, free k1, free h2); the first
     # one has no contraction
     combos = [(1, None, k1, h2)]
@@ -472,11 +513,11 @@ def _accumulate_product(
         elif w != 1:
             term = coeff * Scalar(w)
         else:
-            # ``out`` starts at ZERO, so adding coeff itself gives the bits
-            # of coeff * ONE, signed zeros included
+            # a float ZERO + coeff has the bits of coeff * ONE, signed zeros too
             term = coeff
-        mono = Monomial(tuple(map(add, m1.creation, hs)), tuple(map(add, ks, m2.annihilation)))
-        out[mono] = out[mono] + term
+        mono = _word((tuple(map(add, m1[0], hs)), tuple(map(add, ks, m2[1]))))
+        prev = out.get(mono)
+        out[mono] = term if prev is None and term.den is not None else (prev or ZERO) + term
 
 
 def normal_order(algebra: Algebra, word, coefficient=1) -> OperatorPolynomial:

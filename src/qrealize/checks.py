@@ -45,7 +45,8 @@ from .model import (
     sign_grid,
     structural_class_check,
 )
-from .scalars import Scalar, grid_inverse, grid_neg, grid_scale, grid_transpose, zero_grid
+from .scalars import (Scalar, block_diag, grid_conj, grid_inverse, grid_neg, grid_scale,
+                      grid_transpose, zero_grid)
 
 
 @dataclass
@@ -168,12 +169,13 @@ def _bbar_commutators(dm: DoubledModel):
 
 
 def _brackets(dm: DoubledModel, printed: bool = False):
-    """(Abar' G^-1 abar, abar' G^-1 Abar) for G = J, or with ``printed`` for
-    the literal diag(theta, theta*)."""
+    """(Abar' G^-1 abar, abar' G^-1 Abar) for G = J = diag(theta, -theta*), or
+    with ``printed`` for the literal diag(theta, theta*), inverted blockwise."""
 
     def build():
-        base = dm.theta_bar_printed if printed else dm.J
-        inv = OperatorMatrix.from_scalars(dm.algebra, grid_inverse(base))
+        lower = grid_conj(dm.algebra.theta.theta)
+        inv = OperatorMatrix.from_scalars(dm.algebra, block_diag(
+            dm.algebra.theta.inverse(), grid_inverse(lower if printed else grid_neg(lower))))
         return (
             (dm.Abar.adjoint() @ inv @ dm.abar).entry(0, 0),
             (dm.abar.adjoint() @ inv @ dm.Abar).entry(0, 0),

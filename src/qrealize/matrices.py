@@ -30,7 +30,8 @@ class OperatorMatrix:
         if len(entries) != rows * cols:
             raise ValueError("entry count does not match shape")
         for e in entries:
-            algebra.require_compatible(e.algebra)
+            if e.algebra is not algebra:
+                algebra.require_compatible(e.algebra)
         self.algebra, self.rows, self.cols = algebra, rows, cols
         self.nonzero = {divmod(n, cols): e for n, e in enumerate(entries) if not e.is_zero}
 
@@ -81,10 +82,11 @@ class OperatorMatrix:
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         self._check_same_shape(other)
-        zero = self.algebra.zero()
-        a, b = self.nonzero, other.nonzero
-        return OperatorMatrix.from_nonzero(self.algebra, self.rows, self.cols, {
-            key: a.get(key, zero) + b.get(key, zero) for key in a.keys() | b.keys()})
+        out = dict(self.nonzero)
+        for key, e in other.nonzero.items():
+            prev = out.get(key)
+            out[key] = _first(e) if prev is None else prev + e
+        return OperatorMatrix.from_nonzero(self.algebra, self.rows, self.cols, out)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         return self + (-other)
@@ -100,12 +102,12 @@ class OperatorMatrix:
         right_rows = {}
         for (k, j), right in other.nonzero.items():
             right_rows.setdefault(k, []).append((j, right))
-        zero = self.algebra.zero()
         out = {}
         # the left entries are row-major, so each sum runs over ascending k
         for (i, k), left in self.nonzero.items():
             for j, right in right_rows.get(k, ()):
-                out[i, j] = out.get((i, j), zero) + left * right
+                product, prev = left * right, out.get((i, j))
+                out[i, j] = _first(product) if prev is None else prev + product
         return OperatorMatrix.from_nonzero(self.algebra, self.rows, other.cols, out)
 
     def scale(self, c) -> "OperatorMatrix":
@@ -157,16 +159,26 @@ class OperatorMatrix:
         return f"<OperatorMatrix {self.rows}x{self.cols} {self.render()}>"
 
 
+def _first(p: OperatorPolynomial) -> OperatorPolynomial:
+    """p as the first summand of an entry: ``zero + p``, which turns a -0.0
+    part of a float coefficient into 0.0, and is p itself when p is exact."""
+    if all(c.den is not None for c in p.terms.values()):
+        return p
+    return p.algebra.zero() + p
+
+
 def commutator_table(left: dict, right: dict) -> dict:
     """The nonzero [l, r] over the entries of ``left`` and ``right``, keyed by
-    (left key, right key) in the order of ``left`` then ``right``.  A constant
-    commutes with everything, so a pair with a constant operand is skipped
-    before any call."""
-    right = [(k, r) for k, r in right.items() if not r.is_constant]
+    (left key, right key) in the order of ``left`` then ``right``.  A term
+    pair contracts only where one side annihilates a mode the other's
+    creators reach, so a pair whose ``support`` masks share no such mode is
+    skipped before any call; a constant reaches and annihilates none."""
+    right = [(k, r, *r.support()) for k, r in right.items()]
     out = {}
     for j, l in left.items():
-        if not l.is_constant:
-            for k, r in right:
+        ann, reach = l.support()
+        for k, r, rann, rreach in right:
+            if ann & rreach or rann & reach:
                 c = l.commutator(r)
                 if not c.is_zero:
                     out[j, k] = c

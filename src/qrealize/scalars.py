@@ -196,7 +196,10 @@ class Scalar:
         return abs(self.re_num) <= tol and abs(self.im_num) <= tol
 
     def magnitude(self) -> float:
-        return math.hypot(*self._floats())
+        try:
+            return math.hypot(*self._floats())
+        except OverflowError:  # an exact part beyond binary64
+            return math.inf
 
     def __eq__(self, other):
         if not isinstance(other, (Scalar, int, Fraction, float, complex)):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qrealize.algebra
+import reference_kernel
 from helpers import polynomials, random_poly
 from qrealize import (
     Algebra,
@@ -23,7 +24,6 @@ from qrealize.algebra import (
     CommutationMatrix,
     Monomial,
     OperatorPolynomial,
-    _accumulate_product,
 )
 
 
@@ -356,20 +356,19 @@ def test_compatible_compares_theta_of_distinct_algebras(diag, off):
 # -- the commutator's contraction filter --------------------------------------
 
 def all_pairs_commutator(p, q):
-    """[p, q] visiting every pair of terms in both orders."""
+    """[p, q] visiting every pair of terms in both orders, through the frozen
+    reference product of ``reference_kernel``; returns its term dict."""
     alg = p.algebra
     out = defaultdict(lambda: ZERO)
-    for m1, c1 in p.terms.items():
-        for m2, c2 in q.terms.items():
+    for m1, c1 in reference_kernel.terms_of(p).items():
+        for m2, c2 in reference_kernel.terms_of(q).items():
             c = c1 * c2
-            _accumulate_product(alg, m1, c, m2, out, contracted=True)
-            _accumulate_product(alg, m2, -c, m1, out, contracted=True)
-    return OperatorPolynomial(alg, dict(out))
+            reference_kernel.accumulate_product(alg, m1, c, m2, out, contracted=True)
+            reference_kernel.accumulate_product(alg, m2, -c, m1, out, contracted=True)
+    return reference_kernel.prune(alg, dict(out))
 
 
-def component_reprs(p):
-    """Each term, in order, with the repr of both coefficient components."""
-    return [(m, repr(c.re), repr(c.im)) for m, c in p.terms.items()]
+component_reprs = reference_kernel.component_reprs
 
 
 FLOAT_PARTS = st.one_of(

@@ -101,6 +101,29 @@ def test_check_division_by_zero_is_parse_error(capsys, tmp_path, cavity_text):
     assert "line 6, col 13: division by zero" in err
 
 
+HUGE_PATH = CAVITY_PATH.parent / "huge_coefficient.qsde"
+
+
+def test_check_reports_verdicts_on_a_coefficient_beyond_binary64(capsys):
+    # -1e400*a1 in A[1] is exact; the residuals that carry it have an
+    # infinite norm, and every condition still gets its verdict
+    code, out, err = run_cli(capsys, "check", str(HUGE_PATH))
+    assert code == 1 and err == ""
+    assert "[FAIL] CLASS-generator-identity" in out and "(residual=inf)" in out
+    assert "[PASS] LL-B-gradient" in out and "overall: FAIL" in out
+    code, out, _ = run_cli(capsys, "check", str(HUGE_PATH), "--json")
+    assert code == 1
+    norms = {c["condition_id"]: c["residual_norm"] for c in json.loads(out)["checks"]}
+    assert norms["CCR-sum"] == float("inf") and norms["LL-B-gradient"] == 0.0
+
+
+def test_check_float_refuses_a_coefficient_beyond_binary64(capsys):
+    # --float converts 1e400 itself, which binary64 cannot hold
+    code, out, err = run_cli(capsys, "check", str(HUGE_PATH), "--float")
+    assert code == 2 and out == ""
+    assert err == "error: integer division result too large for a float\n"
+
+
 def test_check_json_schema_and_verdict(capsys):
     code, out, _ = run_cli(capsys, "check", str(CAVITY_PATH), "--json")
     assert code == 0

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,15 @@ def test_sqrt_non_square_degrades_to_float():
 def test_equality_is_syntactic_in_exact_mode():
     assert Scalar(Fraction(2, 4)) == Scalar(Fraction(1, 2))
     assert Scalar(1) != Scalar(1, 1)
+
+
+def test_magnitude_beyond_binary64_is_infinite():
+    # an exact value too large for a float has no finite magnitude, whatever
+    # the part that overflows; an exact one in range keeps its float value
+    assert Scalar(10**400).magnitude() == math.inf
+    assert Scalar(3, Fraction(-(10**400), 7)).magnitude() == math.inf
+    assert Scalar(3, 4).magnitude() == 5.0
+    assert Scalar(Fraction(10**400, 10**399)).magnitude() == 10.0
 
 
 def test_is_zero_tolerance_in_float_mode():
