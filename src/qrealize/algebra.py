@@ -25,13 +25,10 @@ from .scalars import (
     ONE,
     ZERO,
     Scalar,
-    block_diag,
     grid,
-    grid_conj,
     grid_equal,
     grid_inverse,
     grid_is_identity,
-    grid_neg,
     identity_grid,
 )
 
@@ -102,14 +99,6 @@ class CommutationMatrix:
         if self._inverse is None:
             self._inverse = grid_inverse(self.theta)
         return self._inverse
-
-    def graded(self):
-        """The block matrix diag(theta, -theta*), the true value of [abar, abar']."""
-        return block_diag(self.theta, grid_neg(grid_conj(self.theta)))
-
-    def doubled_printed(self):
-        """The block matrix diag(theta, theta*)."""
-        return block_diag(self.theta, grid_conj(self.theta))
 
 
 class Algebra:
@@ -299,12 +288,18 @@ class OperatorPolynomial:
             return NotImplemented
         if other.algebra is not self.algebra:
             self.algebra.require_compatible(other.algebra)
-        out = dict(self.terms)
+        out, tol = dict(self.terms), self.algebra.tol
         for m, c in other.terms.items():
             # an exact c is ZERO + c; a float ZERO + c turns a -0.0 part into 0.0
             prev = out.get(m)
-            out[m] = c if prev is None and c.den is not None else (prev or ZERO) + c
-        return OperatorPolynomial(self.algebra, out)
+            c = c if prev is None and c.den is not None else (prev or ZERO) + c
+            if prev is None or ((c.re_num or c.im_num) if c.den is not None
+                                else c.magnitude() > tol):
+                out[m] = c
+            else:
+                del out[m]  # only a sum can vanish, where both sides share tol
+        # a term of another algebra may lie below this one's tolerance
+        return (_poly if other.algebra is self.algebra else OperatorPolynomial)(self.algebra, out)
 
     __radd__ = __add__
 
@@ -315,7 +310,7 @@ class OperatorPolynomial:
         return (-self) + other
 
     def __neg__(self):
-        return OperatorPolynomial(self.algebra, {m: -c for m, c in self.terms.items()})
+        return _poly(self.algebra, {m: -c for m, c in self.terms.items()})
 
     def scale(self, c) -> "OperatorPolynomial":
         c = Scalar.of(c)
@@ -365,8 +360,8 @@ class OperatorPolynomial:
     def adjoint(self) -> "OperatorPolynomial":
         # The adjoint of a normal-ordered monomial is again normal-ordered:
         # the blocks swap and each block reverses internally, which is a no-op.
-        return OperatorPolynomial(self.algebra, {_word((ann, cre)): c.conjugate()
-                                                 for (cre, ann), c in self.terms.items()})
+        return _poly(self.algebra, {_word((ann, cre)): c.conjugate()
+                                    for (cre, ann), c in self.terms.items()})
 
     def commutator(self, other: "OperatorPolynomial") -> "OperatorPolynomial":
         """[self, other].  Only the terms of m1*m2 and m2*m1 with at least one
@@ -423,6 +418,13 @@ class OperatorPolynomial:
 
     def __repr__(self):
         return f"<OperatorPolynomial {render(self)}>"
+
+
+def _poly(alg: Algebra, terms: dict) -> OperatorPolynomial:
+    """The polynomial of ``terms``, which hold no coefficient to prune."""
+    p = object.__new__(OperatorPolynomial)
+    p.algebra, p.terms = alg, terms
+    return p
 
 
 def commutator(p: OperatorPolynomial, q: OperatorPolynomial) -> OperatorPolynomial:

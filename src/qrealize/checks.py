@@ -10,9 +10,11 @@ it once per run and hands it to every family and to ``synthesize_storage``;
 ``run_checks`` and each public ``check_*`` function take it as an optional
 ``dm`` and build their own only when not given one.  A residual matrix that
 several condition ids read is built once per doubled model and cached on
-it: the CCR sum and the ``Bbar`` commutators (``CCR-*`` and ``PR-CCR-*``),
-the ``J^-1`` brackets (the class identity and Hamiltonian extraction), and
-a synthesized storage function with the two reports that verified it.
+it: the CCR sum at the default noise and the ``Bbar`` commutators (``CCR-*``
+and ``PR-CCR-*``), the ``J^-1`` brackets (the class identity and Hamiltonian
+extraction), and a synthesized storage function with the two reports that
+verified it.  theta is Hermitian, so each doubled residual is formed from the
+half that carries its information and the other half mirrored.
 
 Storage synthesis has one candidate, ``phi* = 2 sum_j a_j' a_j``: for
 ``phi = 2 a' P a`` the ``ST-gradient-commutator`` target's top-right block
@@ -32,6 +34,7 @@ from .matrices import (
     OperatorMatrix,
     commutator_table,
     matrix_vector_commutators,
+    mirror,
     outer_commutator,
     row_commutator,
     scalar_vec_commutator,
@@ -105,8 +108,8 @@ def _rendered(value):
     return value
 
 
-def _residual_condition(cid, desc, labelled_residuals):
-    """Build a condition from [(label, residual polynomial), ...]."""
+def _residual_condition(cid, desc, labelled_residuals, residuals=None):
+    """A condition over [(label, residual), ...], keeping ``residuals`` (default: all)."""
     nonzero = [(lab, p) for lab, p in labelled_residuals if not p.is_zero]
     return Condition(
         condition_id=cid,
@@ -114,17 +117,14 @@ def _residual_condition(cid, desc, labelled_residuals):
         passed=not nonzero,
         residual_norm=max((p.coeff_norm() for _, p in nonzero), default=0.0),
         witness=[{"entry": lab, "residual": render(p)} for lab, p in nonzero],
-        residuals=[p for _, p in labelled_residuals],
+        residuals=[p for _, p in labelled_residuals] if residuals is None else residuals,
     )
 
 
 def _matrix_residual(cid, desc, mat: OperatorMatrix):
-    labelled = [
-        (f"({i + 1},{j + 1})", mat.entry(i, j))
-        for i in range(mat.rows)
-        for j in range(mat.cols)
-    ]
-    return _residual_condition(cid, desc, labelled)
+    """Labels only the nonzero entries, which ``nonzero`` holds row-major."""
+    labelled = [(f"({i + 1},{j + 1})", p) for (i, j), p in mat.nonzero.items()]
+    return _residual_condition(cid, desc, labelled, mat.entries)
 
 
 def _commutation_condition(cid, desc, label, named, alg):
@@ -150,14 +150,24 @@ def _half(p_or_m):
 
 
 # -- residual matrices shared by several conditions, one per doubled model ----
+# At Hermitian theta a doubled residual's bottom half mirrors its top half
+# (``mirror``): [Abar, abar'] has entry (n+i, k+n mod 2n) = -(entry (i, k))',
+# [abar, Abar'] = [Abar, abar']^dagger and abar' G^-1 Abar = (Abar' G^-1 abar)'.
 
-def _ccr_sum(dm: DoubledModel, t_grid) -> OperatorMatrix:
-    """[Abar, abar'] + [abar, Abar'] + Bbar T Bbar', built once per T."""
-    return dm.cached(("ccr-sum", t_grid), lambda: (
-        outer_commutator(dm.Abar, dm.abar)
-        + outer_commutator(dm.abar, dm.Abar)
-        + dm.Bbar @ OperatorMatrix.from_scalars(dm.algebra, t_grid) @ dm.Bbar_adjoint
-    ))
+def _ccr_sum(dm: DoubledModel, t_grid=None) -> OperatorMatrix:
+    """[Abar, abar'] + [abar, Abar'] + Bbar T Bbar', cached for T = Ibar."""
+
+    def build():
+        n, alg = dm.n, dm.algebra
+        top = outer_commutator(OperatorMatrix.column(alg, dm.Abar.col(0)[:n]), dm.abar).nonzero
+        left = {**top, **{(n + i, (k + n) % (2 * n)): mirror(p, True)
+                          for (i, k), p in top.items()}}
+        right = {(k, j): mirror(p) for (j, k), p in left.items()}
+        return (OperatorMatrix.from_nonzero(alg, 2 * n, 2 * n, left)
+                + OperatorMatrix.from_nonzero(alg, 2 * n, 2 * n, right)
+                + dm.Bbar @ OperatorMatrix.from_scalars(alg, t_grid or dm.Ibar) @ dm.Bbar_adjoint)
+
+    return dm.cached("ccr-sum", build) if t_grid is None else build()
 
 
 def _bbar_commutators(dm: DoubledModel):
@@ -176,10 +186,10 @@ def _brackets(dm: DoubledModel, printed: bool = False):
         lower = grid_conj(dm.algebra.theta.theta)
         inv = OperatorMatrix.from_scalars(dm.algebra, block_diag(
             dm.algebra.theta.inverse(), grid_inverse(lower if printed else grid_neg(lower))))
-        return (
-            (dm.Abar.adjoint() @ inv @ dm.abar).entry(0, 0),
-            (dm.abar.adjoint() @ inv @ dm.Abar).entry(0, 0),
-        )
+        s1 = (dm.Abar.adjoint() @ inv @ dm.abar).entry(0, 0)
+        if dm.algebra.theta.is_diagonal:  # else the two group binary64 sums apart
+            return s1, mirror(s1)
+        return s1, (dm.abar.adjoint() @ inv @ dm.Abar).entry(0, 0)
 
     return dm.cached(("brackets", printed), build)
 
@@ -204,8 +214,12 @@ def generator_identity_parts(model: QsdeModel, dm: DoubledModel | None = None):
     nbar = dm.nbar if dm.nbar is not None else 1
     s1, s2 = _brackets(dm)
     factor = Scalar(Fraction(1, 2 * nbar))
-    term1 = scalar_vec_commutator(s1, dm.abar).scale(factor)
-    term2 = scalar_vec_commutator(s2, dm.abar).scale(factor)
+    first = scalar_vec_commutator(s1, dm.abar)
+    # where _brackets mirrors s2 = s1', [s2, abar_j] = -([s1, abar_(j+n mod 2n)])'
+    second = OperatorMatrix.from_nonzero(dm.algebra, 2 * dm.n, 1, {
+        ((j + dm.n) % (2 * dm.n), 0): mirror(p, True) for (j, _), p in first.nonzero.items()
+    }) if dm.algebra.theta.is_diagonal else scalar_vec_commutator(s2, dm.abar)
+    term1, term2 = first.scale(factor), second.scale(factor)
     rhs = dm.Abar - _half(dm.Bbar @ dm.Cbar)
     return term1, term2, rhs
 
@@ -265,13 +279,12 @@ def check_preservation(
     """Differential conditions for preservation of the commutation relations."""
     alg = model.algebra
     dm = dm or double(model)
-    t_grid = (noise or NoiseSpec.default(model.m)).T
     b_left, b_right = _bbar_commutators(dm)
     conditions = [
         _matrix_residual(
             f"{id_prefix}-sum",
             "[Abar, abar'] + [abar, Abar'] + Bbar T Bbar' vanishes",
-            _ccr_sum(dm, t_grid),
+            _ccr_sum(dm, noise.T if noise is not None else None),
         ),
         _commutation_condition(
             f"{id_prefix}-B-left",
@@ -299,9 +312,7 @@ def check_physical_realizability(
     """Necessary and sufficient realizability conditions, plus extraction."""
     alg = model.algebra
     dm = dm or double(model)
-    report = check_preservation(
-        model, NoiseSpec.default(model.m), model_id, id_prefix="PR-CCR", dm=dm
-    )
+    report = check_preservation(model, None, model_id, id_prefix="PR-CCR", dm=dm)
     ibar = OperatorMatrix.from_scalars(alg, dm.Ibar)
     report.conditions += [
         _matrix_residual(

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -149,7 +150,11 @@ def _emit(report: CheckReport, args, oracle=None) -> int:
         payload = report.to_dict()
         if oracle is not None:
             payload["oracle"] = oracle
-        print(json.dumps(payload, indent=2))
+        # JSON (RFC 8259) has no infinity or NaN: a norm beyond binary64 is "inf"
+        for entry in payload["checks"] + payload.get("oracle", []):
+            for key in entry.keys() & {"residual_norm", "max_deviation"}:
+                entry[key] = entry[key] if math.isfinite(entry[key]) else str(entry[key])
+        print(json.dumps(payload, indent=2, allow_nan=False))
     else:
         _print_text_report(report, oracle)
     ok = report.overall and (oracle is None or all(e["pass"] for e in oracle))

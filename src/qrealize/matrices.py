@@ -9,7 +9,7 @@ verification engines: outer commutators ``[u_j, v_k']``, row commutators
 
 from __future__ import annotations
 
-from .algebra import Algebra, OperatorPolynomial, render
+from .algebra import Algebra, Monomial, OperatorPolynomial, render
 from .scalars import Scalar
 
 
@@ -56,8 +56,9 @@ class OperatorMatrix:
 
     @classmethod
     def from_scalars(cls, algebra: Algebra, scalar_grid) -> "OperatorMatrix":
-        return cls(algebra, len(scalar_grid), len(scalar_grid[0]),
-                   [algebra.scalar(x) for row in scalar_grid for x in row])
+        return cls.from_nonzero(algebra, len(scalar_grid), len(scalar_grid[0]), {
+            (i, j): algebra.scalar(x) for i, row in enumerate(scalar_grid)
+            for j, x in enumerate(row) if not x.is_zero(0.0)})
 
     # -- access ---------------------------------------------------------------
 
@@ -72,7 +73,8 @@ class OperatorMatrix:
 
     @property
     def entries(self):
-        return [self.entry(i, j) for i in range(self.rows) for j in range(self.cols)]
+        get, zero = self.nonzero.get, self.algebra.zero()
+        return [get((i, j), zero) for i in range(self.rows) for j in range(self.cols)]
 
     # -- algebra --------------------------------------------------------------
 
@@ -99,14 +101,19 @@ class OperatorMatrix:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ "
                              f"{other.rows}x{other.cols}")
         self.algebra.require_compatible(other.algebra)
+        unit = Monomial.unit(self.algebra.modes)  # a constant factor only scales
         right_rows = {}
         for (k, j), right in other.nonzero.items():
-            right_rows.setdefault(k, []).append((j, right))
+            d = right.terms.get(unit) if len(right.terms) == 1 else None
+            right_rows.setdefault(k, []).append((j, right, d))
         out = {}
         # the left entries are row-major, so each sum runs over ascending k
         for (i, k), left in self.nonzero.items():
-            for j, right in right_rows.get(k, ()):
-                product, prev = left * right, out.get((i, j))
+            c = left.terms.get(unit) if len(left.terms) == 1 else None
+            for j, right, d in right_rows.get(k, ()):
+                product = (right.scale(c) if c is not None else left.scale(d) if d is not None
+                           else left * right)
+                prev = out.get((i, j))
                 out[i, j] = _first(product) if prev is None else prev + product
         return OperatorMatrix.from_nonzero(self.algebra, self.rows, other.cols, out)
 
@@ -165,6 +172,11 @@ def _first(p: OperatorPolynomial) -> OperatorPolynomial:
     if all(c.den is not None for c in p.terms.values()):
         return p
     return p.algebra.zero() + p
+
+
+def mirror(p: OperatorPolynomial, negate: bool = False) -> OperatorPolynomial:
+    """p' or -p', settled: at Hermitian theta the bits of its direct form."""
+    return _first(-p.adjoint() if negate else p.adjoint())
 
 
 def commutator_table(left: dict, right: dict) -> dict:

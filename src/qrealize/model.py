@@ -4,7 +4,7 @@ The model format is line-oriented (``#`` starts a comment):
 
     modes: 2
     channels: 2
-    theta: identity            # or [[1,0],[0,1]]
+    theta: identity            # or a Hermitian [[2,1],[1,2]]
     param k1 = 2
     A[1] = -k1*a1 + 2*a1'*a2^2
     B = [[-sqrt(2*k1), 0], [0, -sqrt(2*k2)]]
@@ -40,7 +40,7 @@ from .scalars import (
     ONE,
     Scalar,
     block_diag,
-    grid,
+    grid_is_hermitian,
     grid_neg,
     identity_grid,
     zero_grid,
@@ -131,8 +131,6 @@ class DoubledModel:
     Bbar: OperatorMatrix        # 2n x 2m
     Cbar: OperatorMatrix        # 2m x 1
     Dbar: OperatorMatrix        # 2m x 2m
-    J: tuple                    # diag(theta, -theta*), the graded CCR matrix
-    theta_bar_printed: tuple    # diag(theta, theta*)
     Ibar: tuple                 # diag(I_m, -I_m)
     nbar: int | None            # None when A is identically zero
     memo: dict = field(default_factory=dict, repr=False, compare=False)
@@ -179,8 +177,10 @@ def doubled_generators(alg: Algebra) -> OperatorMatrix:
 
 
 def double(model: QsdeModel) -> DoubledModel:
-    """Build the doubled model: stacked generator, block dynamics matrices."""
+    """The doubled model (stacked generator, block matrices); theta must be Hermitian."""
     alg = model.algebra
+    if not grid_is_hermitian(alg.theta.theta, alg.tol):
+        raise ValueError("theta must be Hermitian")
     Abar = OperatorMatrix.column(alg, model.A.col(0) + [p.adjoint() for p in model.A.col(0)])
     Cbar = OperatorMatrix.column(alg, model.C.col(0) + [p.adjoint() for p in model.C.col(0)])
     Bbar = _block_diag_op(model.B, model.B.conj())
@@ -195,8 +195,6 @@ def double(model: QsdeModel) -> DoubledModel:
         Bbar=Bbar,
         Cbar=Cbar,
         Dbar=Dbar,
-        J=alg.theta.graded(),
-        theta_bar_printed=alg.theta.doubled_printed(),
         Ibar=sign_grid(model.m),
         nbar=nbar,
     )
@@ -523,8 +521,9 @@ def parse_model(text: str, tol: float = DEFAULT_TOL) -> QsdeModel:
                     raise ParseError("theta entries must be scalars", line, 1)
                 if len(rows) != n or any(len(r) != n for r in rows):
                     raise ParseError(f"theta must be {n}x{n}", line, 1)
-                grid_theta = CommutationMatrix(grid([[e.constant_value() for e in r]
-                                                     for r in rows]))
+                grid_theta = CommutationMatrix([[e.constant_value() for e in r] for r in rows])
+                if not grid_is_hermitian(grid_theta.theta, tol):
+                    raise ParseError("theta must be Hermitian", line, 1)
             algebra = Algebra(n, grid_theta, tol=tol)
         return algebra
 

@@ -354,7 +354,7 @@ def grid_is_hermitian(g, tol: float = DEFAULT_TOL) -> bool:
     return all(
         (g[i][j] - g[j][i].conjugate()).is_zero(tol)
         for i in range(n)
-        for j in range(n)
+        for j in range(i, n)
     )
 
 

@@ -6,6 +6,14 @@ from qrealize import parse_model
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 CAVITY_PATH = FIXTURE_DIR / "lossless_cavity.qsde"
+# golden models whose theta, diag(2, i/2), is not Hermitian: parsing refuses them
+NOT_HERMITIAN_GOLDENS = {"cavity_theta_diag_complex", "cavity_theta_diag_complex_nophi"}
+
+
+def golden_models():
+    """(name, text) of the cavity fixture and of every golden model that parses."""
+    paths = [CAVITY_PATH] + sorted((FIXTURE_DIR / "golden").glob("*.qsde"))
+    return [(p.stem, p.read_text()) for p in paths if p.stem not in NOT_HERMITIAN_GOLDENS]
 
 # Single-edit mutations of the cavity fixture.  Every one of them breaks at
 # least one check condition; none of them admits a quadratic storage function.

@@ -111,10 +111,31 @@ def test_check_reports_verdicts_on_a_coefficient_beyond_binary64(capsys):
     assert code == 1 and err == ""
     assert "[FAIL] CLASS-generator-identity" in out and "(residual=inf)" in out
     assert "[PASS] LL-B-gradient" in out and "overall: FAIL" in out
+    # the JSON is strict (RFC 8259 has no Infinity): an infinite norm is "inf"
     code, out, _ = run_cli(capsys, "check", str(HUGE_PATH), "--json")
     assert code == 1
-    norms = {c["condition_id"]: c["residual_norm"] for c in json.loads(out)["checks"]}
-    assert norms["CCR-sum"] == float("inf") and norms["LL-B-gradient"] == 0.0
+    payload = json.loads(out, parse_constant=refuse_constant)
+    norms = {c["condition_id"]: c["residual_norm"] for c in payload["checks"]}
+    assert norms["CCR-sum"] == "inf" and norms["LL-B-gradient"] == 0.0
+
+
+def refuse_constant(token):
+    raise ValueError(f"non-JSON constant {token}")
+
+
+# numpy warns on the oracle's inf * 0 when it builds the overflowing block
+@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
+def test_float_oracle_json_is_strict_where_a_deviation_overflows(capsys, tmp_path, cavity_text):
+    # C[1] = 1e200*a1 is binary64, but C' C and the oracle's deviation are not
+    path = tmp_path / "big.qsde"
+    path.write_text(mutate(cavity_text, "C[1] = sqrt(2*k1)*a1", "C[1] = 1e200*a1"))
+    code, out, err = run_cli(capsys, "check", str(path), "--float", "--oracle", "--json")
+    assert code == 1 and err == ""
+    payload = json.loads(out, parse_constant=refuse_constant)
+    norms = {c["condition_id"]: c["residual_norm"] for c in payload["checks"]}
+    deviations = {e["condition_id"]: e["max_deviation"] for e in payload["oracle"]}
+    assert norms["LL-gradient-A"] == deviations["LL-gradient-A"] == "inf"
+    assert norms["PR-B-match"] == 1e200 and deviations["CCR-sum"] == 0.0
 
 
 def test_check_float_refuses_a_coefficient_beyond_binary64(capsys):

@@ -12,6 +12,8 @@ non-unit diagonal thetas diag(2, 1/3) and diag(2, i/2), with and without
 phi, where a generator commutator carries a theta weight other than 1.
 They were recorded with dense operator matrices and generator commutators
 formed through the general product, before the closed-form contraction.
+diag(2, i/2) is not Hermitian, so since theta must be, those two models end
+in a parse error: empty standard output and exit code 2.
 The same two reports of the cavity at the non-diagonal thetas
 [[2, 1], [1, 2]] and [[2, i], [-i, 2]], with and without phi, were recorded
 while non-diagonal products still went through word rewriting, before the

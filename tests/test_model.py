@@ -3,7 +3,9 @@ import pytest
 from qrealize import (
     Algebra,
     NoiseSpec,
+    OperatorMatrix,
     ParseError,
+    QsdeModel,
     Scalar,
     compute_nbar,
     double,
@@ -126,8 +128,17 @@ def test_double_blocks(cavity):
         assert dm.Cbar.entry(cavity.m + j, 0) == cavity.C.entry(j, 0).adjoint()
     # off-diagonal blocks of Bbar vanish
     assert dm.Bbar.entry(0, 2).is_zero and dm.Bbar.entry(3, 1).is_zero
-    assert dm.J == block_diag(identity_grid(2), grid_neg(identity_grid(2)))
-    assert dm.theta_bar_printed == identity_grid(4)
+
+
+def test_double_refuses_a_theta_that_is_not_hermitian():
+    # the checks mirror each doubled residual's bottom half from its top half,
+    # which [a_j, a_k']' = [a_k, a_j'] allows only at theta = theta'
+    alg = Algebra(1, [[Scalar(1, 1)]])
+    one = OperatorMatrix.identity(alg, 1)
+    a = OperatorMatrix.column(alg, [alg.annihilator(1)])
+    model = QsdeModel(algebra=alg, n=1, m=1, A=-a, B=one, C=a, D=one, params={})
+    with pytest.raises(ValueError, match="theta must be Hermitian"):
+        double(model)
 
 
 def test_double_zero_drift():

@@ -53,6 +53,8 @@ CASES = [
      "line 4, col 1: theta entries must be scalars"),
     ("theta-shape", "theta: identity", "theta: [[1, 0, 0], [0, 1, 0]]",
      "line 4, col 1: theta must be 2x2"),
+    ("theta-not-hermitian", "theta: identity", "theta: [[2, 1], [0, 2]]",
+     "line 4, col 1: theta must be Hermitian"),
     ("param-not-scalar", "param k2 = 2", "param k2 = a1",
      "line 7, col 1: parameter 'k2' is not a scalar"),
     ("index-out-of-range", "C[2] = sqrt(2*k2)*a2", "C[3] = sqrt(2*k2)*a2",

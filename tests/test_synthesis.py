@@ -22,7 +22,7 @@ from qrealize import (
 )
 from qrealize.scalars import grid_conj, grid_inverse, grid_matmul, grid_neg, grid_transpose
 
-from conftest import CAVITY_PATH, FIXTURE_DIR, MUTATIONS, mutate
+from conftest import CAVITY_PATH, FIXTURE_DIR, MUTATIONS, golden_models, mutate
 from helpers import load_workloads
 
 WORKLOADS = load_workloads()
@@ -77,8 +77,7 @@ def reference_synthesis(model):
 
 def comparison_models():
     """(name, text) of every model the closed form is compared on, phi removed."""
-    golden = [CAVITY_PATH] + sorted((FIXTURE_DIR / "golden").glob("*.qsde"))
-    out = [(path.stem, path.read_text()) for path in golden]
+    out = golden_models()
     out += [("decoupled_mode", DECOUPLED_PATH.read_text()), ("zero_coupling", ZERO_COUPLING)]
     for n in range(2, 6):
         out += [(f"chain({n}) k={k}", WORKLOADS.chain_text(n, k))
