@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import comb, factorial
-from operator import add, itemgetter
+from math import comb, factorial, gcd
+from operator import add, itemgetter, neg
 
 from .scalars import (
     DEFAULT_TOL,
@@ -48,6 +48,7 @@ class CommutationMatrix:
         if any(len(row) != n for row in self.theta):
             raise ValueError("theta must be square")
         self._inverse = None
+        self.exact = all(t.den is not None for row in self.theta for t in row)
         self._is_identity = grid_is_identity(self.theta)
         nonzero = [(j, l, t) for j, row in enumerate(self.theta)
                    for l, t in enumerate(row) if not t.is_zero(0.0)]
@@ -118,8 +119,10 @@ class Algebra:
             raise ValueError("theta size does not match mode count")
         self.theta = theta
         self.tol = tol
+        self.unit = Monomial.unit(modes)
         self._zero = OperatorPolynomial(self, {})
         self._words = {}
+        self._generators = {}  # (j, creates): a_j' or a_j
 
     def word(self, m: "Monomial"):
         """(annihilated modes, created modes, generator) of the word m: two
@@ -162,19 +165,23 @@ class Algebra:
         c = Scalar.of(c)
         if c.is_zero(0.0):
             return self.zero()
-        return OperatorPolynomial(self, {Monomial.unit(self.modes): c})
+        return OperatorPolynomial(self, {self.unit: c})
 
     def annihilator(self, j: int) -> "OperatorPolynomial":
-        self._check_mode(j)
-        ann = tuple(1 if i == j - 1 else 0 for i in range(self.modes))
-        zero = (0,) * self.modes
-        return OperatorPolynomial(self, {Monomial(zero, ann): ONE})
+        return self._generator(j, False)
 
     def creator(self, j: int) -> "OperatorPolynomial":
-        self._check_mode(j)
-        cre = tuple(1 if i == j - 1 else 0 for i in range(self.modes))
-        zero = (0,) * self.modes
-        return OperatorPolynomial(self, {Monomial(cre, zero): ONE})
+        return self._generator(j, True)
+
+    def _generator(self, j: int, creates: bool) -> "OperatorPolynomial":
+        """a_j' or a_j, built once per algebra: polynomials are immutable."""
+        gen = self._generators.get((j, creates))
+        if gen is None:
+            self._check_mode(j)
+            block, zero = tuple(int(i == j - 1) for i in range(self.modes)), (0,) * self.modes
+            word = Monomial(block, zero) if creates else Monomial(zero, block)
+            gen = self._generators[j, creates] = _poly(self, {word: ONE})
+        return gen
 
     def monomial(self, creation, annihilation, coeff=ONE) -> "OperatorPolynomial":
         m = Monomial(tuple(creation), tuple(annihilation))
@@ -233,16 +240,13 @@ class OperatorPolynomial:
     __slots__ = ("algebra", "terms", "_support")
 
     def __init__(self, algebra: Algebra, terms: dict):
-        self.algebra = algebra
-        pruned = {}
-        for mono, coeff in terms.items():
-            if coeff.den is None:
-                if coeff.magnitude() <= algebra.tol:
-                    continue
-            elif not (coeff.re_num or coeff.im_num):
-                continue
-            pruned[mono] = coeff
-        self.terms = pruned
+        self.algebra, tol = algebra, algebra.tol
+        kept = self.terms = {}
+        for m, c in terms.items():
+            # hypot(re, im) exceeds tol wherever one part does
+            if (c.re_num or c.im_num) if c.den is not None else (
+                    abs(c.re_num) > tol or abs(c.im_num) > tol or c.magnitude() > tol):
+                kept[m] = c
 
     # -- basic queries --------------------------------------------------------
 
@@ -261,7 +265,7 @@ class OperatorPolynomial:
     def constant_value(self) -> Scalar:
         if not self.is_constant:
             raise ValueError("polynomial is not constant")
-        return self.terms.get(Monomial.unit(self.algebra.modes), ZERO)
+        return self.terms.get(self.algebra.unit, ZERO)
 
     def coeff_norm(self) -> float:
         return max((c.magnitude() for c in self.terms.values()), default=0.0)
@@ -282,14 +286,27 @@ class OperatorPolynomial:
     # -- ring operations ------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, float, complex, Scalar)):
-            other = self.algebra.scalar(other)
-        if not isinstance(other, OperatorPolynomial):
-            return NotImplemented
-        if other.algebra is not self.algebra:
-            self.algebra.require_compatible(other.algebra)
-        out, tol = dict(self.terms), self.algebra.tol
-        for m, c in other.terms.items():
+        if type(other) is not OperatorPolynomial:
+            if isinstance(other, (int, Fraction, float, complex, Scalar)):
+                other = self.algebra.scalar(other)
+            elif not isinstance(other, OperatorPolynomial):
+                return NotImplemented
+        return self._plus(other.algebra, other.terms.items())
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if type(other) is not OperatorPolynomial:
+            return self + (-other if isinstance(other, OperatorPolynomial) else -Scalar.of(other))
+        return self._plus(other.algebra, zip(other.terms, map(neg, other.terms.values())))
+
+    def _plus(self, other_alg: Algebra, terms) -> "OperatorPolynomial":
+        """self plus the (word, coefficient) pairs ``terms`` over ``other_alg``."""
+        alg = self.algebra
+        if other_alg is not alg:
+            alg.require_compatible(other_alg)
+        out, tol = dict(self.terms), alg.tol
+        for m, c in terms:
             # an exact c is ZERO + c; a float ZERO + c turns a -0.0 part into 0.0
             prev = out.get(m)
             c = c if prev is None and c.den is not None else (prev or ZERO) + c
@@ -299,12 +316,7 @@ class OperatorPolynomial:
             else:
                 del out[m]  # only a sum can vanish, where both sides share tol
         # a term of another algebra may lie below this one's tolerance
-        return (_poly if other.algebra is self.algebra else OperatorPolynomial)(self.algebra, out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, OperatorPolynomial) else -Scalar.of(other))
+        return (_poly if other_alg is alg else OperatorPolynomial)(alg, out)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -317,10 +329,11 @@ class OperatorPolynomial:
         return OperatorPolynomial(self.algebra, {m: c * x for m, x in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, float, complex, Scalar)):
-            return self.scale(other)
-        if not isinstance(other, OperatorPolynomial):
-            return NotImplemented
+        if type(other) is not OperatorPolynomial:
+            if isinstance(other, (int, Fraction, float, complex, Scalar)):
+                return self.scale(other)
+            if not isinstance(other, OperatorPolynomial):
+                return NotImplemented
         alg = self.algebra
         if other.algebra is not alg:
             alg.require_compatible(other.algebra)
@@ -457,18 +470,20 @@ def _generator_commutator(p: OperatorPolynomial, j: int, creates: bool, left: bo
     negate = creates != left
     out = {}
     for m, c in p.terms.items():
-        cre, ann = m.creation, m.annihilation
+        cre, ann = m
         block = ann if creates else cre
+        signed = -c if negate else c
         for i, theta_i, unit in entries:
             w = block[i]
             if not w:
                 continue
             cut = block[:i] + (w - 1,) + block[i + 1:]
             mono = _word((cre, cut) if creates else (cut, ann))
-            signed = -c if negate else c
             # the accumulator's steps, theta_i**1 included; a float term starts
-            # at ZERO + term, which settles a -0.0 part
-            term = signed * Scalar(w) if unit else signed * (theta_i**1 * w)
+            # at ZERO + term, which settles a -0.0 part; an exact term of unit
+            # weight is signed itself
+            term = signed * (theta_i**1 * w) if not unit else (
+                signed if w == 1 and signed.den is not None else signed * Scalar(w))
             prev = out.get(mono)
             out[mono] = term if prev is None and term.den is not None else (prev or ZERO) + term
     return OperatorPolynomial(alg, out) if out else alg.zero()
@@ -562,18 +577,20 @@ def wirtinger_gradient(phi: OperatorPolynomial):
 def format_scalar(c: Scalar, parsable: bool = False) -> str:
     """Coefficient text: golden ``(re+im i)`` with both parts printed, or with
     ``parsable`` the model-format ``(re)`` / ``(re+im*i)``."""
-    re_s = _format_component(c.re)
-    if parsable and c.im == 0:
-        return f"({re_s})"
-    im_s = _format_component(c.im if c.im >= 0 else -c.im)
-    sign = "+" if c.im >= 0 else "-"
-    return f"({re_s}{sign}{im_s}{'*i' if parsable else 'i'})"
+    re, im, den = c.re_num, c.im_num, c.den
+    if parsable and im == 0:
+        return f"({_format_part(re, den)})"
+    # a binary64 -0.0 is >= 0 and prints as "+-0.0"; a NaN prints as "-nan"
+    sign, im = ("+", im) if im >= 0 else ("-", -im)
+    return f"({_format_part(re, den)}{sign}{_format_part(im, den)}{'*i' if parsable else 'i'})"
 
 
-def _format_component(x) -> str:
-    if isinstance(x, Fraction):
-        return str(x)
-    return repr(x)
+def _format_part(num, den) -> str:
+    """A binary64 part's ``repr``; ``str(Fraction(num, den))``, unbuilt, of an exact one."""
+    if den is None:
+        return repr(num)
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def _format_monomial(m: Monomial) -> str:

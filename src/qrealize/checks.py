@@ -10,18 +10,19 @@ it once per run and hands it to every family and to ``synthesize_storage``;
 ``run_checks`` and each public ``check_*`` function take it as an optional
 ``dm`` and build their own only when not given one.  A residual matrix that
 several condition ids read is built once per doubled model and cached on
-it: the CCR sum at the default noise and the ``Bbar`` commutators (``CCR-*``
-and ``PR-CCR-*``), the ``J^-1`` brackets (the class identity and Hamiltonian
-extraction), and a synthesized storage function with the two reports that
-verified it.  theta is Hermitian, so each doubled residual is formed from the
-half that carries its information and the other half mirrored.
+it: the CCR sum at the default noise, its summary and the ``Bbar`` commutators
+(``CCR-*`` and ``PR-CCR-*``), the ``J^-1`` brackets (the class identity and
+Hamiltonian extraction), ``I - Dbar' Dbar`` and phi*'s ``LL-gradient-A``
+residual (synthesis and ``check_lossless``), and a synthesized storage
+function with the two reports that verified it.  theta is Hermitian, so each
+doubled residual is formed from the half that carries its information.
 
 Storage synthesis has one candidate, ``phi* = 2 sum_j a_j' a_j``: for
 ``phi = 2 a' P a`` the ``ST-gradient-commutator`` target's top-right block
 ``2 theta`` holds only at P = I when theta is invertible.  grad(phi*) is
-``2 abar``, so synthesis returns None at once where ``LL-B-gradient`` at
-phi*, ``Bbar' abar + Cbar = 0``, fails; otherwise it verifies phi* with the
-lossless and storage conditions.
+``2 abar``, and phi* is self-adjoint and non-negative, so synthesis returns
+None before any report where ``Bbar' abar + Cbar`` (``LL-B-gradient``),
+``I - Dbar' Dbar`` or ``grad(phi*)' Abar + Cbar' Cbar`` is not zero.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .algebra import OperatorPolynomial, render, wirtinger_gradient
 from .matrices import (
     OperatorMatrix,
     commutator_table,
+    doubled_adjoint,
     matrix_vector_commutators,
     mirror,
     outer_commutator,
@@ -48,8 +50,8 @@ from .model import (
     sign_grid,
     structural_class_check,
 )
-from .scalars import (Scalar, block_diag, grid_conj, grid_inverse, grid_neg, grid_scale,
-                      grid_transpose, zero_grid)
+from .scalars import (HALF, Scalar, block_diag, grid_conj, grid_inverse, grid_neg, grid_scale,
+                      grid_transpose, identity_grid, zero_grid)
 
 
 @dataclass
@@ -146,7 +148,7 @@ def _verdict(cid, desc, failures):
 
 
 def _half(p_or_m):
-    return p_or_m.scale(Scalar(Fraction(1, 2)))
+    return p_or_m.scale(HALF)
 
 
 # -- residual matrices shared by several conditions, one per doubled model ----
@@ -165,7 +167,8 @@ def _ccr_sum(dm: DoubledModel, t_grid=None) -> OperatorMatrix:
         right = {(k, j): mirror(p) for (j, k), p in left.items()}
         return (OperatorMatrix.from_nonzero(alg, 2 * n, 2 * n, left)
                 + OperatorMatrix.from_nonzero(alg, 2 * n, 2 * n, right)
-                + dm.Bbar @ OperatorMatrix.from_scalars(alg, t_grid or dm.Ibar) @ dm.Bbar_adjoint)
+                + dm.Bbar @ (OperatorMatrix.from_scalars(alg, t_grid) if t_grid
+                             else dm.Ibar_matrix) @ dm.Bbar_adjoint)
 
     return dm.cached("ccr-sum", build) if t_grid is None else build()
 
@@ -183,10 +186,15 @@ def _brackets(dm: DoubledModel, printed: bool = False):
     with ``printed`` for the literal diag(theta, theta*), inverted blockwise."""
 
     def build():
-        lower = grid_conj(dm.algebra.theta.theta)
-        inv = OperatorMatrix.from_scalars(dm.algebra, block_diag(
-            dm.algebra.theta.inverse(), grid_inverse(lower if printed else grid_neg(lower))))
-        s1 = (dm.Abar.adjoint() @ inv @ dm.abar).entry(0, 0)
+        theta = dm.algebra.theta
+        if theta.exact and theta.is_identity:  # G is its own inverse
+            inv_grid = identity_grid(2 * dm.n) if printed else sign_grid(dm.n)
+        else:
+            lower = grid_conj(theta.theta)
+            inv_grid = block_diag(theta.inverse(),
+                                  grid_inverse(lower if printed else grid_neg(lower)))
+        inv = OperatorMatrix.from_scalars(dm.algebra, inv_grid)
+        s1 = (doubled_adjoint(dm.Abar) @ inv @ dm.abar).entry(0, 0)
         if dm.algebra.theta.is_diagonal:  # else the two group binary64 sums apart
             return s1, mirror(s1)
         return s1, (dm.abar.adjoint() @ inv @ dm.Abar).entry(0, 0)
@@ -280,12 +288,13 @@ def check_preservation(
     alg = model.algebra
     dm = dm or double(model)
     b_left, b_right = _bbar_commutators(dm)
+    cid, desc = f"{id_prefix}-sum", "[Abar, abar'] + [abar, Abar'] + Bbar T Bbar' vanishes"
+    if noise is None:  # CCR-sum and PR-CCR-sum share one summary, not one witness list
+        ccr = dm.cached("ccr-summary", lambda: _matrix_residual(cid, desc, _ccr_sum(dm)))
+        ccr = Condition(cid, desc, ccr.passed, ccr.residual_norm,
+                        [dict(w) for w in ccr.witness], list(ccr.residuals))
     conditions = [
-        _matrix_residual(
-            f"{id_prefix}-sum",
-            "[Abar, abar'] + [abar, Abar'] + Bbar T Bbar' vanishes",
-            _ccr_sum(dm, noise.T if noise is not None else None),
-        ),
+        ccr if noise is None else _matrix_residual(cid, desc, _ccr_sum(dm, noise.T)),
         _commutation_condition(
             f"{id_prefix}-B-left",
             "every entry of Bbar commutes with every doubled creation generator",
@@ -313,17 +322,16 @@ def check_physical_realizability(
     alg = model.algebra
     dm = dm or double(model)
     report = check_preservation(model, None, model_id, id_prefix="PR-CCR", dm=dm)
-    ibar = OperatorMatrix.from_scalars(alg, dm.Ibar)
     report.conditions += [
         _matrix_residual(
             "PR-B-match",
             "Bbar equals the coupling commutator matrix [Cbar', abar] Ibar",
-            dm.Bbar - coupling_commutator_matrix(dm.Cbar, dm.abar) @ ibar,
+            dm.Bbar - coupling_commutator_matrix(dm.Cbar, dm.abar) @ dm.Ibar_matrix,
         ),
         _matrix_residual(
             "PR-D-identity",
             "Dbar is the identity",
-            dm.Dbar - OperatorMatrix.identity(alg, 2 * model.m),
+            dm.Dbar - dm.identity,
         ),
     ]
     if report.overall and not model.A.is_zero and alg.theta.invertible:
@@ -394,28 +402,20 @@ def check_lossless(
     phi = phi if phi is not None else model.phi
     if phi is None:
         raise ValueError("a storage function is required (model phi or argument)")
-    alg = model.algebra
     dm = dm or double(model)
-    grad = OperatorMatrix.column(alg, wirtinger_gradient(phi))
-
-    lhs1 = (grad.adjoint() @ dm.Abar).entry(0, 0)
-    rhs1 = -(dm.Cbar.adjoint() @ dm.Cbar).entry(0, 0)
+    grad, gradient_residual = _gradient_residual(dm, phi)
     conditions = [
         _residual_condition(
             "LL-gradient-A",
             "grad(phi)' Abar equals -Cbar' Cbar",
-            [("scalar", lhs1 - rhs1)],
+            [("scalar", gradient_residual)],
         ),
         _matrix_residual(
             "LL-B-gradient",
             "(1/2) Bbar' grad(phi) equals -Cbar",
             _half(dm.Bbar_adjoint @ grad) + dm.Cbar,
         ),
-        _matrix_residual(
-            "LL-D-unitary",
-            "I - Dbar' Dbar vanishes",
-            OperatorMatrix.identity(alg, 2 * model.m) - dm.Dbar.adjoint() @ dm.Dbar,
-        ),
+        _matrix_residual("LL-D-unitary", "I - Dbar' Dbar vanishes", _unitary_residual(dm)),
         _residual_condition(
             "LL-phi-selfadjoint",
             "the storage function is self-adjoint",
@@ -431,6 +431,21 @@ def check_lossless(
         )
     )
     return CheckReport(model_id=model_id, conditions=conditions)
+
+
+def _gradient_residual(dm: DoubledModel, phi: OperatorPolynomial):
+    """(grad(phi), the ``LL-gradient-A`` residual grad(phi)' Abar + Cbar' Cbar),
+    kept for the last phi, so synthesis and ``check_lossless`` form phi*'s once."""
+    if dm.memo.get("phi") is not phi:
+        grad = OperatorMatrix.column(dm.algebra, wirtinger_gradient(phi))
+        cc = dm.cached("Cbar' Cbar", lambda: (doubled_adjoint(dm.Cbar) @ dm.Cbar).entry(0, 0))
+        dm.memo.update(phi=phi, gradient=(grad, (grad.adjoint() @ dm.Abar).entry(0, 0) + cc))
+    return dm.memo["gradient"]
+
+
+def _unitary_residual(dm: DoubledModel) -> OperatorMatrix:
+    """I - Dbar' Dbar, the ``LL-D-unitary`` residual, once per doubled model."""
+    return dm.cached("I - Dbar' Dbar", lambda: dm.identity - dm.Dbar.adjoint() @ dm.Dbar)
 
 
 def _phi_nonnegative(phi: OperatorPolynomial):
@@ -517,9 +532,8 @@ def check_storage_condition(
 def _storage_candidate(alg) -> OperatorPolynomial:
     """phi* = 2 sum_j a_j' a_j (2.0 when theta is binary64), the only candidate:
     the target's top-right block 2 theta admits only P = I at invertible theta."""
-    exact = all(x.is_exact for row in alg.theta.theta for x in row)
     pairs = (alg.creator(j) * alg.annihilator(j) for j in range(1, alg.modes + 1))
-    return sum(pairs, alg.zero()).scale(2 if exact else 2.0)
+    return sum(pairs, alg.zero()).scale(2 if alg.theta.exact else 2.0)
 
 
 # -- storage-function synthesis -----------------------------------------------
@@ -530,9 +544,9 @@ def synthesize_storage(
     """phi* = 2 sum_j a_j' a_j when it certifies the lossless property, else None.
 
     phi* is the one quadratic form the storage target admits at invertible
-    theta.  None comes at once where ``Bbar' abar + Cbar``, which is
-    ``LL-B-gradient`` at phi*, is not zero; otherwise phi* must pass the
-    full lossless and storage-gradient conditions.
+    theta.  None comes at once where ``Bbar' abar + Cbar`` (``LL-B-gradient``
+    at phi*), ``I - Dbar' Dbar`` or ``grad(phi*)' Abar + Cbar' Cbar`` is not
+    zero; otherwise phi* must pass the full lossless and storage conditions.
     """
     found = _verified_synthesis(model, dm or double(model))
     return found[0] if found else None
@@ -545,9 +559,11 @@ def _verified_synthesis(model: QsdeModel, dm: DoubledModel):
 
 
 def _synthesize(model: QsdeModel, dm: DoubledModel):
-    if not (dm.Bbar_adjoint @ dm.abar + dm.Cbar).is_zero:
+    if not (dm.Bbar_adjoint @ dm.abar + dm.Cbar).is_zero or not _unitary_residual(dm).is_zero:
         return None
     phi = _storage_candidate(model.algebra)
+    if not _gradient_residual(dm, phi)[1].is_zero:
+        return None
     lossless = check_lossless(model, phi, dm=dm)
     if not lossless.overall:
         return None

@@ -66,8 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--checks", default="all",
                          help="comma list of: class, preserve, realize, lossless, "
                               "storage (default: all)")
-    p_check.add_argument("--all", dest="run_all", action="store_true",
-                         help="run every check (same as --checks all)")
     p_check.add_argument("--oracle", action="store_true",
                          help="re-verify residuals on truncated Fock space")
     fock_options(p_check)
@@ -83,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="numerically confirm all checks")
     common(p_oracle)
     fock_options(p_oracle)
-    # ``oracle`` is ``check --all --oracle``
+    # ``oracle`` is ``check --checks all --oracle``
     p_oracle.set_defaults(checks="all", oracle=True, literal_theta_bar=False)
     return parser
 
@@ -103,7 +101,7 @@ def _load_model(args):
 
 
 def _selected_checks(args):
-    if getattr(args, "run_all", False) or args.checks.strip() == "all":
+    if args.checks.strip() == "all":
         return CHECK_NAMES
     names = tuple(s.strip() for s in args.checks.split(",") if s.strip())
     for name in names:

@@ -68,7 +68,8 @@ def _block(p: OperatorPolynomial, cap: int, modes) -> np.ndarray:
             amp = np.multiply.outer(amp, [
                 math.sqrt(math.perm(n, k) * math.perm(n - k + h, h)) for n in src
             ]).ravel()
-        out[_flat(targets, side), _flat(sources, side)] += coeff.to_complex() * amp
+        with np.errstate(invalid="ignore"):  # inf * amp: NaN imaginary parts, |entry| inf
+            out[_flat(targets, side), _flat(sources, side)] += coeff.to_complex() * amp
     return out
 
 

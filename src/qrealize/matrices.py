@@ -9,7 +9,10 @@ verification engines: outer commutators ``[u_j, v_k']``, row commutators
 
 from __future__ import annotations
 
-from .algebra import Algebra, Monomial, OperatorPolynomial, render
+import itertools
+from math import copysign
+
+from .algebra import Algebra, OperatorPolynomial, render
 from .scalars import Scalar
 
 
@@ -42,7 +45,7 @@ class OperatorMatrix:
         """Matrix from {(i, j): polynomial} over one algebra; zeros are dropped."""
         out = cls.__new__(cls)
         out.algebra, out.rows, out.cols = algebra, rows, cols
-        out.nonzero = {key: nonzero[key] for key in sorted(nonzero) if not nonzero[key].is_zero}
+        out.nonzero = {key: nonzero[key] for key in sorted(nonzero) if nonzero[key].terms}
         return out
 
     @classmethod
@@ -73,8 +76,8 @@ class OperatorMatrix:
 
     @property
     def entries(self):
-        get, zero = self.nonzero.get, self.algebra.zero()
-        return [get((i, j), zero) for i in range(self.rows) for j in range(self.cols)]
+        keys = itertools.product(range(self.rows), range(self.cols))
+        return list(map(self.nonzero.get, keys, itertools.repeat(self.algebra.zero())))
 
     # -- algebra --------------------------------------------------------------
 
@@ -91,7 +94,12 @@ class OperatorMatrix:
         return OperatorMatrix.from_nonzero(self.algebra, self.rows, self.cols, out)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self + (-other)
+        self._check_same_shape(other)
+        out = dict(self.nonzero)
+        for key, e in other.nonzero.items():
+            prev = out.get(key)
+            out[key] = _first(-e) if prev is None else prev - e
+        return OperatorMatrix.from_nonzero(self.algebra, self.rows, self.cols, out)
 
     def __neg__(self) -> "OperatorMatrix":
         return self._map(lambda e: -e)
@@ -101,7 +109,7 @@ class OperatorMatrix:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ "
                              f"{other.rows}x{other.cols}")
         self.algebra.require_compatible(other.algebra)
-        unit = Monomial.unit(self.algebra.modes)  # a constant factor only scales
+        unit = self.algebra.unit  # a constant factor only scales
         right_rows = {}
         for (k, j), right in other.nonzero.items():
             d = right.terms.get(unit) if len(right.terms) == 1 else None
@@ -131,7 +139,8 @@ class OperatorMatrix:
         return self._map(OperatorPolynomial.adjoint)
 
     def adjoint(self) -> "OperatorMatrix":
-        return self.conj().transpose()
+        return OperatorMatrix.from_nonzero(self.algebra, self.cols, self.rows, {
+            (j, i): e.adjoint() for (i, j), e in self.nonzero.items()})
 
     # -- predicates and rendering --------------------------------------------
 
@@ -167,11 +176,20 @@ class OperatorMatrix:
 
 
 def _first(p: OperatorPolynomial) -> OperatorPolynomial:
-    """p as the first summand of an entry: ``zero + p``, which turns a -0.0
-    part of a float coefficient into 0.0, and is p itself when p is exact."""
-    if all(c.den is not None for c in p.terms.values()):
-        return p
-    return p.algebra.zero() + p
+    """p as the first summand of an entry: ``zero + p``, which turns a -0.0 part
+    of a float coefficient into 0.0, and is p itself where no part is -0.0."""
+    for c in p.terms.values():
+        if c.den is None and (not c.re_num and copysign(1.0, c.re_num) < 0
+                              or not c.im_num and copysign(1.0, c.im_num) < 0):
+            return p.algebra.zero() + p
+    return p
+
+
+def doubled_adjoint(v: OperatorMatrix) -> OperatorMatrix:
+    """v' for a doubled column v = (u, u'): the row of v's entries with its
+    halves swapped, since u'' = u bit for bit (conjugation only flips signs)."""
+    return OperatorMatrix.from_nonzero(v.algebra, 1, v.rows, {
+        (0, (i + v.rows // 2) % v.rows): p for (i, _), p in v.nonzero.items()})
 
 
 def mirror(p: OperatorPolynomial, negate: bool = False) -> OperatorPolynomial:
@@ -185,10 +203,12 @@ def commutator_table(left: dict, right: dict) -> dict:
     pair contracts only where one side annihilates a mode the other's
     creators reach, so a pair whose ``support`` masks share no such mode is
     skipped before any call; a constant reaches and annihilates none."""
+    left = [(j, l, *l.support()) for j, l in left.items()]
+    if not any(ann or reach for _, _, ann, reach in left):
+        return {}  # every left entry is constant, or commutes with everything
     right = [(k, r, *r.support()) for k, r in right.items()]
     out = {}
-    for j, l in left.items():
-        ann, reach = l.support()
+    for j, l, ann, reach in left:
         for k, r, rann, rreach in right:
             if ann & rreach or rann & reach:
                 c = l.commutator(r)

@@ -38,10 +38,10 @@ from .matrices import OperatorMatrix
 from .scalars import (
     DEFAULT_TOL,
     ONE,
+    ZERO,
     Scalar,
     block_diag,
     grid_is_hermitian,
-    grid_neg,
     identity_grid,
     zero_grid,
 )
@@ -132,6 +132,8 @@ class DoubledModel:
     Cbar: OperatorMatrix        # 2m x 1
     Dbar: OperatorMatrix        # 2m x 2m
     Ibar: tuple                 # diag(I_m, -I_m)
+    Ibar_matrix: OperatorMatrix  # Ibar as polynomials: the CCR sum and PR-B-match
+    identity: OperatorMatrix    # 2m x 2m: PR-D-identity and LL-D-unitary
     nbar: int | None            # None when A is identically zero
     memo: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -163,7 +165,9 @@ class NoiseSpec:
 
 def sign_grid(m: int) -> tuple:
     """Ibar = diag(I_m, -I_m)."""
-    return block_diag(identity_grid(m), grid_neg(identity_grid(m)))
+    diagonal = (ONE,) * m + (-ONE,) * m
+    return tuple(tuple(diagonal[i] if i == j else ZERO for j in range(2 * m))
+                 for i in range(2 * m))
 
 
 def doubled_generators(alg: Algebra) -> OperatorMatrix:
@@ -186,6 +190,7 @@ def double(model: QsdeModel) -> DoubledModel:
     Bbar = _block_diag_op(model.B, model.B.conj())
     Dbar = _block_diag_op(model.D, model.D.conj())
     nbar = None if model.A.is_zero else compute_nbar(model)
+    Ibar = sign_grid(model.m)
     return DoubledModel(
         algebra=alg,
         n=model.n,
@@ -195,7 +200,9 @@ def double(model: QsdeModel) -> DoubledModel:
         Bbar=Bbar,
         Cbar=Cbar,
         Dbar=Dbar,
-        Ibar=sign_grid(model.m),
+        Ibar=Ibar,
+        Ibar_matrix=OperatorMatrix.from_scalars(alg, Ibar),
+        identity=OperatorMatrix.identity(alg, 2 * model.m),
         nbar=nbar,
     )
 
@@ -417,7 +424,7 @@ class _Parser:
         tok = self.next()
         kind, text, pos = tok
         if kind == "number":
-            return self.alg.scalar(Scalar(Fraction(text)))
+            return self.alg.scalar(Scalar(int(text) if text.isdigit() else Fraction(text)))
         if text in ("(", "sqrt"):
             if text == "sqrt":
                 self.expect("(")

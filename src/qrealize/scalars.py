@@ -97,8 +97,8 @@ class Scalar:
         o = other if type(other) is Scalar else Scalar.of(other)
         d, e = self.den, o.den
         if d is None or e is None:
-            a, b = self._floats()
-            c, f = o._floats()
+            a, b = (self.re_num, self.im_num) if d is None else self._floats()
+            c, f = (o.re_num, o.im_num) if e is None else o._floats()
             return _float(a + c, b + f)
         if d == e:
             return _exact(self.re_num + o.re_num, self.im_num + o.im_num, d)
@@ -110,8 +110,8 @@ class Scalar:
         o = other if type(other) is Scalar else Scalar.of(other)
         d, e = self.den, o.den
         if d is None or e is None:
-            a, b = self._floats()
-            c, f = o._floats()
+            a, b = (self.re_num, self.im_num) if d is None else self._floats()
+            c, f = (o.re_num, o.im_num) if e is None else o._floats()
             return _float(a - c, b - f)
         if d == e:
             return _exact(self.re_num - o.re_num, self.im_num - o.im_num, d)
@@ -129,10 +129,12 @@ class Scalar:
         o = other if type(other) is Scalar else Scalar.of(other)
         d, e = self.den, o.den
         if d is None or e is None:
-            a, b = self._floats()
-            c, f = o._floats()
+            a, b = (self.re_num, self.im_num) if d is None else self._floats()
+            c, f = (o.re_num, o.im_num) if e is None else o._floats()
             return _float(a * c - b * f, a * f + b * c)
         a, b, c, f = self.re_num, self.im_num, o.re_num, o.im_num
+        if not (b or f):  # two exact reals: no cross terms
+            return _exact(a * c, 0, d * e)
         return _exact(a * c - b * f, a * f + b * c, d * e)
 
     __rmul__ = __mul__
@@ -170,6 +172,8 @@ class Scalar:
         return out
 
     def conjugate(self) -> "Scalar":
+        if not self.im_num and self.den is not None:
+            return self  # an exact real; a binary64 0.0 part would turn into -0.0
         out = _new(Scalar)
         out.re_num, out.im_num, out.den = self.re_num, -self.im_num, self.den
         return out
@@ -226,12 +230,13 @@ _new = object.__new__
 
 def _exact(re_num: int, im_num: int, den: int) -> Scalar:
     """The exact scalar (re_num + im_num*i) / den, den > 0, reduced here."""
-    g = gcd(re_num, im_num, den)
     out = _new(Scalar)
-    if g == 1:
-        out.re_num, out.im_num, out.den = re_num, im_num, den
-    else:
-        out.re_num, out.im_num, out.den = re_num // g, im_num // g, den // g
+    if den != 1:  # else no gcd: the fields are reduced
+        g = gcd(re_num, im_num, den)
+        if g != 1:
+            out.re_num, out.im_num, out.den = re_num // g, im_num // g, den // g
+            return out
+    out.re_num, out.im_num, out.den = re_num, im_num, den
     return out
 
 
@@ -252,6 +257,7 @@ def _rational_sqrt(f: Fraction):
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
+HALF = Scalar(Fraction(1, 2))
 I = Scalar(0, 1)
 
 
@@ -286,16 +292,6 @@ def grid_conj(g):
 
 def grid_transpose(g):
     return tuple(tuple(g[i][j] for i in range(len(g))) for j in range(len(g[0])))
-
-
-def grid_matmul(a, b):
-    if len(a[0]) != len(b):
-        raise ValueError("scalar matrix shape mismatch")
-    cols = len(b[0])
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), ZERO) for j in range(cols))
-        for i in range(len(a))
-    )
 
 
 def grid_scale(g, c):

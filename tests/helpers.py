@@ -7,6 +7,7 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from qrealize import Scalar
+from qrealize.scalars import ZERO
 
 
 def random_poly(rng, alg, max_terms=3, max_degree=4, coeff_range=3):
@@ -40,6 +41,17 @@ def polynomials(alg, max_terms=4, max_exponent=3):
     return terms.map(lambda ts: sum(
         (alg.monomial(cre, ann, c) for cre, ann, c in ts), alg.zero()
     ))
+
+
+def grid_matmul(a, b):
+    """Product of two scalar grids (tuples of tuples of Scalar)."""
+    if len(a[0]) != len(b):
+        raise ValueError("scalar matrix shape mismatch")
+    cols = len(b[0])
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), ZERO) for j in range(cols))
+        for i in range(len(a))
+    )
 
 
 def chain_text(n):

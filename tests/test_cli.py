@@ -64,6 +64,13 @@ def test_check_unknown_selection_is_config_error(capsys):
     assert "unknown check" in err
 
 
+def test_check_all_flag_is_gone(capsys):
+    # every check runs by default (--checks all); the flag that repeated it is removed
+    code, out, err = run_cli(capsys, "check", str(CAVITY_PATH), "--all")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --all" in err
+
+
 def test_check_missing_file(capsys):
     code, _, err = run_cli(capsys, "check", "/no/such/model.qsde")
     assert code == 2
@@ -123,8 +130,8 @@ def refuse_constant(token):
     raise ValueError(f"non-JSON constant {token}")
 
 
-# numpy warns on the oracle's inf * 0 when it builds the overflowing block
-@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
+# the oracle's inf * 0 in the overflowing block must not reach stderr as a warning
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_float_oracle_json_is_strict_where_a_deviation_overflows(capsys, tmp_path, cavity_text):
     # C[1] = 1e200*a1 is binary64, but C' C and the oracle's deviation are not
     path = tmp_path / "big.qsde"

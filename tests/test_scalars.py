@@ -9,9 +9,10 @@ from qrealize.scalars import (
     grid,
     grid_inverse,
     grid_is_hermitian,
-    grid_matmul,
     identity_grid,
 )
+
+from helpers import grid_matmul
 
 
 def test_exact_arithmetic_is_closed():
