@@ -12,8 +12,6 @@ from .algebra import (
     CommutationMatrix,
     Monomial,
     OperatorPolynomial,
-    adjoint,
-    commutator,
     format_scalar,
     normal_order,
     render,
@@ -43,7 +41,6 @@ from .matrices import (
 )
 from .model import (
     DoubledModel,
-    NoiseSpec,
     ParseError,
     QsdeModel,
     compute_nbar,
@@ -62,19 +59,16 @@ __all__ = [
     "Condition",
     "DoubledModel",
     "Monomial",
-    "NoiseSpec",
     "OperatorMatrix",
     "OperatorPolynomial",
     "ParseError",
     "QsdeModel",
     "Scalar",
-    "adjoint",
     "check_class",
     "check_lossless",
     "check_physical_realizability",
     "check_preservation",
     "check_storage_condition",
-    "commutator",
     "compute_nbar",
     "double",
     "extract_hamiltonian",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, inf
 from operator import add, itemgetter, neg
 
 from .scalars import (
@@ -108,8 +108,8 @@ class Algebra:
     def __init__(self, modes: int, theta=None, tol: float = DEFAULT_TOL):
         if modes < 1:
             raise ValueError("mode count must be positive")
-        if tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < tol < inf:  # also refuses nan
+            raise ValueError(f"tolerance must be positive and finite, not {tol!r}")
         self.modes = modes
         if theta is None:
             theta = CommutationMatrix.identity(modes)
@@ -438,14 +438,6 @@ def _poly(alg: Algebra, terms: dict) -> OperatorPolynomial:
     p = object.__new__(OperatorPolynomial)
     p.algebra, p.terms = alg, terms
     return p
-
-
-def commutator(p: OperatorPolynomial, q: OperatorPolynomial) -> OperatorPolynomial:
-    return p.commutator(q)
-
-
-def adjoint(p: OperatorPolynomial) -> OperatorPolynomial:
-    return p.adjoint()
 
 
 # -- normal ordering ----------------------------------------------------------

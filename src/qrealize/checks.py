@@ -7,15 +7,15 @@ residuals; in exact mode a passing condition has residual exactly zero.
 
 All engines read one doubled model (:func:`double`).  ``run_checks`` builds
 it once per run and hands it to every family and to ``synthesize_storage``;
-``run_checks`` and each public ``check_*`` function take it as an optional
-``dm`` and build their own only when not given one.  A residual matrix that
-several condition ids read is built once per doubled model and cached on
-it: the CCR sum at the default noise, its summary and the ``Bbar`` commutators
-(``CCR-*`` and ``PR-CCR-*``), the ``J^-1`` brackets (the class identity and
-Hamiltonian extraction), ``I - Dbar' Dbar`` and phi*'s ``LL-gradient-A``
-residual (synthesis and ``check_lossless``), and a synthesized storage
-function with the two reports that verified it.  theta is Hermitian, so each
-doubled residual is formed from the half that carries its information.
+each public ``check_*`` function takes it as an optional ``dm`` and builds
+its own only when not given one.  A residual matrix that several condition
+ids read is built once per doubled model and cached on it: the CCR sum, its
+summary and the ``Bbar`` commutators (``CCR-*`` and ``PR-CCR-*``), the
+``J^-1`` brackets (the class identity and Hamiltonian extraction),
+``I - Dbar' Dbar`` and phi*'s ``LL-gradient-A`` residual (synthesis and
+``check_lossless``), and a synthesized storage function with the two reports
+that verified it.  theta is Hermitian, so each doubled residual is formed
+from the half that carries its information.
 
 Storage synthesis has one candidate, ``phi* = 2 sum_j a_j' a_j``: for
 ``phi = 2 a' P a`` the ``ST-gradient-commutator`` target's top-right block
@@ -43,7 +43,6 @@ from .matrices import (
 )
 from .model import (
     DoubledModel,
-    NoiseSpec,
     QsdeModel,
     double,
     doubled_generators,
@@ -51,7 +50,7 @@ from .model import (
     structural_class_check,
 )
 from .scalars import (HALF, Scalar, block_diag, grid_conj, grid_inverse, grid_neg, grid_scale,
-                      grid_transpose, identity_grid, zero_grid)
+                      grid_transpose, zero_grid)
 
 
 @dataclass
@@ -156,8 +155,8 @@ def _half(p_or_m):
 # (``mirror``): [Abar, abar'] has entry (n+i, k+n mod 2n) = -(entry (i, k))',
 # [abar, Abar'] = [Abar, abar']^dagger and abar' G^-1 Abar = (Abar' G^-1 abar)'.
 
-def _ccr_sum(dm: DoubledModel, t_grid=None) -> OperatorMatrix:
-    """[Abar, abar'] + [abar, Abar'] + Bbar T Bbar', cached for T = Ibar."""
+def _ccr_sum(dm: DoubledModel) -> OperatorMatrix:
+    """[Abar, abar'] + [abar, Abar'] + Bbar Ibar Bbar'."""
 
     def build():
         n, alg = dm.n, dm.algebra
@@ -167,10 +166,9 @@ def _ccr_sum(dm: DoubledModel, t_grid=None) -> OperatorMatrix:
         right = {(k, j): mirror(p) for (j, k), p in left.items()}
         return (OperatorMatrix.from_nonzero(alg, 2 * n, 2 * n, left)
                 + OperatorMatrix.from_nonzero(alg, 2 * n, 2 * n, right)
-                + dm.Bbar @ (OperatorMatrix.from_scalars(alg, t_grid) if t_grid
-                             else dm.Ibar_matrix) @ dm.Bbar_adjoint)
+                + dm.Bbar @ dm.Ibar_matrix @ dm.Bbar_adjoint)
 
-    return dm.cached("ccr-sum", build) if t_grid is None else build()
+    return dm.cached("ccr-sum", build)
 
 
 def _bbar_commutators(dm: DoubledModel):
@@ -181,25 +179,23 @@ def _bbar_commutators(dm: DoubledModel):
     ))
 
 
-def _brackets(dm: DoubledModel, printed: bool = False):
-    """(Abar' G^-1 abar, abar' G^-1 Abar) for G = J = diag(theta, -theta*), or
-    with ``printed`` for the literal diag(theta, theta*), inverted blockwise."""
+def _brackets(dm: DoubledModel):
+    """(Abar' J^-1 abar, abar' J^-1 Abar) for J = diag(theta, -theta*),
+    inverted blockwise."""
 
     def build():
         theta = dm.algebra.theta
-        if theta.exact and theta.is_identity:  # G is its own inverse
-            inv_grid = identity_grid(2 * dm.n) if printed else sign_grid(dm.n)
+        if theta.exact and theta.is_identity:  # J is its own inverse
+            inv_grid = sign_grid(dm.n)
         else:
-            lower = grid_conj(theta.theta)
-            inv_grid = block_diag(theta.inverse(),
-                                  grid_inverse(lower if printed else grid_neg(lower)))
+            inv_grid = block_diag(theta.inverse(), grid_inverse(grid_neg(grid_conj(theta.theta))))
         inv = OperatorMatrix.from_scalars(dm.algebra, inv_grid)
         s1 = (doubled_adjoint(dm.Abar) @ inv @ dm.abar).entry(0, 0)
         if dm.algebra.theta.is_diagonal:  # else the two group binary64 sums apart
             return s1, mirror(s1)
         return s1, (dm.abar.adjoint() @ inv @ dm.Abar).entry(0, 0)
 
-    return dm.cached(("brackets", printed), build)
+    return dm.cached("brackets", build)
 
 
 def coupling_commutator_matrix(lbar: OperatorMatrix, abar: OperatorMatrix) -> OperatorMatrix:
@@ -279,7 +275,6 @@ def check_class(
 
 def check_preservation(
     model: QsdeModel,
-    noise: NoiseSpec | None = None,
     model_id: str = "model",
     id_prefix: str = "CCR",
     dm: DoubledModel | None = None,
@@ -289,12 +284,11 @@ def check_preservation(
     dm = dm or double(model)
     b_left, b_right = _bbar_commutators(dm)
     cid, desc = f"{id_prefix}-sum", "[Abar, abar'] + [abar, Abar'] + Bbar T Bbar' vanishes"
-    if noise is None:  # CCR-sum and PR-CCR-sum share one summary, not one witness list
-        ccr = dm.cached("ccr-summary", lambda: _matrix_residual(cid, desc, _ccr_sum(dm)))
-        ccr = Condition(cid, desc, ccr.passed, ccr.residual_norm,
-                        [dict(w) for w in ccr.witness], list(ccr.residuals))
+    # CCR-sum and PR-CCR-sum share one summary, not one witness list
+    ccr = dm.cached("ccr-summary", lambda: _matrix_residual(cid, desc, _ccr_sum(dm)))
     conditions = [
-        ccr if noise is None else _matrix_residual(cid, desc, _ccr_sum(dm, noise.T)),
+        Condition(cid, desc, ccr.passed, ccr.residual_norm,
+                  [dict(w) for w in ccr.witness], list(ccr.residuals)),
         _commutation_condition(
             f"{id_prefix}-B-left",
             "every entry of Bbar commutes with every doubled creation generator",
@@ -321,7 +315,7 @@ def check_physical_realizability(
     """Necessary and sufficient realizability conditions, plus extraction."""
     alg = model.algebra
     dm = dm or double(model)
-    report = check_preservation(model, None, model_id, id_prefix="PR-CCR", dm=dm)
+    report = check_preservation(model, model_id, id_prefix="PR-CCR", dm=dm)
     report.conditions += [
         _matrix_residual(
             "PR-B-match",
@@ -351,21 +345,16 @@ def realization_derived(model: QsdeModel, dm: DoubledModel | None = None) -> dic
     }
 
 
-def extract_hamiltonian(
-    model: QsdeModel,
-    use_printed_theta_bar: bool = False,
-    dm: DoubledModel | None = None,
-) -> OperatorPolynomial:
+def extract_hamiltonian(model: QsdeModel, dm: DoubledModel | None = None) -> OperatorPolynomial:
     """Hamiltonian of the realizing oscillator.
 
-    Uses the graded commutation matrix diag(theta, -theta*) where the
-    doubled-theta inverse appears; set ``use_printed_theta_bar`` to audit
-    the literal diag(theta, theta*) reading instead.
+    Uses the graded commutation matrix J = diag(theta, -theta*) where the
+    doubled-theta inverse appears.
     """
     if model.A.is_zero:
         raise ValueError("Hamiltonian extraction needs a nonzero drift")
     dm = dm or double(model)
-    s1, s2 = _brackets(dm, use_printed_theta_bar)
+    s1, s2 = _brackets(dm)
     return (s2 - s1).scale(Scalar(0, Fraction(1, 2 * dm.nbar)))
 
 
@@ -576,16 +565,9 @@ def _synthesize(model: QsdeModel, dm: DoubledModel):
 CHECK_NAMES = ("class", "preserve", "realize", "lossless", "storage")
 
 
-def run_checks(
-    model: QsdeModel,
-    selected=CHECK_NAMES,
-    noise: NoiseSpec | None = None,
-    phi: OperatorPolynomial | None = None,
-    model_id: str = "model",
-    dm: DoubledModel | None = None,
-) -> CheckReport:
+def run_checks(model: QsdeModel, selected=CHECK_NAMES, model_id: str = "model") -> CheckReport:
     """Run the selected check families on one doubled model; merge their reports."""
-    dm = dm or double(model)
+    dm = double(model)
     conditions, derived = [], {}
 
     def add(report: CheckReport):
@@ -595,11 +577,11 @@ def run_checks(
     if "class" in selected:
         add(check_class(model, model_id, dm))
     if "preserve" in selected:
-        add(check_preservation(model, noise, model_id, dm=dm))
+        add(check_preservation(model, model_id, dm=dm))
     if "realize" in selected:
         add(check_physical_realizability(model, model_id, dm))
     if "lossless" in selected or "storage" in selected:
-        candidate = phi if phi is not None else model.phi
+        candidate = model.phi
         synthesized = candidate is None
         reports = {}
         if synthesized:

@@ -15,7 +15,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 
 from .algebra import render
@@ -24,7 +23,6 @@ from .checks import (
     CheckReport,
     check_physical_realizability,
     double,
-    extract_hamiltonian,
     realization_derived,
     run_checks,
 )
@@ -49,8 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("input", help="model file in the qsde text format")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.add_argument("--tol", type=float, default=None,
-                       help="floating-mode tolerance (default 1e-9 or $QREAL_TOL)")
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                       help="floating-mode tolerance (default 1e-9)")
         p.add_argument("--float", dest="floating", action="store_true",
                        help="degrade all coefficients to binary64 "
                             "(default: exact rational coefficients)")
@@ -69,9 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--oracle", action="store_true",
                          help="re-verify residuals on truncated Fock space")
     fock_options(p_check)
-    p_check.add_argument("--literal-theta-bar", action="store_true",
-                         help="also report the Hamiltonian computed with the "
-                              "literal diag(theta, theta*) inverse")
 
     p_extract = sub.add_parser("extract", help="extract Hamiltonian and coupling")
     common(p_extract)
@@ -82,19 +77,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_oracle)
     fock_options(p_oracle)
     # ``oracle`` is ``check --checks all --oracle``
-    p_oracle.set_defaults(checks="all", oracle=True, literal_theta_bar=False)
+    p_oracle.set_defaults(checks="all", oracle=True)
     return parser
 
 
 def _load_model(args):
-    tol = args.tol
-    if tol is None:
-        tol = float(os.environ.get("QREAL_TOL", DEFAULT_TOL))
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     with open(args.input, "r", encoding="utf-8") as fh:
         text = fh.read()
-    model = parse_model(text, tol=tol)
+    model = parse_model(text, tol=args.tol)
     if getattr(args, "floating", False):
         model = model.to_float()
     return model
@@ -161,12 +151,7 @@ def _emit(report: CheckReport, args, oracle=None) -> int:
 
 def _cmd_check(args) -> int:
     model = _load_model(args)
-    selected = _selected_checks(args)
-    dm = double(model)
-    report = run_checks(model, selected, model_id=args.input, dm=dm)
-    if args.literal_theta_bar and not model.A.is_zero:
-        hbar = extract_hamiltonian(model, use_printed_theta_bar=True, dm=dm)
-        report.derived = {**(report.derived or {}), "hamiltonian_printed_theta_bar": hbar}
+    report = run_checks(model, _selected_checks(args), model_id=args.input)
     oracle = None
     if args.oracle:
         oracle = oracle_results(report, model, args.fock_n, args.guard)

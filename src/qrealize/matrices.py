@@ -158,9 +158,6 @@ class OperatorMatrix:
 
     __hash__ = None
 
-    def coeff_norm(self) -> float:
-        return max((e.coeff_norm() for e in self.nonzero.values()), default=0.0)
-
     def render(self) -> str:
         rows = ("[" + ", ".join(map(render, self.row(i))) + "]" for i in range(self.rows))
         return "[" + ", ".join(rows) + "]"

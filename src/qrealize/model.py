@@ -16,7 +16,9 @@ Operator expressions use generators ``a1``, ``a1'`` (prime = dagger),
 explicit ``*`` for products, ``^`` for positive integer powers, ``i`` for
 the imaginary unit and ``sqrt(...)`` of scalar subexpressions.  Parameter
 values are evaluated once, at parse time.  A statement continues over the
-following lines while its brackets are open.  A ParseError names the line
+following lines while its brackets are open.  modes, channels, theta, B, D
+and phi are each declared at most once, and the three headers before the
+first A, B, C, D or phi statement.  A ParseError names the line
 and the 1-based column, counted from the start of that source line, of the
 offending token.  Parsing refuses there more than MAX_MODES = 128 modes or
 channels, an exponent above MAX_EXPONENT = 64, a product or power of degree
@@ -35,16 +37,7 @@ from math import isfinite
 
 from .algebra import Algebra, CommutationMatrix, OperatorPolynomial, format_scalar, render
 from .matrices import OperatorMatrix
-from .scalars import (
-    DEFAULT_TOL,
-    ONE,
-    ZERO,
-    Scalar,
-    block_diag,
-    grid_is_hermitian,
-    identity_grid,
-    zero_grid,
-)
+from .scalars import DEFAULT_TOL, ONE, ZERO, Scalar, grid_is_hermitian
 
 
 class ParseError(ValueError):
@@ -131,8 +124,7 @@ class DoubledModel:
     Bbar: OperatorMatrix        # 2n x 2m
     Cbar: OperatorMatrix        # 2m x 1
     Dbar: OperatorMatrix        # 2m x 2m
-    Ibar: tuple                 # diag(I_m, -I_m)
-    Ibar_matrix: OperatorMatrix  # Ibar as polynomials: the CCR sum and PR-B-match
+    Ibar_matrix: OperatorMatrix  # diag(I_m, -I_m): the CCR sum and PR-B-match
     identity: OperatorMatrix    # 2m x 2m: PR-D-identity and LL-D-unitary
     nbar: int | None            # None when A is identically zero
     memo: dict = field(default_factory=dict, repr=False, compare=False)
@@ -147,18 +139,6 @@ class DoubledModel:
     def Bbar_adjoint(self) -> OperatorMatrix:
         """Bbar', read by the CCR sum, the Bbar commutators and LL-B-gradient."""
         return self.cached("Bbar'", self.Bbar.adjoint)
-
-
-@dataclass
-class NoiseSpec:
-    """Ito matrix F and commutation matrix T of the doubled noise."""
-
-    F: tuple
-    T: tuple
-
-    @classmethod
-    def default(cls, m: int) -> "NoiseSpec":
-        return cls(F=block_diag(identity_grid(m), zero_grid(m, m)), T=sign_grid(m))
 
 
 # -- derived constructions ----------------------------------------------------
@@ -190,7 +170,6 @@ def double(model: QsdeModel) -> DoubledModel:
     Bbar = _block_diag_op(model.B, model.B.conj())
     Dbar = _block_diag_op(model.D, model.D.conj())
     nbar = None if model.A.is_zero else compute_nbar(model)
-    Ibar = sign_grid(model.m)
     return DoubledModel(
         algebra=alg,
         n=model.n,
@@ -200,8 +179,7 @@ def double(model: QsdeModel) -> DoubledModel:
         Bbar=Bbar,
         Cbar=Cbar,
         Dbar=Dbar,
-        Ibar=Ibar,
-        Ibar_matrix=OperatorMatrix.from_scalars(alg, Ibar),
+        Ibar_matrix=OperatorMatrix.from_scalars(alg, sign_grid(model.m)),
         identity=OperatorMatrix.identity(alg, 2 * model.m),
         nbar=nbar,
     )
@@ -515,6 +493,19 @@ def parse_model(text: str, tol: float = DEFAULT_TOL) -> QsdeModel:
     phi = None
     algebra = None
     scratch = Algebra(1, tol=tol)  # params and theta name no mode
+    declared = set()
+
+    def declare(toks):
+        """Refuses a header once the algebra is bound (by the first A, B, C, D
+        or phi statement), and a second statement of the same keyword."""
+        _, key, where = toks[0]
+        header = key in ("modes", "channels", "theta")
+        if header and algebra is not None:
+            raise ParseError(f"{key!r} must be declared before A, B, C, D and phi", *where)
+        if key in declared:
+            raise ParseError(f"duplicate {key!r} declaration" if header
+                             else f"duplicate {key}", *where)
+        declared.add(key)
 
     def require_algebra(lineno):
         nonlocal algebra
@@ -539,11 +530,13 @@ def parse_model(text: str, tol: float = DEFAULT_TOL) -> QsdeModel:
         identity = len(toks) == 3 and toks[2][1] == "identity"
         match [tok[1] for tok in toks[:5]]:
             case ["modes", ":", *_]:
+                declare(toks)
                 n = _Parser(toks, 2, scratch, params).count("modes")
             case ["channels", ":", *_]:
+                declare(toks)
                 m = _Parser(toks, 2, scratch, params).count("channels")
             case ["theta", ":", *_]:
-                theta = None
+                declare(toks)
                 if not identity:
                     parser = _Parser(toks, 2, scratch, params, scalar=True)
                     theta = (lineno, parser.matrix(), parser.nonscalar)
@@ -562,12 +555,14 @@ def parse_model(text: str, tol: float = DEFAULT_TOL) -> QsdeModel:
                     raise ParseError(f"duplicate {which}[{idx}]", lineno, 1)
                 entries[which][idx] = _Parser(toks, 5, alg, params).parse()
             case ["B" | "D" as which, "=", *_]:
+                declare(toks)
                 alg = require_algebra(lineno)
                 if identity and which == "B":
                     raise ParseError("B must be a matrix literal", lineno, 1)
                 literals[which] = "identity" if identity else (
                     lineno, _Parser(toks, 2, alg, params).matrix())
             case ["phi", "=", *_]:
+                declare(toks)
                 phi = _Parser(toks, 2, require_algebra(lineno), params).parse()
             case _:
                 raise ParseError(f"unrecognized statement {source!r}", lineno, 1)

@@ -15,12 +15,10 @@ from qrealize import (
     Algebra,
     OperatorMatrix,
     Scalar,
-    adjoint,
     check_class,
     check_lossless,
     check_physical_realizability,
     check_storage_condition,
-    commutator,
     double,
     extract_hamiltonian,
     generator_identity_parts,
@@ -123,7 +121,7 @@ def test_criterion_3_realizability(cavity, announce):
         ["-2*a2'^2", "0", "2", "4*a2'*a1"],
         ["0", "2*a1'^2", "-4*a1'*a2", "2"],
     ])
-    ibar = OperatorMatrix.from_scalars(alg, dm.Ibar)
+    ibar = dm.Ibar_matrix
     # diag(2 k1, 2 k2, -2 k1, -2 k2) with k1 = k2 = 2
     assert dm.Bbar @ ibar @ dm.Bbar.adjoint() == expr_matrix(alg, [
         ["4", "0", "0", "0"],
@@ -142,7 +140,7 @@ def test_criterion_4_hamiltonian(cavity, announce):
     assert dm.nbar == 4
     h = extract_hamiltonian(cavity, dm=dm)
     assert h == parse_expression("i*a1'^2*a2^2 - i*a2'^2*a1^2", cavity.algebra)
-    assert adjoint(h) == h
+    assert h.adjoint() == h
     announce["ok"] = True
 
 
@@ -152,7 +150,7 @@ def test_criterion_5_round_trip(cavity, announce):
     dm = double(cavity)
     rec = reconstruct_generator(extract_hamiltonian(cavity, dm=dm), dm.Cbar)
     assert rec == dm.Abar
-    assert (rec - dm.Abar).coeff_norm() == 0.0
+    assert (rec - dm.Abar).is_zero
     announce["ok"] = True
 
 
@@ -217,13 +215,13 @@ def test_criterion_8_property_suite(announce):
         elif law == 1:
             residual = p * (q + r) - (p * q + p * r)
         elif law == 2:
-            residual = commutator(p, q) + commutator(q, p)
+            residual = p.commutator(q) + q.commutator(p)
         elif law == 3:
-            residual = commutator(p * q, r) - (
-                p * commutator(q, r) + commutator(p, r) * q
+            residual = (p * q).commutator(r) - (
+                p * q.commutator(r) + p.commutator(r) * q
             )
         else:
-            residual = adjoint(p * q) - adjoint(q) * adjoint(p)
+            residual = (p * q).adjoint() - q.adjoint() * p.adjoint()
         assert residual.is_zero
         assert residual.coeff_norm() == 0.0
         assert all(c.is_exact for c in p.terms.values())
@@ -246,7 +244,7 @@ def test_criterion_9_oracle_concordance(cavity, announce):
     dm = double(cavity)
     h = extract_hamiltonian(cavity, dm=dm)
     residuals.append(h - parse_expression("i*a1'^2*a2^2 - i*a2'^2*a1^2", alg))
-    residuals.append(adjoint(h) - h)
+    residuals.append(h.adjoint() - h)
     rec = reconstruct_generator(h, dm.Cbar)
     residuals.extend(
         (rec - dm.Abar).entry(j, 0) for j in range(4)

@@ -12,8 +12,6 @@ from helpers import polynomials, random_poly
 from qrealize import (
     Algebra,
     Scalar,
-    adjoint,
-    commutator,
     normal_order,
     render,
     wirtinger_gradient,
@@ -151,26 +149,32 @@ def test_multiply_rejects_mode_mismatch(one_mode, two_modes):
         one_mode.annihilator(1) * two_modes.annihilator(1)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_algebra_refuses_a_tolerance_that_is_not_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        Algebra(1, tol=tol)
+
+
 def test_adjoint_rules(two_modes):
     p = two_modes.creator(1) * two_modes.annihilator(2) ** 2
-    assert adjoint(p) == two_modes.creator(2) ** 2 * two_modes.annihilator(1)
+    assert p.adjoint() == two_modes.creator(2) ** 2 * two_modes.annihilator(1)
     q = two_modes.annihilator(1).scale(Scalar(0, 1))
-    assert adjoint(q) == two_modes.creator(1).scale(Scalar(0, -1))
+    assert q.adjoint() == two_modes.creator(1).scale(Scalar(0, -1))
     number = two_modes.creator(1) * two_modes.annihilator(1)
-    assert adjoint(number) == number
+    assert number.adjoint() == number
 
 
 def test_commutator_ccr(one_mode):
-    assert commutator(one_mode.annihilator(1), one_mode.creator(1)) == one_mode.one()
+    assert one_mode.annihilator(1).commutator(one_mode.creator(1)) == one_mode.one()
 
 
 def test_commutator_self_is_zero(two_modes):
     p = random_poly(random.Random(3), two_modes)
-    assert commutator(p, p).is_zero
+    assert p.commutator(p).is_zero
 
 
 def test_commutator_creator_squared(one_mode):
-    got = commutator(one_mode.creator(1) ** 2, one_mode.annihilator(1))
+    got = (one_mode.creator(1) ** 2).commutator(one_mode.annihilator(1))
     assert got == one_mode.creator(1).scale(Scalar(-2))
 
 
@@ -193,13 +197,13 @@ def test_commutator_laws_random(two_modes):
         p = random_poly(rng, two_modes)
         q = random_poly(rng, two_modes)
         r = random_poly(rng, two_modes)
-        assert (commutator(p, q) + commutator(q, p)).is_zero
-        leibniz = commutator(p * q, r) - (p * commutator(q, r) + commutator(p, r) * q)
+        assert (p.commutator(q) + q.commutator(p)).is_zero
+        leibniz = (p * q).commutator(r) - (p * q.commutator(r) + p.commutator(r) * q)
         assert leibniz.is_zero
         jacobi = (
-            commutator(p, commutator(q, r))
-            + commutator(q, commutator(r, p))
-            + commutator(r, commutator(p, q))
+            p.commutator(q.commutator(r))
+            + q.commutator(r.commutator(p))
+            + r.commutator(p.commutator(q))
         )
         assert jacobi.is_zero
 
@@ -209,9 +213,9 @@ def test_adjoint_laws_random(two_modes):
     for _ in range(30):
         p = random_poly(rng, two_modes)
         q = random_poly(rng, two_modes)
-        assert (adjoint(p * q) - adjoint(q) * adjoint(p)).is_zero
-        assert (adjoint(commutator(p, q)) - commutator(adjoint(q), adjoint(p))).is_zero
-        assert (adjoint(adjoint(p)) - p).is_zero
+        assert ((p * q).adjoint() - q.adjoint() * p.adjoint()).is_zero
+        assert (p.commutator(q).adjoint() - q.adjoint().commutator(p.adjoint())).is_zero
+        assert (p.adjoint().adjoint() - p).is_zero
 
 
 # -- gradients ----------------------------------------------------------------

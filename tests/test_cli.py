@@ -184,25 +184,18 @@ def test_check_float_mode(capsys):
 
 
 def test_check_env_tolerance(capsys, monkeypatch):
-    monkeypatch.setenv("QREAL_TOL", "1e-6")
-    code, _, _ = run_cli(capsys, "check", str(CAVITY_PATH), "--float")
-    assert code == 0
+    # the tolerance comes from --tol alone; the environment does not set it
     monkeypatch.setenv("QREAL_TOL", "-1")
-    code, _, err = run_cli(capsys, "check", str(CAVITY_PATH))
-    assert code == 2
-    assert "tolerance" in err
-
-
-def test_check_literal_theta_bar_audit(capsys):
-    code, out, _ = run_cli(capsys, "check", str(CAVITY_PATH), "--json",
-                           "--literal-theta-bar")
+    code, _, _ = run_cli(capsys, "check", str(CAVITY_PATH), "--float", "--tol", "1e-6")
     assert code == 0
-    payload = json.loads(out)
-    audit = payload["derived"]["hamiltonian_printed_theta_bar"]
-    assert audit != payload["derived"]["hamiltonian"]
+    for tol in ("-1", "nan", "inf"):
+        for mode in ((), ("--float",)):
+            code, out, err = run_cli(capsys, "check", str(CAVITY_PATH), "--tol", tol, *mode)
+            assert (code, out) == (2, ""), (tol, mode)
+            assert err.startswith("error: tolerance must be positive and finite"), (tol, mode)
 
 
-def test_check_literal_theta_bar_doubles_the_model_once(capsys, monkeypatch):
+def test_check_doubles_the_model_once(capsys, monkeypatch):
     calls = []
     original = qrealize.checks.double
 
@@ -212,9 +205,15 @@ def test_check_literal_theta_bar_doubles_the_model_once(capsys, monkeypatch):
 
     monkeypatch.setattr(qrealize.checks, "double", counting)
     monkeypatch.setattr(qrealize.cli, "double", counting)
-    code, _, _ = run_cli(capsys, "check", str(CAVITY_PATH), "--literal-theta-bar")
+    code, _, _ = run_cli(capsys, "check", str(CAVITY_PATH))
     assert code == 0
     assert len(calls) == 1
+
+
+def test_check_refuses_the_literal_theta_bar_option(capsys):
+    code, out, err = run_cli(capsys, "check", str(CAVITY_PATH), "--literal-theta-bar")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --literal-theta-bar" in err
 
 
 def test_check_with_oracle(capsys):

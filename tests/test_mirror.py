@@ -17,7 +17,7 @@ import pytest
 from qrealize import parse_model
 from qrealize.checks import _brackets, _ccr_sum, generator_identity_parts
 from qrealize.matrices import OperatorMatrix, mirror, outer_commutator, scalar_vec_commutator
-from qrealize.model import double
+from qrealize.model import double, sign_grid
 from qrealize.scalars import Scalar, block_diag, grid_conj, grid_inverse, grid_neg
 
 from conftest import CAVITY_PATH, MUTATIONS, golden_models, mutate
@@ -81,7 +81,7 @@ def test_the_ccr_sum_mirrors_its_direct_form(doubled):
             for k in range(2 * n):
                 assert fields(mirror(forward.entry(k, j))) == fields(backward.entry(j, k)), name
         direct = (forward + backward + dm.Bbar
-                  @ OperatorMatrix.from_scalars(dm.algebra, dm.Ibar) @ dm.Bbar_adjoint)
+                  @ OperatorMatrix.from_scalars(dm.algebra, sign_grid(dm.m)) @ dm.Bbar_adjoint)
         assert [fields(p) for p in _ccr_sum(dm).entries] == [
             fields(p) for p in direct.entries], name
 

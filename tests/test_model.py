@@ -2,7 +2,6 @@ import pytest
 
 from qrealize import (
     Algebra,
-    NoiseSpec,
     OperatorMatrix,
     ParseError,
     QsdeModel,
@@ -14,7 +13,7 @@ from qrealize import (
     render_model,
     structural_class_check,
 )
-from qrealize.scalars import grid, grid_neg, identity_grid, block_diag, zero_grid
+from qrealize.scalars import block_diag, grid_neg, identity_grid
 
 
 MINIMAL = """
@@ -128,6 +127,9 @@ def test_double_blocks(cavity):
         assert dm.Cbar.entry(cavity.m + j, 0) == cavity.C.entry(j, 0).adjoint()
     # off-diagonal blocks of Bbar vanish
     assert dm.Bbar.entry(0, 2).is_zero and dm.Bbar.entry(3, 1).is_zero
+    # the doubled noise's commutation matrix is diag(I_m, -I_m)
+    ibar = block_diag(identity_grid(2), grid_neg(identity_grid(2)))
+    assert dm.Ibar_matrix == OperatorMatrix.from_scalars(cavity.algebra, ibar)
 
 
 def test_double_refuses_a_theta_that_is_not_hermitian():
@@ -182,14 +184,6 @@ def test_structural_flags_creation_in_output():
     model = parse_model(MINIMAL.replace("C[1] = a1", "C[1] = a1'"))
     violations = structural_class_check(model)
     assert any("creation" in v for v in violations)
-
-
-# -- noise defaults -----------------------------------------------------------
-
-def test_noise_defaults():
-    spec = NoiseSpec.default(2)
-    assert spec.F == block_diag(identity_grid(2), zero_grid(2, 2))
-    assert spec.T == block_diag(identity_grid(2), grid_neg(identity_grid(2)))
 
 
 def test_float_mode_conversion(cavity):

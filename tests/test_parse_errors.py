@@ -12,6 +12,7 @@ from conftest import CAVITY_PATH, FIXTURE_DIR, mutate
 
 CAVITY = CAVITY_PATH.read_text()
 B_LITERAL = "B = [[-sqrt(2*k1), 0],\n     [0, -sqrt(2*k2)]]"
+THETA_TO_A1 = CAVITY[CAVITY.index("theta"):CAVITY.index("A[2]")]  # theta: ... A[1] = ...
 
 # (id, old, new, message): ``old`` replaced once by ``new`` in the fixture
 CASES = [
@@ -63,6 +64,26 @@ CASES = [
      "line 16, col 1: duplicate C[1]"),
     ("b-identity", B_LITERAL, "B = identity",
      "line 12, col 1: B must be a matrix literal"),
+    # a header before the first A, B, C, D or phi; each declaration once
+    ("theta-after-drift", THETA_TO_A1, THETA_TO_A1.replace("theta: identity", "")
+     + "theta: [[4, 0], [0, 4]]\n",
+     "line 10, col 1: 'theta' must be declared before A, B, C, D and phi"),
+    ("modes-after-drift", "A[2] =", "modes: 3\nA[2] =",
+     "line 10, col 1: 'modes' must be declared before A, B, C, D and phi"),
+    ("channels-after-phi", "phi = 2*a1'*a1 + 2*a2'*a2", "phi = 2*a1'*a1 + 2*a2'*a2\nchannels: 2",
+     "line 21, col 1: 'channels' must be declared before A, B, C, D and phi"),
+    ("duplicate-modes", "channels: 2", "modes: 2\nchannels: 2",
+     "line 3, col 1: duplicate 'modes' declaration"),
+    ("duplicate-channels", "theta: identity", "channels: 2\ntheta: identity",
+     "line 4, col 1: duplicate 'channels' declaration"),
+    ("duplicate-theta", "theta: identity", "theta: identity\n  theta: [[4, 0], [0, 4]]",
+     "line 5, col 3: duplicate 'theta' declaration"),
+    ("duplicate-b", "C[1] =", "B = [[1, 0], [0, 1]]\nC[1] =",
+     "line 15, col 1: duplicate B"),
+    ("duplicate-d", "D = identity", "D = identity\nD = [[1, 0], [0, 1]]",
+     "line 19, col 1: duplicate D"),
+    ("duplicate-phi", "phi = 2*a1'*a1 + 2*a2'*a2", "phi = 2*a1'*a1 + 2*a2'*a2\nphi = 2*a1'*a1",
+     "line 21, col 1: duplicate phi"),
     ("unrecognized-statement", "D = identity", "E = identity",
      "line 18, col 1: unrecognized statement 'E = identity'"),
     ("modes-not-positive", "modes: 2", "modes: 0",
@@ -165,7 +186,10 @@ def test_number_bound_admits_a_thousand_digits(capsys, tmp_path):
 
 
 def test_malformed_fixture(capsys):
-    code = main(["check", str(FIXTURE_DIR / "malformed_cavity.qsde")])
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (2, "")
-    assert captured.err == "error: line 14, col 22: juxtaposition is not multiplication; use '*'\n"
+    for name, message in [
+        ("malformed_cavity", "line 14, col 22: juxtaposition is not multiplication; use '*'"),
+        ("late_theta", "line 7, col 1: 'theta' must be declared before A, B, C, D and phi"),
+    ]:
+        code = main(["check", str(FIXTURE_DIR / f"{name}.qsde")])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n"), name
