@@ -307,9 +307,8 @@ class OperatorPolynomial:
             alg.require_compatible(other_alg)
         out, tol = dict(self.terms), alg.tol
         for m, c in terms:
-            # an exact c is ZERO + c; a float ZERO + c turns a -0.0 part into 0.0
             prev = out.get(m)
-            c = c if prev is None and c.den is not None else (prev or ZERO) + c
+            c = c if prev is None else prev + c
             if prev is None or ((c.re_num or c.im_num) if c.den is not None
                                 else c.magnitude() > tol):
                 out[m] = c
@@ -354,7 +353,7 @@ class OperatorPolynomial:
                     continue
                 mono = _word((tuple(map(add, cre1, m2[0])), tuple(map(add, k1, m2[1]))))
                 prev = out.get(mono)
-                out[mono] = c if prev is None and c.den is not None else (prev or ZERO) + c
+                out[mono] = c if prev is None else prev + c
         return OperatorPolynomial(alg, out)
 
     def __rmul__(self, other):
@@ -454,9 +453,10 @@ def _generator(p: OperatorPolynomial):
 def _generator_commutator(p: OperatorPolynomial, j: int, creates: bool, left: bool):
     """[p, g] (``left``) or [g, p] for g = a_j' (``creates``) or a_j:
     [p, a_j'] = sum_i theta_ij dp/da_i and [p, a_j] = -sum_i theta_ji dp/da_i'.
-    Each term takes the scalar steps of ``_accumulate_product``, and the
-    theta entries are walked last first, the order in which it lists single
-    contractions, so float bits and term order match."""
+    Each term takes the scalar steps of ``_accumulate_product`` (theta is
+    finite, so its ``theta_jl**1`` is theta_jl), and the theta entries are
+    walked last first, the order in which it lists single contractions, so
+    float bits and term order match."""
     alg = p.algebra
     entries = (alg.theta.col_entries if creates else alg.theta.row_entries)[j][::-1]
     negate = creates != left
@@ -471,13 +471,13 @@ def _generator_commutator(p: OperatorPolynomial, j: int, creates: bool, left: bo
                 continue
             cut = block[:i] + (w - 1,) + block[i + 1:]
             mono = _word((cre, cut) if creates else (cut, ann))
-            # the accumulator's steps, theta_i**1 included; a float term starts
-            # at ZERO + term, which settles a -0.0 part; an exact term of unit
-            # weight is signed itself
-            term = signed * (theta_i**1 * w) if not unit else (
+            # the accumulator's steps; a float term of unit weight is still
+            # multiplied by 1, as the general product multiplies it by the
+            # generator's 1, which makes the imaginary part of (inf+0i) nan
+            term = signed * (theta_i * w) if not unit else (
                 signed if w == 1 and signed.den is not None else signed * Scalar(w))
             prev = out.get(mono)
-            out[mono] = term if prev is None and term.den is not None else (prev or ZERO) + term
+            out[mono] = term if prev is None else prev + term
     return OperatorPolynomial(alg, out) if out else alg.zero()
 
 
@@ -522,11 +522,10 @@ def _accumulate_product(
         elif w != 1:
             term = coeff * Scalar(w)
         else:
-            # a float ZERO + coeff has the bits of coeff * ONE, signed zeros too
             term = coeff
         mono = _word((tuple(map(add, m1[0], hs)), tuple(map(add, ks, m2[1]))))
         prev = out.get(mono)
-        out[mono] = term if prev is None and term.den is not None else (prev or ZERO) + term
+        out[mono] = term if prev is None else prev + term
 
 
 def normal_order(algebra: Algebra, word, coefficient=1) -> OperatorPolynomial:
@@ -572,7 +571,7 @@ def format_scalar(c: Scalar, parsable: bool = False) -> str:
     re, im, den = c.re_num, c.im_num, c.den
     if parsable and im == 0:
         return f"({_format_part(re, den)})"
-    # a binary64 -0.0 is >= 0 and prints as "+-0.0"; a NaN prints as "-nan"
+    # a NaN is not >= 0 and prints as "-nan"
     sign, im = ("+", im) if im >= 0 else ("-", -im)
     return f"({_format_part(re, den)}{sign}{_format_part(im, den)}{'*i' if parsable else 'i'})"
 

@@ -49,8 +49,8 @@ from .model import (
     sign_grid,
     structural_class_check,
 )
-from .scalars import (HALF, Scalar, block_diag, grid_conj, grid_inverse, grid_neg, grid_scale,
-                      grid_transpose, zero_grid)
+from .scalars import (HALF, Scalar, block_diag, grid_conj, grid_neg, grid_scale, grid_transpose,
+                      zero_grid)
 
 
 @dataclass
@@ -180,16 +180,13 @@ def _bbar_commutators(dm: DoubledModel):
 
 
 def _brackets(dm: DoubledModel):
-    """(Abar' J^-1 abar, abar' J^-1 Abar) for J = diag(theta, -theta*),
-    inverted blockwise."""
+    """(Abar' J^-1 abar, abar' J^-1 Abar) for J = diag(theta, -theta*), whose
+    inverse is diag(theta^-1, -conj(theta^-1))."""
 
     def build():
-        theta = dm.algebra.theta
-        if theta.exact and theta.is_identity:  # J is its own inverse
-            inv_grid = sign_grid(dm.n)
-        else:
-            inv_grid = block_diag(theta.inverse(), grid_inverse(grid_neg(grid_conj(theta.theta))))
-        inv = OperatorMatrix.from_scalars(dm.algebra, inv_grid)
+        theta_inv = dm.algebra.theta.inverse()
+        inv = OperatorMatrix.from_scalars(
+            dm.algebra, block_diag(theta_inv, grid_neg(grid_conj(theta_inv))))
         s1 = (doubled_adjoint(dm.Abar) @ inv @ dm.abar).entry(0, 0)
         if dm.algebra.theta.is_diagonal:  # else the two group binary64 sums apart
             return s1, mirror(s1)
@@ -283,7 +280,7 @@ def check_preservation(
     alg = model.algebra
     dm = dm or double(model)
     b_left, b_right = _bbar_commutators(dm)
-    cid, desc = f"{id_prefix}-sum", "[Abar, abar'] + [abar, Abar'] + Bbar T Bbar' vanishes"
+    cid, desc = f"{id_prefix}-sum", "[Abar, abar'] + [abar, Abar'] + Bbar Ibar Bbar' vanishes"
     # CCR-sum and PR-CCR-sum share one summary, not one witness list
     ccr = dm.cached("ccr-summary", lambda: _matrix_residual(cid, desc, _ccr_sum(dm)))
     conditions = [
@@ -593,7 +590,7 @@ def run_checks(model: QsdeModel, selected=CHECK_NAMES, model_id: str = "model") 
             conditions.append(
                 _verdict(
                     "LL-phi-available",
-                    "a storage function is available (declared, supplied or synthesized)",
+                    "a storage function is available (declared or synthesized)",
                     [("phi", "no candidate found")],
                 )
             )

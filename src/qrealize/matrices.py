@@ -10,7 +10,6 @@ verification engines: outer commutators ``[u_j, v_k']``, row commutators
 from __future__ import annotations
 
 import itertools
-from math import copysign
 
 from .algebra import Algebra, OperatorPolynomial, render
 from .scalars import Scalar
@@ -20,7 +19,7 @@ class OperatorMatrix:
     """Rectangular array of operator polynomials over one algebra.
 
     Only the nonzero entries are stored: ``nonzero`` maps (row, col) to them
-    in row-major order, and ``entry``, ``row``, ``col`` and ``entries`` read
+    in row-major order, and ``entry``, ``col`` and ``entries`` read
     the algebra's shared zero elsewhere.  Bbar, Ibar and J are block-sparse.
     """
 
@@ -68,9 +67,6 @@ class OperatorMatrix:
     def entry(self, i: int, j: int) -> OperatorPolynomial:
         return self.nonzero.get((i, j), self.algebra.zero())
 
-    def row(self, i: int):
-        return [self.entry(i, j) for j in range(self.cols)]
-
     def col(self, j: int):
         return [self.entry(i, j) for i in range(self.rows)]
 
@@ -90,7 +86,7 @@ class OperatorMatrix:
         out = dict(self.nonzero)
         for key, e in other.nonzero.items():
             prev = out.get(key)
-            out[key] = _first(e) if prev is None else prev + e
+            out[key] = e if prev is None else prev + e
         return OperatorMatrix.from_nonzero(self.algebra, self.rows, self.cols, out)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
@@ -98,7 +94,7 @@ class OperatorMatrix:
         out = dict(self.nonzero)
         for key, e in other.nonzero.items():
             prev = out.get(key)
-            out[key] = _first(-e) if prev is None else prev - e
+            out[key] = -e if prev is None else prev - e
         return OperatorMatrix.from_nonzero(self.algebra, self.rows, self.cols, out)
 
     def __neg__(self) -> "OperatorMatrix":
@@ -122,7 +118,7 @@ class OperatorMatrix:
                 product = (right.scale(c) if c is not None else left.scale(d) if d is not None
                            else left * right)
                 prev = out.get((i, j))
-                out[i, j] = _first(product) if prev is None else prev + product
+                out[i, j] = product if prev is None else prev + product
         return OperatorMatrix.from_nonzero(self.algebra, self.rows, other.cols, out)
 
     def scale(self, c) -> "OperatorMatrix":
@@ -148,18 +144,9 @@ class OperatorMatrix:
     def is_zero(self) -> bool:
         return not self.nonzero
 
-    def equals(self, other: "OperatorMatrix") -> bool:
-        return (self - other).is_zero
-
-    def __eq__(self, other):
-        if not isinstance(other, OperatorMatrix):
-            return NotImplemented
-        return self.equals(other)
-
-    __hash__ = None
-
     def render(self) -> str:
-        rows = ("[" + ", ".join(map(render, self.row(i))) + "]" for i in range(self.rows))
+        rows = ("[" + ", ".join(render(self.entry(i, j)) for j in range(self.cols)) + "]"
+                for i in range(self.rows))
         return "[" + ", ".join(rows) + "]"
 
     def _check_same_shape(self, other: "OperatorMatrix"):
@@ -172,16 +159,6 @@ class OperatorMatrix:
         return f"<OperatorMatrix {self.rows}x{self.cols} {self.render()}>"
 
 
-def _first(p: OperatorPolynomial) -> OperatorPolynomial:
-    """p as the first summand of an entry: ``zero + p``, which turns a -0.0 part
-    of a float coefficient into 0.0, and is p itself where no part is -0.0."""
-    for c in p.terms.values():
-        if c.den is None and (not c.re_num and copysign(1.0, c.re_num) < 0
-                              or not c.im_num and copysign(1.0, c.im_num) < 0):
-            return p.algebra.zero() + p
-    return p
-
-
 def doubled_adjoint(v: OperatorMatrix) -> OperatorMatrix:
     """v' for a doubled column v = (u, u'): the row of v's entries with its
     halves swapped, since u'' = u bit for bit (conjugation only flips signs)."""
@@ -190,8 +167,9 @@ def doubled_adjoint(v: OperatorMatrix) -> OperatorMatrix:
 
 
 def mirror(p: OperatorPolynomial, negate: bool = False) -> OperatorPolynomial:
-    """p' or -p', settled: at Hermitian theta the bits of its direct form."""
-    return _first(-p.adjoint() if negate else p.adjoint())
+    """p' or -p': at Hermitian theta the bits of its direct form, since no
+    binary64 part of a coefficient is ever -0.0."""
+    return -p.adjoint() if negate else p.adjoint()
 
 
 def commutator_table(left: dict, right: dict) -> dict:

@@ -16,9 +16,9 @@ Operator expressions use generators ``a1``, ``a1'`` (prime = dagger),
 explicit ``*`` for products, ``^`` for positive integer powers, ``i`` for
 the imaginary unit and ``sqrt(...)`` of scalar subexpressions.  Parameter
 values are evaluated once, at parse time.  A statement continues over the
-following lines while its brackets are open.  modes, channels, theta, B, D
-and phi are each declared at most once, and the three headers before the
-first A, B, C, D or phi statement.  A ParseError names the line
+following lines while its brackets are open.  modes, channels, theta, B, D,
+phi and each param name are declared at most once, and the three headers
+before the first A, B, C, D or phi statement.  A ParseError names the line
 and the 1-based column, counted from the start of that source line, of the
 offending token.  Parsing refuses there more than MAX_MODES = 128 modes or
 channels, an exponent above MAX_EXPONENT = 64, a product or power of degree
@@ -100,8 +100,8 @@ class QsdeModel:
             return False
         if not self.algebra.compatible(other.algebra):
             return False
-        if not (self.A == other.A and self.B == other.B
-                and self.C == other.C and self.D == other.D):
+        if not all((a - b).is_zero for a, b in ((self.A, other.A), (self.B, other.B),
+                                                 (self.C, other.C), (self.D, other.D))):
             return False
         if (self.phi is None) != (other.phi is None):
             return False
@@ -541,6 +541,8 @@ def parse_model(text: str, tol: float = DEFAULT_TOL) -> QsdeModel:
                     parser = _Parser(toks, 2, scratch, params, scalar=True)
                     theta = (lineno, parser.matrix(), parser.nonscalar)
             case ["param", name, "=", *_] if toks[1][0] == "name":
+                if name in params:
+                    raise ParseError(f"duplicate parameter {name!r}", *toks[1][2])
                 parser = _Parser(toks, 3, scratch, params, scalar=True)
                 value = parser.parse()
                 if parser.nonscalar or not value.is_constant:
@@ -608,7 +610,7 @@ def render_model(model: QsdeModel) -> str:
         return render(p, parsable=True)
 
     def matrix(mat):
-        return rows((mat.row(i) for i in range(mat.rows)), expr)
+        return rows(([mat.entry(i, j) for j in range(mat.cols)] for i in range(mat.rows)), expr)
 
     lines = [f"modes: {model.n}", f"channels: {model.m}"]
     if model.theta.is_identity:
@@ -619,7 +621,7 @@ def render_model(model: QsdeModel) -> str:
     lines += [f"A[{i + 1}] = {expr(model.A.entry(i, 0))}" for i in range(model.n)]
     lines.append(f"B = {matrix(model.B)}")
     lines += [f"C[{v + 1}] = {expr(model.C.entry(v, 0))}" for v in range(model.m)]
-    if model.D == OperatorMatrix.identity(model.algebra, model.m):
+    if (model.D - OperatorMatrix.identity(model.algebra, model.m)).is_zero:
         lines.append("D = identity")
     else:
         lines.append(f"D = {matrix(model.D)}")

@@ -6,6 +6,9 @@ equal values have equal fields and every ring operation is integer
 arithmetic.  The first irrational value (e.g. a square root of a
 non-square) degrades the scalar, and everything computed from it, to
 binary64 components, held in ``re_num`` and ``im_num`` with ``den`` None.
+No binary64 part is ever ``-0.0``: every float scalar is stored as
+``x + 0.0``, which maps ``-0.0`` to ``0.0`` and keeps every other value's
+bits, so a zero prints unsigned and the sign of a zero never needs settling.
 ``re`` and ``im`` read the components as ``Fraction`` or ``float``.
 Equality of exact scalars is syntactic; floating comparisons are
 tolerance-based and live at the polynomial level.
@@ -41,7 +44,7 @@ class Scalar:
         re = _coerce(re)
         im = _coerce(im)
         if isinstance(re, float) or isinstance(im, float):
-            self.re_num, self.im_num, self.den = float(re), float(im), None
+            self.re_num, self.im_num, self.den = float(re) + 0.0, float(im) + 0.0, None
             return
         # over the lcm of two reduced denominators the three share no factor
         den = math.lcm(re.denominator, im.denominator)
@@ -91,7 +94,7 @@ class Scalar:
     #
     # Exact operands combine as integers; as soon as one side is floating the
     # other is converted and the complex formulas run on floats, term for
-    # term as on Fraction components, so signed zeros come out alike.
+    # term as on Fraction components.
 
     def __add__(self, other):
         o = other if type(other) is Scalar else Scalar.of(other)
@@ -121,6 +124,8 @@ class Scalar:
         return Scalar.of(other) - self
 
     def __neg__(self):
+        if self.den is None:
+            return _float(-self.re_num, -self.im_num)
         out = _new(Scalar)
         out.re_num, out.im_num, out.den = -self.re_num, -self.im_num, self.den
         return out
@@ -172,8 +177,8 @@ class Scalar:
         return out
 
     def conjugate(self) -> "Scalar":
-        if not self.im_num and self.den is not None:
-            return self  # an exact real; a binary64 0.0 part would turn into -0.0
+        if not self.im_num:
+            return self  # a real: a binary64 0.0 part stays 0.0
         out = _new(Scalar)
         out.re_num, out.im_num, out.den = self.re_num, -self.im_num, self.den
         return out
@@ -241,8 +246,9 @@ def _exact(re_num: int, im_num: int, den: int) -> Scalar:
 
 
 def _float(re: float, im: float) -> Scalar:
+    """The binary64 scalar re + im*i, with a -0.0 part stored as 0.0."""
     out = _new(Scalar)
-    out.re_num, out.im_num, out.den = re, im, None
+    out.re_num, out.im_num, out.den = re + 0.0, im + 0.0, None
     return out
 
 

@@ -77,7 +77,7 @@ def test_criterion_1_class_membership(cavity, announce):
 
     assert report.overall
     assert all(c.residual_norm == 0.0 for c in report.conditions)
-    assert drift_comm == expr_matrix(alg, [["-2*a2^2", "0"], ["0", "2*a1^2"]])
+    assert (drift_comm - expr_matrix(alg, [["-2*a2^2", "0"], ["0", "2*a1^2"]])).is_zero
     assert elapsed < 1.0
     announce["ok"] = True
 
@@ -87,16 +87,16 @@ def test_criterion_1_class_membership(cavity, announce):
 def test_criterion_2_generator_identity(cavity, announce):
     alg = cavity.algebra
     term1, term2, rhs = generator_identity_parts(cavity)
-    assert term1 == expr_column(
+    assert (term1 - expr_column(
         alg, ["a1'*a2^2", "-a2'*a1^2", "a2'^2*a1", "-a1'^2*a2"]
-    )
-    assert term2 == -term1
-    assert rhs == expr_column(
+    )).is_zero
+    assert (term2 + term1).is_zero
+    assert (rhs - expr_column(
         alg, ["2*a1'*a2^2", "-2*a2'*a1^2", "2*a2'^2*a1", "-2*a1'^2*a2"]
-    )
-    assert term1 - term2 == rhs
+    )).is_zero
+    assert (term1 - term2 - rhs).is_zero
     dm = double(cavity)
-    assert rhs == dm.Abar - (dm.Bbar @ dm.Cbar).scale(Scalar(Fraction(1, 2)))
+    assert (rhs - (dm.Abar - (dm.Bbar @ dm.Cbar).scale(Scalar(Fraction(1, 2))))).is_zero
     announce["ok"] = True
 
 
@@ -109,26 +109,26 @@ def test_criterion_3_realizability(cavity, announce):
 
     alg = cavity.algebra
     dm = double(cavity)
-    assert outer_commutator(dm.Abar, dm.abar) == expr_matrix(alg, [
+    assert (outer_commutator(dm.Abar, dm.abar) - expr_matrix(alg, [
         ["-2", "4*a1'*a2", "-2*a2^2", "0"],
         ["-4*a2'*a1", "-2", "0", "2*a1^2"],
         ["2*a2'^2", "0", "2", "-4*a2'*a1"],
         ["0", "-2*a1'^2", "4*a1'*a2", "2"],
-    ])
-    assert outer_commutator(dm.abar, dm.Abar) == expr_matrix(alg, [
+    ])).is_zero
+    assert (outer_commutator(dm.abar, dm.Abar) - expr_matrix(alg, [
         ["-2", "-4*a1'*a2", "2*a2^2", "0"],
         ["4*a2'*a1", "-2", "0", "-2*a1^2"],
         ["-2*a2'^2", "0", "2", "4*a2'*a1"],
         ["0", "2*a1'^2", "-4*a1'*a2", "2"],
-    ])
+    ])).is_zero
     ibar = dm.Ibar_matrix
     # diag(2 k1, 2 k2, -2 k1, -2 k2) with k1 = k2 = 2
-    assert dm.Bbar @ ibar @ dm.Bbar.adjoint() == expr_matrix(alg, [
+    assert (dm.Bbar @ ibar @ dm.Bbar.adjoint() - expr_matrix(alg, [
         ["4", "0", "0", "0"],
         ["0", "4", "0", "0"],
         ["0", "0", "-4", "0"],
         ["0", "0", "0", "-4"],
-    ])
+    ])).is_zero
     announce["ok"] = True
 
 
@@ -149,7 +149,6 @@ def test_criterion_4_hamiltonian(cavity, announce):
 def test_criterion_5_round_trip(cavity, announce):
     dm = double(cavity)
     rec = reconstruct_generator(extract_hamiltonian(cavity, dm=dm), dm.Cbar)
-    assert rec == dm.Abar
     assert (rec - dm.Abar).is_zero
     announce["ok"] = True
 
@@ -174,12 +173,12 @@ def test_criterion_6_lossless(cavity, announce):
 
     abar = dm.abar
     actual = row_commutator(grad_col, abar)
-    assert actual == expr_matrix(alg, [
+    assert (actual - expr_matrix(alg, [
         ["0", "0", "2", "0"],
         ["0", "0", "0", "2"],
         ["-2", "0", "0", "0"],
         ["0", "-2", "0", "0"],
-    ])
+    ])).is_zero
     announce["ok"] = True
 
 

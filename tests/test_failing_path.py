@@ -148,10 +148,10 @@ def test_conjugate_of_an_exact_real_is_itself(value):
     assert (conj.re_num, conj.im_num, conj.den) == (value.re_num, value.im_num, value.den)
 
 
-def test_conjugate_of_a_binary64_real_keeps_a_negative_zero():
+def test_conjugate_of_a_binary64_real_keeps_a_positive_zero():
     conj = Scalar(2.0, 0.0).conjugate()
     assert conj.re_num == 2.0 and conj.im_num == 0.0
-    assert math.copysign(1.0, conj.im_num) == -1.0
+    assert math.copysign(1.0, conj.im_num) == +1.0
 
 
 ALG = Algebra(2)
@@ -167,8 +167,7 @@ POLYS = st.dictionaries(st.sampled_from(WORDS), COEFFS, max_size=4).map(
 @settings(max_examples=300, deadline=None)
 @given(POLYS, POLYS)
 def test_polynomial_subtraction_has_the_bits_of_adding_the_negation(p, q):
-    # a float -0.0 part minus an exact zero part stays -0.0; plus the exact
-    # negation it is 0.0, which the reports print
+    # no binary64 part is -0.0, so p - q and p + (-q) agree in every bit
     assert fields(p - q) == fields(p + (-q))
 
 

@@ -2,10 +2,13 @@
 
 ``fixtures/golden`` holds the standard output and exit code of four
 commands on three models: the cavity fixture, the three-mode chain and the
-cavity with the sign of B[1,1] flipped, whose float report prints a signed
-zero, ``(4.0+-0.0i)``.  The files were recorded with the Fraction-pair
-scalars that preceded the integer Gaussian-rational ones, so they pin every
-exact and every float rendering across that change.
+cavity with the sign of B[1,1] flipped, whose float report prints a zero
+imaginary part, ``(4.0+0.0i)``, that binary64 computes as -0.0.  The files
+were recorded with the Fraction-pair scalars that preceded the integer
+Gaussian-rational ones, so they pin every exact and every float rendering
+across that change.  Since binary64 zeros are unsigned, the float reports
+were re-recorded with each standalone ``-0.0`` read as ``0.0``, and every
+report with the current ``CCR-sum`` and ``LL-phi-available`` descriptions.
 
 It also holds the exact and float JSON reports of the cavity at the
 non-unit diagonal thetas diag(2, 1/3) and diag(2, i/2), with and without
@@ -21,6 +24,7 @@ one Wick contraction path.
 """
 
 import json
+import re
 
 import pytest
 
@@ -79,6 +83,9 @@ def test_cli_output_matches_golden(model, command, capsys, monkeypatch):
     assert code == EXIT_CODES[key]
 
 
-def test_golden_float_report_shows_signed_zero():
+def test_golden_float_report_shows_unsigned_zero():
     text = (GOLDEN_DIR / "cavity_b11_sign_flip.check-float-oracle-json.out").read_text()
-    assert "(4.0+-0.0i)" in text
+    assert "(4.0+0.0i)" in text
+    negative_zero = re.compile(r"(^|[^0-9.])-0\.0([^0-9e]|$)", re.MULTILINE)
+    for path in GOLDEN_DIR.glob("*.out"):
+        assert not negative_zero.search(path.read_text()), path.name

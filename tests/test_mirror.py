@@ -6,8 +6,9 @@ The references here are the direct forms: ``[abar, Abar']`` and the bottom
 rows of ``[Abar, abar']`` as outer commutators, ``abar' G^-1 Abar`` as a
 matrix product, and the class identity's second term as the commutator of
 that bracket with abar.  Each mirrored polynomial must equal its reference
-field for field, ``(re_num, im_num, den)`` with the sign of a zero part and
-the order of the terms, in exact and in float mode.
+field for field, ``(re_num, im_num, den)`` and the order of the terms, in
+exact and in float mode.  No binary64 part is ever -0.0, so the plain
+adjoint that ``mirror`` takes needs no settling to match.
 """
 
 from fractions import Fraction
@@ -28,7 +29,7 @@ WORKLOADS = load_workloads()
 
 def fields(p):
     """Each term of p in order, with the exact fields of its coefficient;
-    ``repr`` tells -0.0 from 0.0."""
+    ``repr`` would tell a -0.0 from 0.0."""
     return [((m.creation, m.annihilation), repr(c.re_num), repr(c.im_num), c.den)
             for m, c in p.terms.items()]
 

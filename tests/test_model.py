@@ -129,7 +129,7 @@ def test_double_blocks(cavity):
     assert dm.Bbar.entry(0, 2).is_zero and dm.Bbar.entry(3, 1).is_zero
     # the doubled noise's commutation matrix is diag(I_m, -I_m)
     ibar = block_diag(identity_grid(2), grid_neg(identity_grid(2)))
-    assert dm.Ibar_matrix == OperatorMatrix.from_scalars(cavity.algebra, ibar)
+    assert (dm.Ibar_matrix - OperatorMatrix.from_scalars(cavity.algebra, ibar)).is_zero
 
 
 def test_double_refuses_a_theta_that_is_not_hermitian():
@@ -192,6 +192,16 @@ def test_float_mode_conversion(cavity):
         not c.is_exact for c in fm.A.entry(0, 0).terms.values()
     )
     assert fm.equals(fm)
+
+
+def test_equals_compares_every_matrix_also_in_float_mode(cavity, cavity_text):
+    # separate conversions hold separate algebras, compared by theta
+    assert cavity.to_float().equals(cavity.to_float())
+    for old, new in (("-k1*a1", "-3*a1"), ("[[-sqrt(2*k1), 0]", "[[sqrt(2*k1), 0]"),
+                     ("sqrt(2*k2)*a2", "3*a2"), ("D = identity", "D = [[1, 0], [0, -1]]")):
+        edited = parse_model(cavity_text.replace(old, new, 1))
+        assert not cavity.equals(edited) and not edited.equals(cavity), new
+        assert not cavity.to_float().equals(edited.to_float()), new
 
 
 # -- parsable rendering, byte for byte -----------------------------------------

@@ -84,6 +84,9 @@ CASES = [
      "line 19, col 1: duplicate D"),
     ("duplicate-phi", "phi = 2*a1'*a1 + 2*a2'*a2", "phi = 2*a1'*a1 + 2*a2'*a2\nphi = 2*a1'*a1",
      "line 21, col 1: duplicate phi"),
+    # a second param k1 after A[1] has read the first
+    ("duplicate-parameter", "A[2] =", "param k1 = 8\nA[2] =",
+     "line 10, col 7: duplicate parameter 'k1'"),
     ("unrecognized-statement", "D = identity", "E = identity",
      "line 18, col 1: unrecognized statement 'E = identity'"),
     ("modes-not-positive", "modes: 2", "modes: 0",

@@ -2,9 +2,9 @@
 
 ``RefScalar`` is the earlier implementation, which held each component as a
 ``Fraction`` (exact) or a ``float``.  Every operation of the current
-``Scalar`` must give the same component values, with the same ``repr``
-(so the same type and the same signed zeros), on exact, floating and mixed
-operands.
+``Scalar`` must give the same component values, with the same ``repr`` (so
+the same type), on exact, floating and mixed operands, once the reference's
+binary64 zeros are unsigned: no part of a ``Scalar`` is ever ``-0.0``.
 """
 
 import cmath
@@ -149,10 +149,18 @@ PLAIN = st.one_of(EXACT, FLOAT, st.builds(complex, FLOAT, FLOAT))
 PROPERTY = settings(max_examples=150, deadline=None)
 
 
+def unsigned(x):
+    """A binary64 component plus 0.0, which reads -0.0 as 0.0 and keeps every
+    other value; an exact one as it is."""
+    return x + 0.0 if isinstance(x, float) else x
+
+
 def same(new, ref):
-    """Equal component values, with equal reprs: same type and signed zeros."""
+    """Equal component values, with equal reprs once the reference's binary64
+    zeros are unsigned: the same type, and no -0.0 part."""
     assert isinstance(new, Scalar) and isinstance(ref, RefScalar)
-    assert (repr(new.re), repr(new.im)) == (repr(ref.re), repr(ref.im))
+    assert (repr(new.re), repr(new.im)) == (repr(unsigned(ref.re)), repr(unsigned(ref.im)))
+    assert "-0.0" not in (repr(new.re), repr(new.im))
     assert new.is_exact == ref.is_exact
     if new.is_exact:
         # the stored fields are reduced: den > 0 and no factor common to all
@@ -211,7 +219,8 @@ def test_unary_operations_match_reference(x):
     same(a.conjugate(), ra.conjugate())
     same(a.to_float(), ra.to_float())
     same(a.sqrt(), ra.sqrt())
-    assert repr(a.to_complex()) == repr(ra.to_complex())
+    z = ra.to_complex()
+    assert repr(a.to_complex()) == repr(complex(z.real + 0.0, z.imag + 0.0))
     assert repr(a.magnitude()) == repr(ra.magnitude())
     for tol in (1e-9, 0.0):
         assert a.is_zero(tol) == ra.is_zero(tol)
@@ -247,6 +256,7 @@ def test_exact_fields_are_reduced_integers():
     assert t == Scalar(1) and hash(t) == hash(Scalar(1)) == hash((1, 0))
 
 
-def test_float_output_keeps_signed_zeros():
+def test_float_output_zeros_are_unsigned():
+    # the imaginary part, -2.0*0.0 + 0.0*-2.0, is -0.0 in binary64
     s = Scalar(-2.0, 0.0) * Scalar(-2, 0)
-    assert (repr(s.re), repr(s.im)) == ("4.0", "-0.0")
+    assert (repr(s.re), repr(s.im)) == ("4.0", "0.0")

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrealize.scalars import (
     Scalar,
@@ -20,6 +22,29 @@ def test_exact_arithmetic_is_closed():
     b = Scalar(2, 1)
     for value in (a + b, a * b, -a, a.conjugate(), a - b, a / b):
         assert value.is_exact
+
+
+FLOAT_PART = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1.5, -2.0]) | st.floats()
+PART = st.integers(-3, 3) | st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)) | FLOAT_PART
+# exact, binary64 and mixed parts, and the complex numbers Scalar.of takes
+SCALARS = st.builds(Scalar, PART, PART) | st.builds(
+    Scalar.of, st.builds(complex, FLOAT_PART, FLOAT_PART))
+
+
+def negative_zero(s: Scalar) -> bool:
+    return any(type(x) is float and x == 0 and math.copysign(1.0, x) < 0
+               for x in (s.re_num, s.im_num))
+
+
+@settings(max_examples=300, deadline=None)
+@given(SCALARS, SCALARS)
+def test_no_scalar_part_is_a_negative_zero(x, y):
+    results = [x, y, -x, x.conjugate(), x.sqrt(), x.to_float(), x + y, x - y, x * y]
+    try:
+        results.append(x / y)
+    except ZeroDivisionError:
+        pass
+    assert not any(map(negative_zero, results))
 
 
 def test_float_contagion():

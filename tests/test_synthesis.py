@@ -36,7 +36,8 @@ def reference_synthesis(model):
     n, m = model.n, model.m
     if not all(e.is_constant for e in model.B.nonzero.values()):
         return None
-    b_grid = tuple(tuple(e.constant_value() for e in model.B.row(i)) for i in range(n))
+    b_grid = tuple(tuple(model.B.entry(i, j).constant_value() for j in range(m))
+                   for i in range(n))
     lam = [[Scalar(0)] * n for _ in range(m)]
     for v in range(m):
         for mono, coeff in model.C.entry(v, 0).terms.items():
