@@ -88,14 +88,6 @@ class CommutationMatrix:
             creates ^= low
         return out
 
-    @property
-    def invertible(self) -> bool:
-        try:
-            self.inverse()
-            return True
-        except ValueError:
-            return False
-
     def inverse(self):
         if self._inverse is None:
             self._inverse = grid_inverse(self.theta)
@@ -416,15 +408,12 @@ class OperatorPolynomial:
 
     # -- comparison -----------------------------------------------------------
 
-    def equals(self, other: "OperatorPolynomial") -> bool:
-        return (self - other).is_zero
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, float, complex, Scalar)):
             other = self.algebra.scalar(other)
         if not isinstance(other, OperatorPolynomial):
             return NotImplemented
-        return self.equals(other)
+        return (self - other).is_zero
 
     __hash__ = None
 

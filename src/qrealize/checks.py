@@ -33,10 +33,10 @@ from fractions import Fraction
 from .algebra import OperatorPolynomial, render, wirtinger_gradient
 from .matrices import (
     OperatorMatrix,
+    block_diag,
     commutator_table,
     doubled_adjoint,
     matrix_vector_commutators,
-    mirror,
     outer_commutator,
     row_commutator,
     scalar_vec_commutator,
@@ -46,11 +46,10 @@ from .model import (
     QsdeModel,
     double,
     doubled_generators,
-    sign_grid,
+    sign_matrix,
     structural_class_check,
 )
-from .scalars import (HALF, Scalar, block_diag, grid_conj, grid_neg, grid_scale, grid_transpose,
-                      zero_grid)
+from .scalars import HALF, Scalar
 
 
 @dataclass
@@ -146,14 +145,12 @@ def _verdict(cid, desc, failures):
     )
 
 
-def _half(p_or_m):
-    return p_or_m.scale(HALF)
-
-
 # -- residual matrices shared by several conditions, one per doubled model ----
-# At Hermitian theta a doubled residual's bottom half mirrors its top half
-# (``mirror``): [Abar, abar'] has entry (n+i, k+n mod 2n) = -(entry (i, k))',
+# At Hermitian theta a doubled residual's bottom half mirrors its top half by
+# adjoint: [Abar, abar'] has entry (n+i, k+n mod 2n) = -(entry (i, k))',
 # [abar, Abar'] = [Abar, abar']^dagger and abar' G^-1 Abar = (Abar' G^-1 abar)'.
+# No binary64 part of a coefficient is ever -0.0, so a mirrored polynomial
+# has the bits of its direct form.
 
 def _ccr_sum(dm: DoubledModel) -> OperatorMatrix:
     """[Abar, abar'] + [abar, Abar'] + Bbar Ibar Bbar'."""
@@ -161,9 +158,9 @@ def _ccr_sum(dm: DoubledModel) -> OperatorMatrix:
     def build():
         n, alg = dm.n, dm.algebra
         top = outer_commutator(OperatorMatrix.column(alg, dm.Abar.col(0)[:n]), dm.abar).nonzero
-        left = {**top, **{(n + i, (k + n) % (2 * n)): mirror(p, True)
+        left = {**top, **{(n + i, (k + n) % (2 * n)): -p.adjoint()
                           for (i, k), p in top.items()}}
-        right = {(k, j): mirror(p) for (j, k), p in left.items()}
+        right = {(k, j): p.adjoint() for (j, k), p in left.items()}
         return (OperatorMatrix.from_nonzero(alg, 2 * n, 2 * n, left)
                 + OperatorMatrix.from_nonzero(alg, 2 * n, 2 * n, right)
                 + dm.Bbar @ dm.Ibar_matrix @ dm.Bbar_adjoint)
@@ -181,15 +178,14 @@ def _bbar_commutators(dm: DoubledModel):
 
 def _brackets(dm: DoubledModel):
     """(Abar' J^-1 abar, abar' J^-1 Abar) for J = diag(theta, -theta*), whose
-    inverse is diag(theta^-1, -conj(theta^-1))."""
+    inverse is diag(T, -conj(T)) with T = theta^-1, cached on theta."""
 
     def build():
-        theta_inv = dm.algebra.theta.inverse()
-        inv = OperatorMatrix.from_scalars(
-            dm.algebra, block_diag(theta_inv, grid_neg(grid_conj(theta_inv))))
+        t = OperatorMatrix.from_scalars(dm.algebra, dm.algebra.theta.inverse())
+        inv = block_diag(t, -t.conj())
         s1 = (doubled_adjoint(dm.Abar) @ inv @ dm.abar).entry(0, 0)
         if dm.algebra.theta.is_diagonal:  # else the two group binary64 sums apart
-            return s1, mirror(s1)
+            return s1, s1.adjoint()
         return s1, (dm.abar.adjoint() @ inv @ dm.Abar).entry(0, 0)
 
     return dm.cached("brackets", build)
@@ -218,10 +214,10 @@ def generator_identity_parts(model: QsdeModel, dm: DoubledModel | None = None):
     first = scalar_vec_commutator(s1, dm.abar)
     # where _brackets mirrors s2 = s1', [s2, abar_j] = -([s1, abar_(j+n mod 2n)])'
     second = OperatorMatrix.from_nonzero(dm.algebra, 2 * dm.n, 1, {
-        ((j + dm.n) % (2 * dm.n), 0): mirror(p, True) for (j, _), p in first.nonzero.items()
+        ((j + dm.n) % (2 * dm.n), 0): -p.adjoint() for (j, _), p in first.nonzero.items()
     }) if dm.algebra.theta.is_diagonal else scalar_vec_commutator(s2, dm.abar)
     term1, term2 = first.scale(factor), second.scale(factor)
-    rhs = dm.Abar - _half(dm.Bbar @ dm.Cbar)
+    rhs = dm.Abar - (dm.Bbar @ dm.Cbar).scale(HALF)
     return term1, term2, rhs
 
 
@@ -310,7 +306,6 @@ def check_physical_realizability(
     model: QsdeModel, model_id: str = "model", dm: DoubledModel | None = None
 ) -> CheckReport:
     """Necessary and sufficient realizability conditions, plus extraction."""
-    alg = model.algebra
     dm = dm or double(model)
     report = check_preservation(model, model_id, id_prefix="PR-CCR", dm=dm)
     report.conditions += [
@@ -325,7 +320,7 @@ def check_physical_realizability(
             dm.Dbar - dm.identity,
         ),
     ]
-    if report.overall and not model.A.is_zero and alg.theta.invertible:
+    if report.overall and not model.A.is_zero:
         report.derived = realization_derived(model, dm)
     return report
 
@@ -368,8 +363,8 @@ def reconstruct_generator(
     if lbar.cols != 1 or lbar.rows % 2 != 0:
         raise ValueError("coupling vector must be a column of even length")
     abar = doubled_generators(alg)
-    ibar = OperatorMatrix.from_scalars(alg, sign_grid(lbar.rows // 2))
-    dissipative = _half(coupling_commutator_matrix(lbar, abar) @ ibar @ lbar)
+    ibar = sign_matrix(alg, lbar.rows // 2)
+    dissipative = (coupling_commutator_matrix(lbar, abar) @ ibar @ lbar).scale(HALF)
     hamiltonian_part = OperatorMatrix.column(
         alg, [hbar.commutator(a).scale(Scalar(0, 1)) for a in abar.col(0)]
     )
@@ -399,7 +394,7 @@ def check_lossless(
         _matrix_residual(
             "LL-B-gradient",
             "(1/2) Bbar' grad(phi) equals -Cbar",
-            _half(dm.Bbar_adjoint @ grad) + dm.Cbar,
+            (dm.Bbar_adjoint @ grad).scale(HALF) + dm.Cbar,
         ),
         _matrix_residual("LL-D-unitary", "I - Dbar' Dbar vanishes", _unitary_residual(dm)),
         _residual_condition(
@@ -495,11 +490,11 @@ def check_storage_condition(
     abar = dm.abar if dm is not None else doubled_generators(alg)
     grad = OperatorMatrix.column(alg, wirtinger_gradient(phi))
     actual = row_commutator(grad, abar)
-    two_theta = grid_scale(alg.theta.theta, Scalar(2))
-    zeros = zero_grid(n, n)
-    target_grid = tuple(z + t for z, t in zip(zeros, two_theta)) + tuple(
-        t + z for t, z in zip(grid_neg(grid_transpose(two_theta)), zeros)
-    )
+    # [[0, 2 theta], [-2 theta^T, 0]], from the nonzero entries of 2 theta
+    two_theta = [(j, l, alg.scalar(Scalar(2) * t))
+                 for j, row in enumerate(alg.theta.row_entries) for l, t, _ in row]
+    target = OperatorMatrix.from_nonzero(alg, 2 * n, 2 * n, {
+        **{(j, n + l): p for j, l, p in two_theta}, **{(n + l, j): -p for j, l, p in two_theta}})
     desc = "[grad(phi), abar^T] equals the constant block matrix [[0, 2I], [-2I, 0]]"
     if not alg.theta.is_identity:
         desc = (
@@ -507,11 +502,7 @@ def check_storage_condition(
             "[[0, 2*theta], [-2*theta^T, 0]] (generalized target for "
             "non-identity theta)"
         )
-    cond = _matrix_residual(
-        "ST-gradient-commutator",
-        desc,
-        actual - OperatorMatrix.from_scalars(alg, target_grid),
-    )
+    cond = _matrix_residual("ST-gradient-commutator", desc, actual - target)
     return CheckReport(model_id=model_id, conditions=[cond])
 
 
@@ -563,7 +554,17 @@ CHECK_NAMES = ("class", "preserve", "realize", "lossless", "storage")
 
 
 def run_checks(model: QsdeModel, selected=CHECK_NAMES, model_id: str = "model") -> CheckReport:
-    """Run the selected check families on one doubled model; merge their reports."""
+    """Run the selected check families on one doubled model; merge their reports.
+
+    ``selected`` names families of ``CHECK_NAMES`` (a bare string names one);
+    an unknown name or an empty selection is a ValueError.
+    """
+    selected = (selected,) if isinstance(selected, str) else tuple(selected)
+    for name in selected:
+        if name not in CHECK_NAMES:
+            raise ValueError(f"unknown check {name!r}; choose from {', '.join(CHECK_NAMES)}")
+    if not selected:
+        raise ValueError("empty check selection")
     dm = double(model)
     conditions, derived = [], {}
 

@@ -17,7 +17,6 @@ import json
 import math
 import sys
 
-from .algebra import render
 from .checks import (
     CHECK_NAMES,
     CheckReport,
@@ -90,68 +89,55 @@ def _load_model(args):
     return model
 
 
-def _selected_checks(args):
-    if args.checks.strip() == "all":
-        return CHECK_NAMES
-    names = tuple(s.strip() for s in args.checks.split(",") if s.strip())
-    for name in names:
-        if name not in CHECK_NAMES:
-            raise ValueError(f"unknown check {name!r}; choose from {', '.join(CHECK_NAMES)}")
-    if not names:
-        raise ValueError("empty check selection")
-    return names
-
-
-def _print_text_report(report: CheckReport, oracle=None, stream=None):
+def _print_text_report(payload: dict, stream=None):
+    """The text form of the ``--json`` payload of ``CheckReport.to_dict``."""
     stream = stream if stream is not None else sys.stdout
-    print(f"model: {report.model_id}", file=stream)
-    for cond in report.conditions:
-        mark = "PASS" if cond.passed else "FAIL"
-        print(f"[{mark}] {cond.condition_id}: {cond.description} "
-              f"(residual={cond.residual_norm:g})", file=stream)
-        for w in cond.witness:
+    print(f"model: {payload['model_id']}", file=stream)
+    for cond in payload["checks"]:
+        mark = "PASS" if cond["pass"] else "FAIL"
+        print(f"[{mark}] {cond['condition_id']}: {cond['description']} "
+              f"(residual={cond['residual_norm']:g})", file=stream)
+        for w in cond["witness"]:
             print(f"       {w['entry']}: {w['residual']}", file=stream)
-    if oracle is not None:
-        for entry in oracle:
-            mark = "PASS" if entry["pass"] else "FAIL"
-            print(f"[{mark}] oracle {entry['condition_id']}: "
-                  f"max deviation {entry['max_deviation']:.3g}", file=stream)
-    if report.derived:
-        d = report.derived
-        if "nbar" in d:
-            print(f"nbar = {d['nbar']}", file=stream)
-        if "hamiltonian" in d:
-            verdict = "yes" if d.get("hamiltonian_self_adjoint") else "NO"
-            print(f"Hbar = {render(d['hamiltonian'])} (self-adjoint: {verdict})",
-                  file=stream)
-        if "coupling" in d:
-            for i, entry in enumerate(d["coupling"], start=1):
-                print(f"Lbar[{i}] = {render(entry)}", file=stream)
-        if "storage_function" in d:
-            origin = "synthesized" if d.get("storage_synthesized") else "declared"
-            print(f"phi = {render(d['storage_function'])} ({origin})", file=stream)
-    print(f"overall: {'PASS' if report.overall else 'FAIL'}", file=stream)
+    for entry in payload.get("oracle", []):
+        mark = "PASS" if entry["pass"] else "FAIL"
+        print(f"[{mark}] oracle {entry['condition_id']}: "
+              f"max deviation {entry['max_deviation']:.3g}", file=stream)
+    d = payload.get("derived", {})
+    if "nbar" in d:
+        print(f"nbar = {d['nbar']}", file=stream)
+    if "hamiltonian" in d:
+        verdict = "yes" if d.get("hamiltonian_self_adjoint") else "NO"
+        print(f"Hbar = {d['hamiltonian']} (self-adjoint: {verdict})", file=stream)
+    for i, entry in enumerate(d.get("coupling", []), start=1):
+        print(f"Lbar[{i}] = {entry}", file=stream)
+    if "storage_function" in d:
+        origin = "synthesized" if d.get("storage_synthesized") else "declared"
+        print(f"phi = {d['storage_function']} ({origin})", file=stream)
+    print(f"overall: {'PASS' if payload['overall'] else 'FAIL'}", file=stream)
 
 
 def _emit(report: CheckReport, args, oracle=None) -> int:
+    payload = report.to_dict()
+    if oracle is not None:
+        payload["oracle"] = oracle
     if args.json:
-        payload = report.to_dict()
-        if oracle is not None:
-            payload["oracle"] = oracle
         # JSON (RFC 8259) has no infinity or NaN: a norm beyond binary64 is "inf"
         for entry in payload["checks"] + payload.get("oracle", []):
             for key in entry.keys() & {"residual_norm", "max_deviation"}:
                 entry[key] = entry[key] if math.isfinite(entry[key]) else str(entry[key])
         print(json.dumps(payload, indent=2, allow_nan=False))
     else:
-        _print_text_report(report, oracle)
+        _print_text_report(payload)
     ok = report.overall and (oracle is None or all(e["pass"] for e in oracle))
     return EXIT_PASS if ok else EXIT_FAIL
 
 
 def _cmd_check(args) -> int:
     model = _load_model(args)
-    report = run_checks(model, _selected_checks(args), model_id=args.input)
+    selected = CHECK_NAMES if args.checks.strip() == "all" else tuple(
+        s.strip() for s in args.checks.split(",") if s.strip())
+    report = run_checks(model, selected, model_id=args.input)
     oracle = None
     if args.oracle:
         oracle = oracle_results(report, model, args.fock_n, args.guard)
@@ -165,7 +151,7 @@ def _cmd_extract(args) -> int:
     if not report.overall and not args.force:
         print("physical realizability fails; re-run with --force to extract anyway",
               file=sys.stderr)
-        _print_text_report(report, stream=sys.stderr)
+        _print_text_report(report.to_dict(), stream=sys.stderr)
         return EXIT_FAIL
     if model.A.is_zero:
         print("error: the drift is identically zero, nbar is undefined", file=sys.stderr)

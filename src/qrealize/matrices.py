@@ -4,7 +4,8 @@ Multiplication keeps the left-to-right operator order of the entries, and
 the module provides the structured commutator constructions used by the
 verification engines: outer commutators ``[u_j, v_k']``, row commutators
 ``[u_j, w_k]`` and scalar-vector commutators ``[s, v_j]``, all through
-:func:`commutator_table`.
+:func:`commutator_table`.  Every block-diagonal constant of the doubled
+model (Bbar, Dbar, Ibar and J^-1) is built by :func:`block_diag`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ class OperatorMatrix:
 
     Only the nonzero entries are stored: ``nonzero`` maps (row, col) to them
     in row-major order, and ``entry``, ``col`` and ``entries`` read
-    the algebra's shared zero elsewhere.  Bbar, Ibar and J are block-sparse.
+    the algebra's shared zero elsewhere.  Bbar, Ibar and J^-1 are block-sparse.
     """
 
     __slots__ = ("algebra", "rows", "cols", "nonzero")
@@ -138,16 +139,11 @@ class OperatorMatrix:
         return OperatorMatrix.from_nonzero(self.algebra, self.cols, self.rows, {
             (j, i): e.adjoint() for (i, j), e in self.nonzero.items()})
 
-    # -- predicates and rendering --------------------------------------------
+    # -- predicates -----------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
         return not self.nonzero
-
-    def render(self) -> str:
-        rows = ("[" + ", ".join(render(self.entry(i, j)) for j in range(self.cols)) + "]"
-                for i in range(self.rows))
-        return "[" + ", ".join(rows) + "]"
 
     def _check_same_shape(self, other: "OperatorMatrix"):
         if self.rows != other.rows or self.cols != other.cols:
@@ -156,7 +152,16 @@ class OperatorMatrix:
         self.algebra.require_compatible(other.algebra)
 
     def __repr__(self):
-        return f"<OperatorMatrix {self.rows}x{self.cols} {self.render()}>"
+        entries = ", ".join(f"({i},{j}): {render(e)}" for (i, j), e in self.nonzero.items())
+        return f"<OperatorMatrix {self.rows}x{self.cols} {{{entries}}}>"
+
+
+def block_diag(top: OperatorMatrix, bottom: OperatorMatrix) -> OperatorMatrix:
+    """diag(top, bottom): ``bottom``'s entries shifted past ``top``'s rows and columns."""
+    nonzero = dict(top.nonzero)
+    nonzero.update(((i + top.rows, j + top.cols), e) for (i, j), e in bottom.nonzero.items())
+    return OperatorMatrix.from_nonzero(top.algebra, top.rows + bottom.rows,
+                                       top.cols + bottom.cols, nonzero)
 
 
 def doubled_adjoint(v: OperatorMatrix) -> OperatorMatrix:
@@ -164,12 +169,6 @@ def doubled_adjoint(v: OperatorMatrix) -> OperatorMatrix:
     halves swapped, since u'' = u bit for bit (conjugation only flips signs)."""
     return OperatorMatrix.from_nonzero(v.algebra, 1, v.rows, {
         (0, (i + v.rows // 2) % v.rows): p for (i, _), p in v.nonzero.items()})
-
-
-def mirror(p: OperatorPolynomial, negate: bool = False) -> OperatorPolynomial:
-    """p' or -p': at Hermitian theta the bits of its direct form, since no
-    binary64 part of a coefficient is ever -0.0."""
-    return -p.adjoint() if negate else p.adjoint()
 
 
 def commutator_table(left: dict, right: dict) -> dict:

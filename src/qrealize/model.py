@@ -1,10 +1,13 @@
 """Model data type, text-format parser/renderer and doubled-up construction.
 
+``double`` builds every constant of the doubled model, Bbar, Dbar and
+Ibar = ``sign_matrix``, with ``matrices.block_diag``.
+
 The model format is line-oriented (``#`` starts a comment):
 
     modes: 2
     channels: 2
-    theta: identity            # or a Hermitian [[2,1],[1,2]]
+    theta: identity            # or a Hermitian, invertible [[2,1],[1,2]]
     param k1 = 2
     A[1] = -k1*a1 + 2*a1'*a2^2
     B = [[-sqrt(2*k1), 0], [0, -sqrt(2*k2)]]
@@ -18,14 +21,16 @@ the imaginary unit and ``sqrt(...)`` of scalar subexpressions.  Parameter
 values are evaluated once, at parse time.  A statement continues over the
 following lines while its brackets are open.  modes, channels, theta, B, D,
 phi and each param name are declared at most once, and the three headers
-before the first A, B, C, D or phi statement.  A ParseError names the line
-and the 1-based column, counted from the start of that source line, of the
-offending token.  Parsing refuses there more than MAX_MODES = 128 modes or
-channels, an exponent above MAX_EXPONENT = 64, a product or power of degree
-above MAX_DEGREE = 32 or of more than MAX_TERM_PAIRS = 10,000 term pairs,
-brackets nested deeper than MAX_NESTING = 64, and a number literal of more
-than MAX_DIGITS = 1,000 digits written out without its exponent (so
-``1e400`` has 401).  A matrix literal ends its statement.
+before the first A, B, C, D or phi statement.  A declared theta must be
+Hermitian and invertible; it is inverted once, here.  A ParseError names
+the line and the 1-based column, counted from the start of that source
+line, of the offending token.  Parsing refuses there more than
+MAX_MODES = 128 modes or channels, an exponent above MAX_EXPONENT = 64, a
+product or power of degree above MAX_DEGREE = 32 or of more than
+MAX_TERM_PAIRS = 10,000 term pairs, brackets nested deeper than
+MAX_NESTING = 64, and a number literal of more than MAX_DIGITS = 1,000
+digits written out without its exponent (so ``1e400`` has 401).  A matrix
+literal ends its statement.
 """
 
 from __future__ import annotations
@@ -35,9 +40,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isfinite
 
-from .algebra import Algebra, CommutationMatrix, OperatorPolynomial, format_scalar, render
-from .matrices import OperatorMatrix
-from .scalars import DEFAULT_TOL, ONE, ZERO, Scalar, grid_is_hermitian
+from .algebra import (Algebra, CommutationMatrix, OperatorPolynomial, _format_monomial,
+                      format_scalar, render)
+from .matrices import OperatorMatrix, block_diag
+from .scalars import DEFAULT_TOL, ONE, Scalar, grid_is_hermitian
 
 
 class ParseError(ValueError):
@@ -143,11 +149,10 @@ class DoubledModel:
 
 # -- derived constructions ----------------------------------------------------
 
-def sign_grid(m: int) -> tuple:
+def sign_matrix(alg: Algebra, m: int) -> OperatorMatrix:
     """Ibar = diag(I_m, -I_m)."""
-    diagonal = (ONE,) * m + (-ONE,) * m
-    return tuple(tuple(diagonal[i] if i == j else ZERO for j in range(2 * m))
-                 for i in range(2 * m))
+    identity = OperatorMatrix.identity(alg, m)
+    return block_diag(identity, -identity)
 
 
 def doubled_generators(alg: Algebra) -> OperatorMatrix:
@@ -167,8 +172,6 @@ def double(model: QsdeModel) -> DoubledModel:
         raise ValueError("theta must be Hermitian")
     Abar = OperatorMatrix.column(alg, model.A.col(0) + [p.adjoint() for p in model.A.col(0)])
     Cbar = OperatorMatrix.column(alg, model.C.col(0) + [p.adjoint() for p in model.C.col(0)])
-    Bbar = _block_diag_op(model.B, model.B.conj())
-    Dbar = _block_diag_op(model.D, model.D.conj())
     nbar = None if model.A.is_zero else compute_nbar(model)
     return DoubledModel(
         algebra=alg,
@@ -176,20 +179,13 @@ def double(model: QsdeModel) -> DoubledModel:
         m=model.m,
         abar=doubled_generators(alg),
         Abar=Abar,
-        Bbar=Bbar,
+        Bbar=block_diag(model.B, model.B.conj()),
         Cbar=Cbar,
-        Dbar=Dbar,
-        Ibar_matrix=OperatorMatrix.from_scalars(alg, sign_grid(model.m)),
+        Dbar=block_diag(model.D, model.D.conj()),
+        Ibar_matrix=sign_matrix(alg, model.m),
         identity=OperatorMatrix.identity(alg, 2 * model.m),
         nbar=nbar,
     )
-
-
-def _block_diag_op(top: OperatorMatrix, bottom: OperatorMatrix) -> OperatorMatrix:
-    nonzero = dict(top.nonzero)
-    nonzero.update(((i + top.rows, j + top.cols), e) for (i, j), e in bottom.nonzero.items())
-    return OperatorMatrix.from_nonzero(top.algebra, top.rows + bottom.rows,
-                                       top.cols + bottom.cols, nonzero)
 
 
 def compute_nbar(model: QsdeModel) -> int:
@@ -207,33 +203,27 @@ def structural_class_check(model: QsdeModel):
     every C_v must be a pure power of a single annihilation generator.
     Returns a list of human-readable violation strings (empty = pass).
     """
-    violations = []
+    violations = []  # a violating monomial is never the unit: its label is not empty
     for i in range(model.n):
         for mono in model.A.entry(i, 0).terms:
             ann_support = sum(1 for k in mono.annihilation if k)
             cre_support = sum(1 for h in mono.creation if h)
             if ann_support > 1 or cre_support > 1:
                 violations.append(
-                    f"A[{i + 1}] term {_mono_label(mono)} mixes "
+                    f"A[{i + 1}] term {_format_monomial(mono)} mixes "
                     f"{ann_support} annihilation and {cre_support} creation modes"
                 )
     for v in range(model.m):
         for mono in model.C.entry(v, 0).terms:
             if any(mono.creation):
                 violations.append(
-                    f"C[{v + 1}] term {_mono_label(mono)} contains a creation generator"
+                    f"C[{v + 1}] term {_format_monomial(mono)} contains a creation generator"
                 )
             elif sum(1 for k in mono.annihilation if k) > 1:
                 violations.append(
-                    f"C[{v + 1}] term {_mono_label(mono)} spans several modes"
+                    f"C[{v + 1}] term {_format_monomial(mono)} spans several modes"
                 )
     return violations
-
-
-def _mono_label(mono) -> str:
-    from .algebra import _format_monomial
-
-    return _format_monomial(mono) or "1"
 
 
 # -- parsing ------------------------------------------------------------------
@@ -522,6 +512,10 @@ def parse_model(text: str, tol: float = DEFAULT_TOL) -> QsdeModel:
                 grid_theta = CommutationMatrix([[e.constant_value() for e in r] for r in rows])
                 if not grid_is_hermitian(grid_theta.theta, tol):
                     raise ParseError("theta must be Hermitian", line, 1)
+                try:
+                    grid_theta.inverse()  # cached for the checks
+                except ValueError:
+                    raise ParseError("theta must be invertible", line, 1) from None
             algebra = Algebra(n, grid_theta, tol=tol)
         return algebra
 

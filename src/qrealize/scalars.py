@@ -269,9 +269,9 @@ I = Scalar(0, 1)
 
 # -- small dense matrices of scalars ------------------------------------------
 #
-# Grids are tuples of tuples of Scalar.  They carry the numeric matrices of
-# the toolkit (commutation data, noise tables, block sign matrices) and stay
-# exact whenever their entries do.
+# Grids are tuples of tuples of Scalar.  They carry theta and its inverse,
+# and stay exact whenever their entries do; the constant matrices of the
+# doubled model are operator matrices (``matrices.block_diag``).
 
 def grid(rows) -> tuple:
     out = tuple(tuple(Scalar.of(x) for x in row) for row in rows)
@@ -284,40 +284,11 @@ def identity_grid(n: int) -> tuple:
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 
 
-def zero_grid(rows: int, cols: int) -> tuple:
-    return tuple(tuple(ZERO for _ in range(cols)) for _ in range(rows))
-
-
-def grid_neg(g):
-    return tuple(tuple(-x for x in row) for row in g)
-
-
-def grid_conj(g):
-    return tuple(tuple(x.conjugate() for x in row) for row in g)
-
-
-def grid_transpose(g):
-    return tuple(tuple(g[i][j] for i in range(len(g))) for j in range(len(g[0])))
-
-
-def grid_scale(g, c):
-    c = Scalar.of(c)
-    return tuple(tuple(c * x for x in row) for row in g)
-
-
-def block_diag(a, b):
-    ra, ca = len(a), len(a[0])
-    rb, cb = len(b), len(b[0])
-    top = tuple(a[i] + tuple(ZERO for _ in range(cb)) for i in range(ra))
-    bot = tuple(tuple(ZERO for _ in range(ca)) + b[i] for i in range(rb))
-    return top + bot
-
-
-def grid_inverse(g, tol: float = DEFAULT_TOL):
+def grid_inverse(g):
     """Gauss-Jordan inverse; exact when the entries are exact.
 
-    Raises ValueError on singular input (exact-zero pivot, or pivot below
-    ``tol`` in floating mode).
+    Raises ValueError on singular input: no pivot is exactly nonzero, in
+    exact and in floating mode alike.
     """
     n = len(g)
     if any(len(row) != n for row in g):
@@ -325,12 +296,7 @@ def grid_inverse(g, tol: float = DEFAULT_TOL):
     work = [list(row) for row in g]
     inv = [list(row) for row in identity_grid(n)]
     for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            x = work[r][col]
-            if (x.is_exact and not x.is_zero()) or (not x.is_exact and x.magnitude() > tol):
-                pivot_row = r
-                break
+        pivot_row = next((r for r in range(col, n) if not work[r][col].is_zero(0.0)), None)
         if pivot_row is None:
             raise ValueError("singular matrix")
         work[col], work[pivot_row] = work[pivot_row], work[col]

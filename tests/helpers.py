@@ -7,7 +7,7 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from qrealize import Scalar
-from qrealize.scalars import ZERO
+from qrealize.scalars import ZERO, identity_grid
 
 
 def random_poly(rng, alg, max_terms=3, max_degree=4, coeff_range=3):
@@ -41,6 +41,42 @@ def polynomials(alg, max_terms=4, max_exponent=3):
     return terms.map(lambda ts: sum(
         (alg.monomial(cre, ann, c) for cre, ann, c in ts), alg.zero()
     ))
+
+
+# -- scalar-grid references for the constant operator matrices ----------------
+# Grids are tuples of tuples of Scalar; the library builds these constants as
+# operator matrices, so the tests keep the grid forms as independent references.
+
+def zero_grid(rows, cols):
+    return tuple(tuple(ZERO for _ in range(cols)) for _ in range(rows))
+
+
+def grid_neg(g):
+    return tuple(tuple(-x for x in row) for row in g)
+
+
+def grid_conj(g):
+    return tuple(tuple(x.conjugate() for x in row) for row in g)
+
+
+def grid_transpose(g):
+    return tuple(tuple(g[i][j] for i in range(len(g))) for j in range(len(g[0])))
+
+
+def grid_scale(g, c):
+    c = Scalar.of(c)
+    return tuple(tuple(c * x for x in row) for row in g)
+
+
+def block_diag(a, b):
+    """diag(a, b) of two grids."""
+    top = tuple(row + (ZERO,) * len(b[0]) for row in a)
+    return top + tuple((ZERO,) * len(a[0]) + row for row in b)
+
+
+def sign_grid(m):
+    """Ibar = diag(I_m, -I_m)."""
+    return block_diag(identity_grid(m), grid_neg(identity_grid(m)))
 
 
 def grid_matmul(a, b):

@@ -219,6 +219,33 @@ def test_lossless_requires_phi():
         check_lossless(model)
 
 
+CAVITY_PHI = "2*a1'*a1 + 2*a2'*a2"
+QUARTIC_PHI = CAVITY_PHI + " + a1'^2*a1^2"
+DIAG_THETA = "[[1/4, 0], [0, 1]]"
+
+# (theta, declared phi, LL-phi-nonneg passes, its note), one row per route
+# through the positivity decision
+NONNEG_CASES = [
+    ("identity", "0", True, "zero storage function"),
+    ("identity", "1 + " + CAVITY_PHI, False, "nonzero vacuum value"),
+    ("identity", CAVITY_PHI + " + a1'*a2", False, "quadratic form is not Hermitian"),
+    ("identity", "-2*a1'*a1 - 2*a2'*a2", False, "quadratic form has negative eigenvalue -2"),
+    ("identity", QUARTIC_PHI, True, "truncated-representation minimum eigenvalue 0"),
+    (DIAG_THETA, QUARTIC_PHI, False, "positivity not established for non-identity theta"),
+    (DIAG_THETA, "8*a1'*a1 + 2*a2'*a2", True, "positive semidefinite quadratic form"),
+]
+
+
+@pytest.mark.parametrize("theta, phi, passed, note", NONNEG_CASES)
+def test_phi_nonneg_verdict_and_note(cavity_text, theta, phi, passed, note):
+    text = mutate(cavity_text, "theta: identity", f"theta: {theta}")
+    model = parse_model(mutate(text, f"phi = {CAVITY_PHI}", f"phi = {phi}"))
+    cond = check_lossless(model).condition("LL-phi-nonneg")
+    assert cond.passed is passed
+    assert cond.description == f"the storage function is non-negative ({note})"
+    assert cond.witness == ([] if passed else [{"entry": "phi", "residual": note}])
+
+
 def test_storage_condition_fixture(cavity):
     assert check_storage_condition(cavity.phi).overall
 
@@ -291,6 +318,25 @@ def test_run_checks_reports_missing_phi(cavity_text):
     report = run_checks(model, ("lossless",))
     assert not report.overall
     assert not report.condition("LL-phi-available").passed
+
+
+@pytest.mark.parametrize("selected, message", [
+    (("clas",), "unknown check 'clas'; choose from class, preserve, realize, lossless, storage"),
+    (("class", "lossles"), "unknown check 'lossles'; choose from"),
+    ((), "empty check selection"),
+    ("realiz", "unknown check 'realiz'; choose from"),
+])
+def test_run_checks_refuses_a_selection_it_cannot_run(cavity, selected, message):
+    with pytest.raises(ValueError) as raised:
+        run_checks(cavity, selected)
+    assert str(raised.value).startswith(message)
+
+
+def test_run_checks_reads_a_bare_string_as_one_family(cavity):
+    # not as a string to search family names in
+    ids = [c.condition_id for c in run_checks(cavity, "realize").conditions]
+    assert ids == [c.condition_id for c in run_checks(cavity, ("realize",)).conditions]
+    assert ids[0] == "PR-CCR-sum" and len(ids) == 5
 
 
 def test_report_json_schema(cavity):

@@ -6,7 +6,7 @@ import qrealize.checks
 import qrealize.cli
 from qrealize.cli import main
 
-from conftest import CAVITY_PATH, mutate
+from conftest import CAVITY_PATH, FIXTURE_DIR, mutate
 from helpers import chain_text, load_workloads
 
 GOLDEN_H = "(0+1i)*a1'^2*a2^2 + (0-1i)*a2'^2*a1^2"
@@ -62,6 +62,29 @@ def test_check_unknown_selection_is_config_error(capsys):
     code, _, err = run_cli(capsys, "check", str(CAVITY_PATH), "--checks", "bogus")
     assert code == 2
     assert "unknown check" in err
+
+
+def test_check_empty_selection_is_config_error(capsys):
+    code, out, err = run_cli(capsys, "check", str(CAVITY_PATH), "--checks", " , ")
+    assert (code, out, err) == (2, "", "error: empty check selection\n")
+
+
+@pytest.mark.parametrize("options", [(), ("--checks", "realize"), ("--float",)])
+def test_singular_theta_is_refused_at_its_statement(capsys, options):
+    code, out, err = run_cli(capsys, "check", str(FIXTURE_DIR / "singular_theta.qsde"), *options)
+    assert (code, out, err) == (2, "", "error: line 6, col 1: theta must be invertible\n")
+
+
+def test_tiny_theta_fails_the_same_conditions_in_float_mode(capsys):
+    failing = {}
+    for options in ((), ("--float",)):
+        code, out, err = run_cli(capsys, "check", str(FIXTURE_DIR / "tiny_theta.qsde"),
+                                 "--json", *options)
+        assert (code, err) == (1, ""), options
+        failing[options] = [c["condition_id"] for c in json.loads(out)["checks"]
+                            if not c["pass"]]
+    assert failing[()] == failing[("--float",)] == [
+        "CLASS-generator-identity", "CCR-sum", "PR-CCR-sum", "PR-B-match"]
 
 
 def test_check_all_flag_is_gone(capsys):

@@ -14,9 +14,10 @@ from qrealize import (
     scalar_vec_commutator,
 )
 from qrealize.algebra import CommutationMatrix, Monomial, OperatorPolynomial, render
-from qrealize.scalars import block_diag, grid, grid_conj, grid_neg
+from qrealize.matrices import block_diag as operator_block_diag
+from qrealize.scalars import grid
 
-from helpers import polynomials, random_poly
+from helpers import block_diag, grid_conj, grid_neg, polynomials, random_poly, sign_grid
 
 
 @pytest.fixture
@@ -54,6 +55,26 @@ def test_outer_commutator_doubled_is_graded(alg):
     got = outer_commutator(abar, abar)
     target = block_diag(alg.theta.theta, grid_neg(grid_conj(alg.theta.theta)))
     assert (got - OperatorMatrix.from_scalars(alg, target)).is_zero
+
+
+def test_block_diag_matches_the_grid_form():
+    theta = grid([[2, Scalar(0, 1)], [Scalar(0, -1), 1]])
+    a = Algebra(2, CommutationMatrix(theta))
+    top = OperatorMatrix.from_scalars(a, theta)
+    bottom = OperatorMatrix.from_scalars(a, grid([[3]]))
+    got = operator_block_diag(top, bottom)
+    want = OperatorMatrix.from_scalars(a, block_diag(theta, grid([[3]])))
+    assert (got.rows, got.cols) == (3, 3)
+    assert list(got.nonzero) == list(want.nonzero) == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)]
+    assert (got - want).is_zero
+    sign = operator_block_diag(OperatorMatrix.identity(a, 2), -OperatorMatrix.identity(a, 2))
+    assert (sign - OperatorMatrix.from_scalars(a, sign_grid(2))).is_zero
+
+
+def test_repr_shows_the_shape_and_the_nonzero_entries(alg):
+    m = OperatorMatrix(alg, 2, 2, [alg.zero(), alg.annihilator(1), alg.scalar(3), alg.zero()])
+    assert repr(m) == "<OperatorMatrix 2x2 {(0,1): (1+0i)*a1, (1,0): (3+0i)}>"
+    assert repr(OperatorMatrix.column(alg, [alg.zero()])) == "<OperatorMatrix 1x1 {}>"
 
 
 def test_outer_commutator_of_constants_is_zero(alg):
@@ -195,12 +216,6 @@ class DenseMatrix:
     def is_zero(self):
         return all(e.is_zero for e in self.entries)
 
-    def render(self):
-        rows = []
-        for i in range(self.rows):
-            rows.append("[" + ", ".join(render(self.entry(i, j)) for j in range(self.cols)) + "]")
-        return "[" + ", ".join(rows) + "]"
-
     def sparse(self):
         return OperatorMatrix(self.algebra, self.rows, self.cols, self.entries)
 
@@ -267,7 +282,7 @@ def test_sparse_matrix_matches_dense_reference(triple, c):
     ]:
         assert matrix_reprs(got) == matrix_reprs(want)
         assert got.is_zero == want.is_zero
-        assert got.render() == want.render()
+        assert [render(e) for e in got.entries] == [render(e) for e in want.entries]
     assert (a - a.adjoint().adjoint()).is_zero
     vector = DenseMatrix(a.algebra, a.algebra.modes, 1,
                          [a.algebra.annihilator(j) for j in range(1, a.algebra.modes + 1)])

@@ -1,28 +1,30 @@
 """The mirrored halves of the doubled residuals against their direct forms.
 
 At Hermitian theta the checks form each doubled residual from the half that
-carries its information and take the other half by adjoint (``mirror``).
+carries its information and take the other half by adjoint.
 The references here are the direct forms: ``[abar, Abar']`` and the bottom
 rows of ``[Abar, abar']`` as outer commutators, ``abar' G^-1 Abar`` as a
 matrix product, and the class identity's second term as the commutator of
 that bracket with abar.  Each mirrored polynomial must equal its reference
 field for field, ``(re_num, im_num, den)`` and the order of the terms, in
 exact and in float mode.  No binary64 part is ever -0.0, so the plain
-adjoint that ``mirror`` takes needs no settling to match.
+adjoint needs no settling to match.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from qrealize import parse_model
-from qrealize.checks import _brackets, _ccr_sum, generator_identity_parts
-from qrealize.matrices import OperatorMatrix, mirror, outer_commutator, scalar_vec_commutator
-from qrealize.model import double, sign_grid
-from qrealize.scalars import Scalar, block_diag, grid_conj, grid_inverse, grid_neg
+from qrealize import check_storage_condition, parse_model, wirtinger_gradient
+from qrealize.checks import _brackets, _ccr_sum, _storage_candidate, generator_identity_parts
+from qrealize.matrices import (OperatorMatrix, outer_commutator, row_commutator,
+                               scalar_vec_commutator)
+from qrealize.model import double
+from qrealize.scalars import Scalar, grid_inverse
 
 from conftest import CAVITY_PATH, MUTATIONS, golden_models, mutate
-from helpers import load_workloads
+from helpers import (block_diag, grid_conj, grid_neg, grid_scale, grid_transpose,
+                     load_workloads, sign_grid, zero_grid)
 
 WORKLOADS = load_workloads()
 
@@ -77,10 +79,10 @@ def test_the_ccr_sum_mirrors_its_direct_form(doubled):
         for i in range(n):
             for k in range(2 * n):
                 bottom = forward.entry(n + i, (k + n) % (2 * n))
-                assert fields(mirror(forward.entry(i, k), True)) == fields(bottom), name
+                assert fields(-forward.entry(i, k).adjoint()) == fields(bottom), name
         for j in range(2 * n):
             for k in range(2 * n):
-                assert fields(mirror(forward.entry(k, j))) == fields(backward.entry(j, k)), name
+                assert fields(forward.entry(k, j).adjoint()) == fields(backward.entry(j, k)), name
         direct = (forward + backward + dm.Bbar
                   @ OperatorMatrix.from_scalars(dm.algebra, sign_grid(dm.m)) @ dm.Bbar_adjoint)
         assert [fields(p) for p in _ccr_sum(dm).entries] == [
@@ -94,14 +96,29 @@ def test_the_brackets_and_class_identity_mirror_their_direct_forms(doubled):
         reference = direct_bracket(dm)
         assert fields(s2) == fields(reference), name
         if dm.algebra.theta.is_diagonal:
-            assert fields(mirror(s1)) == fields(reference), name
+            assert fields(s1.adjoint()) == fields(reference), name
         second = scalar_vec_commutator(reference, dm.abar)
         first = scalar_vec_commutator(s1, dm.abar)
         if dm.algebra.theta.is_diagonal:
             for j in range(2 * dm.n):
-                mirrored = mirror(first.entry((j + dm.n) % (2 * dm.n), 0), True)
+                mirrored = -first.entry((j + dm.n) % (2 * dm.n), 0).adjoint()
                 assert fields(mirrored) == fields(second.entry(j, 0)), name
         factor = Scalar(Fraction(1, 2 * (dm.nbar or 1)))
         _, term2, _ = generator_identity_parts(model, dm)
         assert [fields(p) for p in term2.entries] == [
             fields(p) for p in second.scale(factor).entries], name
+
+
+def test_the_storage_target_has_the_bits_of_its_grid_form(doubled):
+    # [[0, 2 theta], [-2 theta^T, 0]] as a scalar grid, at every theta of MODELS
+    for name, text in MODELS:
+        model, dm = doubled(text)
+        alg, n = model.algebra, model.n
+        phi = model.phi if model.phi is not None else _storage_candidate(alg)
+        two_theta, zeros = grid_scale(alg.theta.theta, 2), zero_grid(n, n)
+        target = tuple(z + t for z, t in zip(zeros, two_theta)) + tuple(
+            t + z for t, z in zip(grid_neg(grid_transpose(two_theta)), zeros))
+        grad = OperatorMatrix.column(alg, wirtinger_gradient(phi))
+        direct = row_commutator(grad, dm.abar) - OperatorMatrix.from_scalars(alg, target)
+        cond = check_storage_condition(phi, dm=dm).condition("ST-gradient-commutator")
+        assert [fields(p) for p in cond.residuals] == [fields(p) for p in direct.entries], name

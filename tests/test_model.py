@@ -13,7 +13,8 @@ from qrealize import (
     render_model,
     structural_class_check,
 )
-from qrealize.scalars import block_diag, grid_neg, identity_grid
+
+from helpers import sign_grid
 
 
 MINIMAL = """
@@ -128,8 +129,8 @@ def test_double_blocks(cavity):
     # off-diagonal blocks of Bbar vanish
     assert dm.Bbar.entry(0, 2).is_zero and dm.Bbar.entry(3, 1).is_zero
     # the doubled noise's commutation matrix is diag(I_m, -I_m)
-    ibar = block_diag(identity_grid(2), grid_neg(identity_grid(2)))
-    assert (dm.Ibar_matrix - OperatorMatrix.from_scalars(cavity.algebra, ibar)).is_zero
+    ibar = OperatorMatrix.from_scalars(cavity.algebra, sign_grid(2))
+    assert (dm.Ibar_matrix - ibar).is_zero
 
 
 def test_double_refuses_a_theta_that_is_not_hermitian():

@@ -56,6 +56,8 @@ CASES = [
      "line 4, col 1: theta must be 2x2"),
     ("theta-not-hermitian", "theta: identity", "theta: [[2, 1], [0, 2]]",
      "line 4, col 1: theta must be Hermitian"),
+    ("theta-singular", "theta: identity", "theta: [[1, 1], [1, 1]]",
+     "line 4, col 1: theta must be invertible"),
     ("param-not-scalar", "param k2 = 2", "param k2 = a1",
      "line 7, col 1: parameter 'k2' is not a scalar"),
     ("index-out-of-range", "C[2] = sqrt(2*k2)*a2", "C[3] = sqrt(2*k2)*a2",
@@ -192,6 +194,7 @@ def test_malformed_fixture(capsys):
     for name, message in [
         ("malformed_cavity", "line 14, col 22: juxtaposition is not multiplication; use '*'"),
         ("late_theta", "line 7, col 1: 'theta' must be declared before A, B, C, D and phi"),
+        ("singular_theta", "line 6, col 1: theta must be invertible"),
     ]:
         code = main(["check", str(FIXTURE_DIR / f"{name}.qsde")])
         captured = capsys.readouterr()

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from qrealize.scalars import (
     Scalar,
-    block_diag,
     grid,
     grid_inverse,
     grid_is_hermitian,
     identity_grid,
 )
 
-from helpers import grid_matmul
+from helpers import block_diag, grid_matmul
 
 
 def test_exact_arithmetic_is_closed():
@@ -114,6 +113,15 @@ def test_grid_inverse_exact():
 def test_grid_inverse_singular():
     with pytest.raises(ValueError):
         grid_inverse(grid([[1, 2], [2, 4]]))
+    with pytest.raises(ValueError, match="singular matrix"):
+        grid_inverse(grid([[0.0, 0.0], [0.0, 1.0]]))
+
+
+def test_grid_inverse_takes_any_exactly_nonzero_pivot():
+    # a binary64 pivot is singular only when it is exactly zero, as an exact one is
+    inv = grid_inverse(grid([[1e-10, 0.0], [0.0, 1.0]]))
+    assert inv[0][0] == Scalar(1e10) and inv[1][1] == Scalar(1.0)
+    assert grid_inverse(grid([[Fraction(1, 10**10), 0], [0, 1]]))[0][0] == Scalar(10**10)
 
 
 def test_block_diag_and_hermitian():

@@ -20,10 +20,10 @@ from qrealize import (
     run_checks,
     synthesize_storage,
 )
-from qrealize.scalars import grid_conj, grid_inverse, grid_neg, grid_transpose
+from qrealize.scalars import grid_inverse
 
 from conftest import CAVITY_PATH, FIXTURE_DIR, MUTATIONS, golden_models, mutate
-from helpers import grid_matmul, load_workloads
+from helpers import grid_conj, grid_matmul, grid_neg, grid_transpose, load_workloads
 
 WORKLOADS = load_workloads()
 DECOUPLED_PATH = FIXTURE_DIR / "decoupled_mode.qsde"
