@@ -8,21 +8,17 @@ residuals; in exact mode a passing condition has residual exactly zero.
 All engines read one doubled model (:func:`double`).  ``run_checks`` builds
 it once per run and hands it to every family and to ``synthesize_storage``;
 each public ``check_*`` function takes it as an optional ``dm`` and builds
-its own only when not given one.  A residual matrix that several condition
-ids read is built once per doubled model and cached on it: the CCR sum, its
-summary and the ``Bbar`` commutators (``CCR-*`` and ``PR-CCR-*``), the
-``J^-1`` brackets (the class identity and Hamiltonian extraction),
-``I - Dbar' Dbar`` and phi*'s ``LL-gradient-A`` residual (synthesis and
-``check_lossless``), and a synthesized storage function with the two reports
-that verified it.  theta is Hermitian, so each doubled residual is formed
-from the half that carries its information.
+its own only when not given one.  The doubled model caches what a run
+reads twice: ``Bbar'``, the ``Bbar`` commutators and the CCR summary
+(``CCR-*`` and ``PR-CCR-*``), the ``J^-1`` brackets (the class identity and
+Hamiltonian extraction), and ``I - Dbar' Dbar`` and the last phi's gradient
+residuals (synthesis and ``check_lossless``).  theta is Hermitian, so each
+doubled residual is formed from the half that carries its information.
 
 Storage synthesis has one candidate, ``phi* = 2 sum_j a_j' a_j``: for
 ``phi = 2 a' P a`` the ``ST-gradient-commutator`` target's top-right block
-``2 theta`` holds only at P = I when theta is invertible.  grad(phi*) is
-``2 abar``, and phi* is self-adjoint and non-negative, so synthesis returns
-None before any report where ``Bbar' abar + Cbar`` (``LL-B-gradient``),
-``I - Dbar' Dbar`` or ``grad(phi*)' Abar + Cbar' Cbar`` is not zero.
+``2 theta`` holds only at P = I when theta is invertible.  A synthesized
+phi is checked like a declared one.
 """
 
 from __future__ import annotations
@@ -153,19 +149,15 @@ def _verdict(cid, desc, failures):
 # has the bits of its direct form.
 
 def _ccr_sum(dm: DoubledModel) -> OperatorMatrix:
-    """[Abar, abar'] + [abar, Abar'] + Bbar Ibar Bbar'."""
-
-    def build():
-        n, alg = dm.n, dm.algebra
-        top = outer_commutator(OperatorMatrix.column(alg, dm.Abar.col(0)[:n]), dm.abar).nonzero
-        left = {**top, **{(n + i, (k + n) % (2 * n)): -p.adjoint()
-                          for (i, k), p in top.items()}}
-        right = {(k, j): p.adjoint() for (j, k), p in left.items()}
-        return (OperatorMatrix.from_nonzero(alg, 2 * n, 2 * n, left)
-                + OperatorMatrix.from_nonzero(alg, 2 * n, 2 * n, right)
-                + dm.Bbar @ dm.Ibar_matrix @ dm.Bbar_adjoint)
-
-    return dm.cached("ccr-sum", build)
+    """[Abar, abar'] + [abar, Abar'] + Bbar Ibar Bbar', read once, by the cached CCR summary."""
+    n, alg = dm.n, dm.algebra
+    top = outer_commutator(OperatorMatrix.column(alg, dm.Abar.col(0)[:n]), dm.abar).nonzero
+    left = {**top, **{(n + i, (k + n) % (2 * n)): -p.adjoint()
+                      for (i, k), p in top.items()}}
+    right = {(k, j): p.adjoint() for (j, k), p in left.items()}
+    return (OperatorMatrix.from_nonzero(alg, 2 * n, 2 * n, left)
+            + OperatorMatrix.from_nonzero(alg, 2 * n, 2 * n, right)
+            + dm.Bbar @ dm.Ibar_matrix @ dm.Bbar_adjoint)
 
 
 def _bbar_commutators(dm: DoubledModel):
@@ -384,18 +376,14 @@ def check_lossless(
     if phi is None:
         raise ValueError("a storage function is required (model phi or argument)")
     dm = dm or double(model)
-    grad, gradient_residual = _gradient_residual(dm, phi)
+    gradient_residual, b_residual = _gradient_residuals(dm, phi)
     conditions = [
         _residual_condition(
             "LL-gradient-A",
             "grad(phi)' Abar equals -Cbar' Cbar",
             [("scalar", gradient_residual)],
         ),
-        _matrix_residual(
-            "LL-B-gradient",
-            "(1/2) Bbar' grad(phi) equals -Cbar",
-            (dm.Bbar_adjoint @ grad).scale(HALF) + dm.Cbar,
-        ),
+        _matrix_residual("LL-B-gradient", "(1/2) Bbar' grad(phi) equals -Cbar", b_residual),
         _matrix_residual("LL-D-unitary", "I - Dbar' Dbar vanishes", _unitary_residual(dm)),
         _residual_condition(
             "LL-phi-selfadjoint",
@@ -414,14 +402,20 @@ def check_lossless(
     return CheckReport(model_id=model_id, conditions=conditions)
 
 
-def _gradient_residual(dm: DoubledModel, phi: OperatorPolynomial):
-    """(grad(phi), the ``LL-gradient-A`` residual grad(phi)' Abar + Cbar' Cbar),
-    kept for the last phi, so synthesis and ``check_lossless`` form phi*'s once."""
+def _gradient_residuals(dm: DoubledModel, phi: OperatorPolynomial):
+    """Yield phi's ``LL-gradient-A`` residual grad(phi)' Abar + Cbar' Cbar,
+    then, formed when asked for, its ``LL-B-gradient`` residual
+    (1/2) Bbar' grad(phi) + Cbar; both are kept for the last phi, so
+    synthesis and ``check_lossless`` form phi*'s once."""
     if dm.memo.get("phi") is not phi:
         grad = OperatorMatrix.column(dm.algebra, wirtinger_gradient(phi))
-        cc = dm.cached("Cbar' Cbar", lambda: (doubled_adjoint(dm.Cbar) @ dm.Cbar).entry(0, 0))
-        dm.memo.update(phi=phi, gradient=(grad, (grad.adjoint() @ dm.Abar).entry(0, 0) + cc))
-    return dm.memo["gradient"]
+        cc = (doubled_adjoint(dm.Cbar) @ dm.Cbar).entry(0, 0)
+        dm.memo.update(phi=phi, gradient=[grad, (grad.adjoint() @ dm.Abar).entry(0, 0) + cc])
+    kept = dm.memo["gradient"]
+    yield kept[1]
+    if len(kept) == 2:
+        kept.append((dm.Bbar_adjoint @ kept[0]).scale(HALF) + dm.Cbar)
+    yield kept[2]
 
 
 def _unitary_residual(dm: DoubledModel) -> OperatorMatrix:
@@ -521,31 +515,18 @@ def synthesize_storage(
     """phi* = 2 sum_j a_j' a_j when it certifies the lossless property, else None.
 
     phi* is the one quadratic form the storage target admits at invertible
-    theta.  None comes at once where ``Bbar' abar + Cbar`` (``LL-B-gradient``
-    at phi*), ``I - Dbar' Dbar`` or ``grad(phi*)' Abar + Cbar' Cbar`` is not
-    zero; otherwise phi* must pass the full lossless and storage conditions.
+    theta.  It is decided on its ``LL-D-unitary``, ``LL-gradient-A`` and
+    ``LL-B-gradient`` residuals as ``check_lossless`` forms them; its other
+    conditions hold by construction (phi* is self-adjoint, its quadratic form
+    is 2I, and ``[2 abar_j, abar_k]`` is the storage target term for term).
+    ``Bbar' abar + Cbar``, that ``LL-B-gradient`` residual at grad(phi*) =
+    2 abar without the factor 2 the halving undoes, rejects most models first.
     """
-    found = _verified_synthesis(model, dm or double(model))
-    return found[0] if found else None
-
-
-def _verified_synthesis(model: QsdeModel, dm: DoubledModel):
-    """(phi*, lossless report, storage report) when phi* certifies the model,
-    or None; decided once per doubled model."""
-    return dm.cached("synthesis", lambda: _synthesize(model, dm))
-
-
-def _synthesize(model: QsdeModel, dm: DoubledModel):
+    dm = dm or double(model)
     if not (dm.Bbar_adjoint @ dm.abar + dm.Cbar).is_zero or not _unitary_residual(dm).is_zero:
         return None
     phi = _storage_candidate(model.algebra)
-    if not _gradient_residual(dm, phi)[1].is_zero:
-        return None
-    lossless = check_lossless(model, phi, dm=dm)
-    if not lossless.overall:
-        return None
-    storage = check_storage_condition(phi, dm=dm)
-    return (phi, lossless, storage) if storage.overall else None
+    return phi if all(r.is_zero for r in _gradient_residuals(dm, phi)) else None
 
 
 # -- aggregate runner ---------------------------------------------------------
@@ -579,15 +560,8 @@ def run_checks(model: QsdeModel, selected=CHECK_NAMES, model_id: str = "model") 
     if "realize" in selected:
         add(check_physical_realizability(model, model_id, dm))
     if "lossless" in selected or "storage" in selected:
-        candidate = model.phi
-        synthesized = candidate is None
-        reports = {}
-        if synthesized:
-            candidate = synthesize_storage(model, dm)
-            if candidate is not None:
-                # cached on dm: the reports synthesis verified its candidate with
-                _, reports["lossless"], reports["storage"] = _verified_synthesis(model, dm)
-        if candidate is None:
+        phi = model.phi if model.phi is not None else synthesize_storage(model, dm)
+        if phi is None:
             conditions.append(
                 _verdict(
                     "LL-phi-available",
@@ -597,9 +571,9 @@ def run_checks(model: QsdeModel, selected=CHECK_NAMES, model_id: str = "model") 
             )
         else:
             if "lossless" in selected:
-                add(reports.get("lossless") or check_lossless(model, candidate, model_id, dm))
+                add(check_lossless(model, phi, model_id, dm))
             if "storage" in selected:
-                add(reports.get("storage") or check_storage_condition(candidate, model_id, dm))
-            derived["storage_function"] = candidate
-            derived["storage_synthesized"] = synthesized
+                add(check_storage_condition(phi, model_id, dm))
+            derived["storage_function"] = phi
+            derived["storage_synthesized"] = model.phi is None
     return CheckReport(model_id=model_id, conditions=conditions, derived=derived or None)

@@ -69,19 +69,16 @@ class QsdeModel:
     params: dict
     phi: OperatorPolynomial | None = None
 
-    @property
-    def theta(self) -> CommutationMatrix:
-        return self.algebra.theta
-
     def to_float(self) -> "QsdeModel":
-        """Same model with every coefficient degraded to binary64."""
-        alg = Algebra(
-            self.n,
-            CommutationMatrix(
-                tuple(tuple(x.to_float() for x in row) for row in self.theta.theta)
-            ),
-            tol=self.algebra.tol,
-        )
+        """Same model with every coefficient degraded to binary64; a ValueError
+        when the rounded theta, inverted here once for the checks, is singular."""
+        theta = CommutationMatrix(tuple(tuple(x.to_float() for x in row)
+                                        for row in self.algebra.theta.theta))
+        try:
+            theta.inverse()
+        except ValueError:
+            raise ValueError("theta cannot be inverted in binary64") from None
+        alg = Algebra(self.n, theta, tol=self.algebra.tol)
 
         def conv_poly(p):
             return OperatorPolynomial(alg, {m: c.to_float() for m, c in p.terms.items()})
@@ -607,10 +604,10 @@ def render_model(model: QsdeModel) -> str:
         return rows(([mat.entry(i, j) for j in range(mat.cols)] for i in range(mat.rows)), expr)
 
     lines = [f"modes: {model.n}", f"channels: {model.m}"]
-    if model.theta.is_identity:
+    if model.algebra.theta.is_identity:
         lines.append("theta: identity")
     else:
-        theta = rows(model.theta.theta, lambda x: format_scalar(x, parsable=True))
+        theta = rows(model.algebra.theta.theta, lambda x: format_scalar(x, parsable=True))
         lines.append(f"theta: {theta}")
     lines += [f"A[{i + 1}] = {expr(model.A.entry(i, 0))}" for i in range(model.n)]
     lines.append(f"B = {matrix(model.B)}")

@@ -287,8 +287,9 @@ def identity_grid(n: int) -> tuple:
 def grid_inverse(g):
     """Gauss-Jordan inverse; exact when the entries are exact.
 
-    Raises ValueError on singular input: no pivot is exactly nonzero, in
-    exact and in floating mode alike.
+    Raises ValueError on singular input: no row offers a pivot p whose
+    |p|^2, which division divides by, is nonzero; a binary64 p whose square
+    underflows is passed over like a zero.
     """
     n = len(g)
     if any(len(row) != n for row in g):
@@ -296,7 +297,8 @@ def grid_inverse(g):
     work = [list(row) for row in g]
     inv = [list(row) for row in identity_grid(n)]
     for col in range(n):
-        pivot_row = next((r for r in range(col, n) if not work[r][col].is_zero(0.0)), None)
+        pivot_row = next((r for r in range(col, n)
+                          if (p := work[r][col]).re_num * p.re_num + p.im_num * p.im_num), None)
         if pivot_row is None:
             raise ValueError("singular matrix")
         work[col], work[pivot_row] = work[pivot_row], work[col]

@@ -397,6 +397,9 @@ def test_run_checks_verifies_a_synthesized_phi_once(cavity_text, monkeypatch):
     report = run_checks(parse_model(text))
     assert report.overall and report.derived["storage_synthesized"]
     assert sorted(calls) == ["check_lossless", "check_storage_condition"]
+    # synthesis decides on phi*'s three pre-tests and builds no report itself
+    calls.clear()
+    assert synthesize_storage(parse_model(text)) is not None and calls == []
 
 
 

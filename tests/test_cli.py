@@ -87,6 +87,48 @@ def test_tiny_theta_fails_the_same_conditions_in_float_mode(capsys):
         "CLASS-generator-identity", "CCR-sum", "PR-CCR-sum", "PR-B-match"]
 
 
+# theta is invertible exactly but not in binary64: rounding makes it singular,
+# or a pivot's |1e-200|^2 underflows; --float refuses it before any check runs
+NEAR_SINGULAR_THETA = "[[1, 1], [1, 100000000000000000001/100000000000000000000]]"
+FLOAT_RUNS = [("check", "--checks", name) for name in
+              ("all", "class", "preserve", "realize", "lossless", "storage")]
+FLOAT_RUNS.append(("extract", "--force"))
+
+
+@pytest.mark.parametrize("run", FLOAT_RUNS, ids=" ".join)
+@pytest.mark.parametrize("theta", ["near-singular", "underflow"])
+def test_float_refuses_a_theta_it_cannot_invert(capsys, tmp_path, cavity_text, theta, run):
+    path = FIXTURE_DIR / "underflow_theta.qsde"
+    if theta == "near-singular":
+        path = tmp_path / "near_singular.qsde"
+        path.write_text(mutate(cavity_text, "theta: identity", f"theta: {NEAR_SINGULAR_THETA}"))
+    command, *options = run
+    code, out, err = run_cli(capsys, command, str(path), *options)
+    assert code in (0, 1) and out and "error" not in err
+    code, out, err = run_cli(capsys, command, str(path), *options, "--float")
+    assert (code, out, err) == (2, "", "error: theta cannot be inverted in binary64\n")
+
+
+def test_exact_theta_whose_binary64_pivot_underflows_is_refused_at_its_statement(
+        capsys, tmp_path, cavity_text):
+    path = tmp_path / "underflow.qsde"
+    path.write_text(mutate(cavity_text, "theta: identity", "theta: [[sqrt(2)*1e-200, 0], [0, 1]]"))
+    code, out, err = run_cli(capsys, "check", str(path), "--tol", "1e-300")
+    assert (code, out, err) == (2, "", "error: line 4, col 1: theta must be invertible\n")
+
+
+@pytest.mark.parametrize("run", [("check",), ("extract", "--force")], ids=" ".join)
+def test_float_inverts_a_theta_past_a_pivot_whose_square_underflows(
+        capsys, tmp_path, cavity_text, run):
+    # det -1; the binary64 inverse [[0, 1], [1, -1e-200]] swaps past the 1e-200 pivot
+    path = tmp_path / "swapped.qsde"
+    path.write_text(mutate(cavity_text, "theta: identity", "theta: [[1e-200, 1], [1, 0]]"))
+    command, *options = run
+    for mode in ((), ("--float",)):
+        code, out, err = run_cli(capsys, command, str(path), *options, *mode)
+        assert code == 1 and out.endswith("overall: FAIL\n") and "error" not in err, mode
+
+
 def test_check_all_flag_is_gone(capsys):
     # every check runs by default (--checks all); the flag that repeated it is removed
     code, out, err = run_cli(capsys, "check", str(CAVITY_PATH), "--all")

@@ -1,10 +1,10 @@
 """The failing path builds nothing it throws away, and reports stay the same.
 
-Storage synthesis decides phi* on the two residuals that can still reject it
-before it builds a report; ``format_scalar`` formats exact parts from their
-integer fields; ``CCR-sum`` and ``PR-CCR-sum`` read one summary; exact real
-scalars skip imaginary arithmetic; matrix subtraction and the doubled row
-adjoints are formed without the intermediate matrices.  Each is compared
+Storage synthesis decides phi* on its three pre-tests and builds no report;
+``format_scalar`` formats exact parts from their integer fields; ``CCR-sum``
+and ``PR-CCR-sum`` read one summary; exact real scalars skip imaginary
+arithmetic; matrix subtraction and the doubled row adjoints are formed
+without the intermediate matrices.  Each is compared
 here with the plain rule it replaces, field for field where bits matter.
 """
 
@@ -81,7 +81,7 @@ def test_synthesis_decides_as_the_full_reports_would(floating):
         if floating:
             try:
                 model = model.to_float()
-            except OverflowError:  # an exact coefficient beyond binary64
+            except (OverflowError, ValueError):  # beyond binary64, or a theta it cannot invert
                 continue
         ref, got = reference_synthesis(model), synthesize_storage(model)
         assert (ref is None) == (got is None), name
@@ -94,6 +94,18 @@ def test_synthesis_decides_as_the_full_reports_would(floating):
         assert fields(got) == fields(ref[0]), name
         assert report == [c.to_dict() for c in ref[1].conditions + ref[2].conditions], name
     assert found >= 4  # the passing chains and the decoupled-mode fixture
+
+
+@pytest.mark.parametrize("floating", [False, True], ids=["exact", "float"])
+def test_overflowing_bbar_gradient_leaves_no_candidate(floating):
+    # exact mode rejects phi* at LL-gradient-A; binary64 reads that residual's
+    # inf - inf as zero, but (1/2) Bbar' grad(phi*) overflows to -inf
+    model = parse_model((FIXTURE_DIR / "overflow_synthesis.qsde").read_text())
+    model = model.to_float() if floating else model
+    assert synthesize_storage(model) is None
+    report = run_checks(model, ("lossless", "storage"))
+    assert [c.condition_id for c in report.conditions] == ["LL-phi-available"]
+    assert not report.overall
 
 
 def reference_format(c, parsable=False):

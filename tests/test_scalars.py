@@ -118,10 +118,18 @@ def test_grid_inverse_singular():
 
 
 def test_grid_inverse_takes_any_exactly_nonzero_pivot():
-    # a binary64 pivot is singular only when it is exactly zero, as an exact one is
+    # a binary64 pivot is passed over only when its square, which division divides by, underflows
     inv = grid_inverse(grid([[1e-10, 0.0], [0.0, 1.0]]))
     assert inv[0][0] == Scalar(1e10) and inv[1][1] == Scalar(1.0)
     assert grid_inverse(grid([[Fraction(1, 10**10), 0], [0, 1]]))[0][0] == Scalar(10**10)
+
+
+def test_grid_inverse_passes_over_a_pivot_whose_square_underflows():
+    # |1e-200|^2 is 0 in binary64: the next row pivots, as for a zero
+    inv = grid_inverse(grid([[1e-200, 1.0], [1.0, 0.0]]))
+    assert inv == grid([[0.0, 1.0], [1.0, -1e-200]])
+    with pytest.raises(ValueError, match="singular matrix"):
+        grid_inverse(grid([[1e-200, 0.0], [0.0, 1.0]]))
 
 
 def test_block_diag_and_hermitian():

@@ -31,7 +31,8 @@ ZERO_COUPLING = "modes: 1\nchannels: 1\nA[1] = 0\nB = [[0]]\nC[1] = 0\n"
 
 
 def reference_synthesis(model):
-    """The least-squares storage synthesis, verified as ``synthesize_storage`` is."""
+    """The least-squares storage synthesis, verified by the full lossless and
+    storage reports."""
     alg = model.algebra
     n, m = model.n, model.m
     if not all(e.is_constant for e in model.B.nonzero.values()):
