@@ -10,8 +10,8 @@ it once per run and hands it to every family and to ``synthesize_storage``;
 each public ``check_*`` function takes it as an optional ``dm`` and builds
 its own only when not given one.  The doubled model caches what a run
 reads twice: ``Bbar'``, the ``Bbar`` commutators and the CCR summary
-(``CCR-*`` and ``PR-CCR-*``), the ``J^-1`` brackets (the class identity and
-Hamiltonian extraction), and ``I - Dbar' Dbar`` and the last phi's gradient
+(``CCR-*`` and ``PR-CCR-*``), the Hamiltonian (the class identity and
+extraction), and ``I - Dbar' Dbar`` and the last phi's gradient
 residuals (synthesis and ``check_lossless``).  theta is Hermitian, so each
 doubled residual is formed from the half that carries its information.
 
@@ -45,7 +45,7 @@ from .model import (
     sign_matrix,
     structural_class_check,
 )
-from .scalars import HALF, Scalar
+from .scalars import HALF, I, Scalar
 
 
 @dataclass
@@ -144,7 +144,7 @@ def _verdict(cid, desc, failures):
 # -- residual matrices shared by several conditions, one per doubled model ----
 # At Hermitian theta a doubled residual's bottom half mirrors its top half by
 # adjoint: [Abar, abar'] has entry (n+i, k+n mod 2n) = -(entry (i, k))',
-# [abar, Abar'] = [Abar, abar']^dagger and abar' G^-1 Abar = (Abar' G^-1 abar)'.
+# [abar, Abar'] = [Abar, abar']^dagger and, as H = H', i[H, a_j'] = (i[H, a_j])'.
 # No binary64 part of a coefficient is ever -0.0, so a mirrored polynomial
 # has the bits of its direct form.
 
@@ -168,19 +168,17 @@ def _bbar_commutators(dm: DoubledModel):
     ))
 
 
-def _brackets(dm: DoubledModel):
-    """(Abar' J^-1 abar, abar' J^-1 Abar) for J = diag(theta, -theta*), whose
-    inverse is diag(T, -conj(T)) with T = theta^-1, cached on theta."""
+def _hamiltonian(dm: DoubledModel) -> OperatorPolynomial:
+    """H = (i / 2 nbar) (s' - s) for s = Abar' J^-1 abar and J = diag(theta,
+    -theta*), whose inverse is diag(T, -conj(T)) with T = theta^-1; H = H'
+    term for term, since s' - s is anti-self-adjoint coefficient by coefficient."""
 
     def build():
         t = OperatorMatrix.from_scalars(dm.algebra, dm.algebra.theta.inverse())
-        inv = block_diag(t, -t.conj())
-        s1 = (doubled_adjoint(dm.Abar) @ inv @ dm.abar).entry(0, 0)
-        if dm.algebra.theta.is_diagonal:  # else the two group binary64 sums apart
-            return s1, s1.adjoint()
-        return s1, (dm.abar.adjoint() @ inv @ dm.Abar).entry(0, 0)
+        s = (doubled_adjoint(dm.Abar) @ block_diag(t, -t.conj()) @ dm.abar).entry(0, 0)
+        return (s.adjoint() - s).scale(Scalar(0, Fraction(1, 2 * (dm.nbar or 1))))
 
-    return dm.cached("brackets", build)
+    return dm.cached("hamiltonian", build)
 
 
 def coupling_commutator_matrix(lbar: OperatorMatrix, abar: OperatorMatrix) -> OperatorMatrix:
@@ -194,23 +192,16 @@ def coupling_commutator_matrix(lbar: OperatorMatrix, abar: OperatorMatrix) -> Op
 # -- Definition-class membership ----------------------------------------------
 
 def generator_identity_parts(model: QsdeModel, dm: DoubledModel | None = None):
-    """The two bracket terms and the right-hand side of the class identity.
-
-    Returns (term1, term2, rhs) where the identity asserts
-    term1 - term2 = rhs = Abar - (1/2) Bbar Cbar.
-    """
+    """The two sides (i[H, abar], Abar - (1/2) Bbar Cbar) of the class identity,
+    H the extracted Hamiltonian.  Since H = H', i[H, a_j'] = (i[H, a_j])', so
+    the bottom half mirrors the top."""
     dm = dm or double(model)
-    nbar = dm.nbar if dm.nbar is not None else 1
-    s1, s2 = _brackets(dm)
-    factor = Scalar(Fraction(1, 2 * nbar))
-    first = scalar_vec_commutator(s1, dm.abar)
-    # where _brackets mirrors s2 = s1', [s2, abar_j] = -([s1, abar_(j+n mod 2n)])'
-    second = OperatorMatrix.from_nonzero(dm.algebra, 2 * dm.n, 1, {
-        ((j + dm.n) % (2 * dm.n), 0): -p.adjoint() for (j, _), p in first.nonzero.items()
-    }) if dm.algebra.theta.is_diagonal else scalar_vec_commutator(s2, dm.abar)
-    term1, term2 = first.scale(factor), second.scale(factor)
-    rhs = dm.Abar - (dm.Bbar @ dm.Cbar).scale(HALF)
-    return term1, term2, rhs
+    n = dm.n
+    top = scalar_vec_commutator(
+        _hamiltonian(dm), OperatorMatrix.column(dm.algebra, dm.abar.col(0)[:n])).scale(I)
+    lhs = OperatorMatrix.from_nonzero(dm.algebra, 2 * n, 1, {
+        **top.nonzero, **{(j + n, 0): p.adjoint() for (j, _), p in top.nonzero.items()}})
+    return lhs, dm.Abar - (dm.Bbar @ dm.Cbar).scale(HALF)
 
 
 def check_class(
@@ -221,7 +212,7 @@ def check_class(
     dm = dm or double(model)
     a_vec = OperatorMatrix.column(alg, dm.abar.col(0)[: model.n])
     row_a = row_commutator(model.A, a_vec)
-    term1, term2, rhs = generator_identity_parts(model, dm)
+    lhs, rhs = generator_identity_parts(model, dm)
     conditions = [
         _commutation_condition(
             "CLASS-B-commutes",
@@ -250,7 +241,7 @@ def check_class(
         _matrix_residual(
             "CLASS-generator-identity",
             "the graded commutator identity reproduces Abar - (1/2) Bbar Cbar",
-            (term1 - term2) - rhs,
+            lhs - rhs,
         ),
     ]
     return CheckReport(model_id=model_id, conditions=conditions)
@@ -333,13 +324,11 @@ def extract_hamiltonian(model: QsdeModel, dm: DoubledModel | None = None) -> Ope
     """Hamiltonian of the realizing oscillator.
 
     Uses the graded commutation matrix J = diag(theta, -theta*) where the
-    doubled-theta inverse appears.
+    doubled-theta inverse appears; the class identity reads the same H.
     """
     if model.A.is_zero:
         raise ValueError("Hamiltonian extraction needs a nonzero drift")
-    dm = dm or double(model)
-    s1, s2 = _brackets(dm)
-    return (s2 - s1).scale(Scalar(0, Fraction(1, 2 * dm.nbar)))
+    return _hamiltonian(dm or double(model))
 
 
 def reconstruct_generator(
@@ -357,10 +346,7 @@ def reconstruct_generator(
     abar = doubled_generators(alg)
     ibar = sign_matrix(alg, lbar.rows // 2)
     dissipative = (coupling_commutator_matrix(lbar, abar) @ ibar @ lbar).scale(HALF)
-    hamiltonian_part = OperatorMatrix.column(
-        alg, [hbar.commutator(a).scale(Scalar(0, 1)) for a in abar.col(0)]
-    )
-    return dissipative + hamiltonian_part
+    return dissipative + scalar_vec_commutator(hbar, abar).scale(I)
 
 
 # -- lossless and storage conditions ------------------------------------------
@@ -434,30 +420,18 @@ def _phi_nonnegative(phi: OperatorPolynomial):
     alg = phi.algebra
     if phi.is_zero:
         return True, "zero storage function"
-    n = alg.modes
-    const = None
-    quad = [[None] * n for _ in range(n)]
-    structural = True
+    quad = {}  # (i, j): the coefficient of a_i' a_j
     for mono, coeff in phi.terms.items():
-        if mono.is_unit:
-            const = coeff
-            structural = False
-            continue
-        if mono.degree == 2 and sum(mono.creation) == 1 and sum(mono.annihilation) == 1:
-            i = mono.creation.index(1)
-            j = mono.annihilation.index(1)
-            quad[i][j] = coeff
-        else:
-            structural = False
-    if const is not None and not const.is_zero(alg.tol):
-        return False, "nonzero vacuum value"
-    if structural:
+        if mono.is_unit and not coeff.is_zero(alg.tol):
+            return False, "nonzero vacuum value"
+        if mono.degree == 2 and sum(mono.creation) == 1 == sum(mono.annihilation):
+            quad[mono.creation.index(1), mono.annihilation.index(1)] = coeff
+    if len(quad) == len(phi.terms):  # a quadratic form, vanishing at the vacuum
         import numpy as np
 
-        p = np.array(
-            [[(quad[i][j].to_complex() if quad[i][j] is not None else 0j) for j in range(n)]
-             for i in range(n)]
-        )
+        p = np.zeros((alg.modes, alg.modes), dtype=complex)
+        for ij, coeff in quad.items():
+            p[ij] = coeff.to_complex()
         if np.max(np.abs(p - p.conj().T)) > alg.tol:
             return False, "quadratic form is not Hermitian"
         min_eig = float(np.linalg.eigvalsh(p).min())
@@ -467,11 +441,8 @@ def _phi_nonnegative(phi: OperatorPolynomial):
     if alg.theta.is_identity:
         from .fock import psd_check
 
-        degree = phi.max_degree
-        truncation = max(degree + 2, 4)
-        passed, min_eig = psd_check(phi, truncation, degree)
-        note = f"truncated-representation minimum eigenvalue {min_eig:.3g}"
-        return passed, note
+        passed, min_eig = psd_check(phi)
+        return passed, f"truncated-representation minimum eigenvalue {min_eig:.3g}"
     return False, "positivity not established for non-identity theta"
 
 

@@ -5,12 +5,12 @@ n >= k in every mode, and otherwise to the state n - k + h with amplitude
 prod_i sqrt(n_i!/(n_i-k_i)! * (n_i-k_i+h_i)!/(n_i-k_i)!).  ``_block`` builds
 the matrix of a polynomial on the given modes, between the states whose
 every occupation is at most ``cap``, from these index and amplitude arrays.
-Identities and positivity are judged on the guarded block, cap = N - 1 -
-guard, which excludes the truncation-corrupted top occupation levels and so
-makes the truncation error exactly zero for polynomial identities.  With no
-guard the block equals the dense truncated product, whose a' annihilates the
-top level.  On a mode that a residual does not touch every amplitude factor
-is 1.0, so ``residual_deviation`` skips zero residuals and builds the others
+Identities are judged on the guarded block, cap = N - 1 - guard, which
+excludes the truncation-corrupted top occupation levels and so makes the
+truncation error exactly zero for polynomial identities.  With no guard the
+block equals the dense truncated product, whose a' annihilates the top
+level; positivity needs no guard, as ``_block`` is exact at any cap.  On a
+mode that a residual does not touch every amplitude factor is 1.0, so ``residual_deviation`` skips zero residuals and builds the others
 on their touched modes, (cap+1)^(2 x touched) entries, with the same largest
 |entry| bit for bit.  ``MAX_DIMENSION`` bounds (cap+1)^n for every nonzero
 residual all the same, and once per call for the zero ones, which all share
@@ -108,11 +108,25 @@ def verify_identity(
     return deviation <= ORACLE_TOL, deviation
 
 
-def psd_check(phi: OperatorPolynomial, truncation: int, guard: int):
-    """Minimum eigenvalue of the guarded restriction of a self-adjoint polynomial."""
+def _touched(p: OperatorPolynomial) -> list:
+    """The modes (0-based, ascending) on which some monomial of p acts."""
+    return [i for i in range(p.algebra.modes)
+            if any(m.creation[i] or m.annihilation[i] for m in p.terms)]
+
+
+def psd_check(phi: OperatorPolynomial):
+    """Minimum eigenvalue of a self-adjoint polynomial between the states with up
+    to c quanta in each mode it touches, c the largest cap up to its degree that
+    ``MAX_DIMENSION`` admits; ``_block`` is exact at any cap, so no guard is needed."""
+    if not phi.algebra.theta.is_identity:
+        raise ValueError("the oracle requires theta = I")
     if not (phi.adjoint() - phi).is_zero:
         raise ValueError("positivity check needs a self-adjoint polynomial")
-    min_eig = float(np.linalg.eigvalsh(_guarded_block(phi, truncation, guard)).min())
+    touched = _touched(phi)
+    cap = max(c for c in range(phi.max_degree + 1) if (c + 1) ** len(touched) <= MAX_DIMENSION)
+    if touched and not cap:
+        raise ValueError(f"representation dimension {2 ** len(touched)} exceeds {MAX_DIMENSION}")
+    min_eig = float(np.linalg.eigvalsh(_block(phi, cap, touched)).min())
     return min_eig >= -ORACLE_TOL, min_eig
 
 
@@ -128,9 +142,7 @@ def residual_deviation(residuals, truncation: int, guard: int) -> float:
         eff_guard = max(guard, degree)
         cap = _cap(p, max(truncation, degree + 2, eff_guard + 1), eff_guard)
         if not p.is_zero:
-            touched = [i for i in range(p.algebra.modes)
-                       if any(m.creation[i] or m.annihilation[i] for m in p.terms)]
-            worst = max(worst, float(np.max(np.abs(_block(p, cap, touched)))))
+            worst = max(worst, float(np.max(np.abs(_block(p, cap, _touched(p))))))
     return worst
 
 

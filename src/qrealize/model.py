@@ -70,33 +70,36 @@ class QsdeModel:
     phi: OperatorPolynomial | None = None
 
     def to_float(self) -> "QsdeModel":
-        """Same model with every coefficient degraded to binary64; a ValueError
-        when the rounded theta, inverted here once for the checks, is singular."""
-        theta = CommutationMatrix(tuple(tuple(x.to_float() for x in row)
-                                        for row in self.algebra.theta.theta))
+        """Same model with every coefficient degraded to binary64; a ValueError when
+        a coefficient is beyond it or the rounded theta, inverted here, is singular."""
         try:
-            theta.inverse()
-        except ValueError:
-            raise ValueError("theta cannot be inverted in binary64") from None
-        alg = Algebra(self.n, theta, tol=self.algebra.tol)
+            theta = CommutationMatrix(tuple(tuple(x.to_float() for x in row)
+                                            for row in self.algebra.theta.theta))
+            try:
+                theta.inverse()
+            except ValueError:
+                raise ValueError("theta cannot be inverted in binary64") from None
+            alg = Algebra(self.n, theta, tol=self.algebra.tol)
 
-        def conv_poly(p):
-            return OperatorPolynomial(alg, {m: c.to_float() for m, c in p.terms.items()})
+            def conv_poly(p):
+                return OperatorPolynomial(alg, {m: c.to_float() for m, c in p.terms.items()})
 
-        def conv_mat(mat):
-            return OperatorMatrix(alg, mat.rows, mat.cols, [conv_poly(e) for e in mat.entries])
+            def conv_mat(mat):
+                return OperatorMatrix(alg, mat.rows, mat.cols, [conv_poly(e) for e in mat.entries])
 
-        return QsdeModel(
-            algebra=alg,
-            n=self.n,
-            m=self.m,
-            A=conv_mat(self.A),
-            B=conv_mat(self.B),
-            C=conv_mat(self.C),
-            D=conv_mat(self.D),
-            params={k: v.to_float() for k, v in self.params.items()},
-            phi=conv_poly(self.phi) if self.phi is not None else None,
-        )
+            return QsdeModel(
+                algebra=alg,
+                n=self.n,
+                m=self.m,
+                A=conv_mat(self.A),
+                B=conv_mat(self.B),
+                C=conv_mat(self.C),
+                D=conv_mat(self.D),
+                params={k: v.to_float() for k, v in self.params.items()},
+                phi=conv_poly(self.phi) if self.phi is not None else None,
+            )
+        except OverflowError:
+            raise ValueError("a coefficient is beyond binary64") from None
 
     def equals(self, other: "QsdeModel") -> bool:
         if self.n != other.n or self.m != other.m:

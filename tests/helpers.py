@@ -6,8 +6,8 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
-from qrealize import Scalar
-from qrealize.scalars import ZERO, identity_grid
+from qrealize import OperatorMatrix, Scalar, scalar_vec_commutator
+from qrealize.scalars import ZERO, grid_inverse, identity_grid
 
 
 def random_poly(rng, alg, max_terms=3, max_degree=4, coeff_range=3):
@@ -88,6 +88,22 @@ def grid_matmul(a, b):
         tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), ZERO) for j in range(cols))
         for i in range(len(a))
     )
+
+
+def direct_bracket(dm):
+    """abar' G^-1 Abar for G = diag(theta, -theta*), formed as a product."""
+    theta = dm.algebra.theta
+    inv = OperatorMatrix.from_scalars(dm.algebra, block_diag(
+        theta.inverse(), grid_inverse(grid_neg(grid_conj(theta.theta)))))
+    return (dm.abar.adjoint() @ inv @ dm.Abar).entry(0, 0)
+
+
+def bracket_terms(dm):
+    """The class identity's two bracket terms, [s', abar] / 2 nbar and
+    [s, abar] / 2 nbar for s = ``direct_bracket``; in exact arithmetic their
+    difference is i[H, abar] for the extracted H."""
+    s, factor = direct_bracket(dm), Scalar(Fraction(1, 2 * (dm.nbar or 1)))
+    return tuple(scalar_vec_commutator(b, dm.abar).scale(factor) for b in (s.adjoint(), s))
 
 
 def chain_text(n):

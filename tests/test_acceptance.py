@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_poly
+from helpers import bracket_terms, random_poly
 from qrealize import (
     Algebra,
     OperatorMatrix,
@@ -86,7 +86,9 @@ def test_criterion_1_class_membership(cavity, announce):
                           "printed bracket terms and right-hand side exactly")
 def test_criterion_2_generator_identity(cavity, announce):
     alg = cavity.algebra
-    term1, term2, rhs = generator_identity_parts(cavity)
+    dm = double(cavity)
+    term1, term2 = bracket_terms(dm)
+    lhs, rhs = generator_identity_parts(cavity, dm)
     assert (term1 - expr_column(
         alg, ["a1'*a2^2", "-a2'*a1^2", "a2'^2*a1", "-a1'^2*a2"]
     )).is_zero
@@ -94,8 +96,8 @@ def test_criterion_2_generator_identity(cavity, announce):
     assert (rhs - expr_column(
         alg, ["2*a1'*a2^2", "-2*a2'*a1^2", "2*a2'^2*a1", "-2*a1'^2*a2"]
     )).is_zero
-    assert (term1 - term2 - rhs).is_zero
-    dm = double(cavity)
+    assert (term1 - term2 - lhs).is_zero
+    assert (lhs - rhs).is_zero
     assert (rhs - (dm.Abar - (dm.Bbar @ dm.Cbar).scale(Scalar(Fraction(1, 2))))).is_zero
     announce["ok"] = True
 
@@ -248,8 +250,8 @@ def test_criterion_9_oracle_concordance(cavity, announce):
     residuals.extend(
         (rec - dm.Abar).entry(j, 0) for j in range(4)
     )
-    term1, term2, rhs = generator_identity_parts(cavity, dm)
-    diff = (term1 - term2) - rhs
+    lhs, rhs = generator_identity_parts(cavity, dm)
+    diff = lhs - rhs
     residuals.extend(diff.entry(j, 0) for j in range(4))
 
     assert oracle_zero(residuals) <= 1e-9

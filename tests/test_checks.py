@@ -43,15 +43,15 @@ def test_class_fixture_passes(cavity):
 
 def test_generator_identity_values(cavity):
     alg = cavity.algebra
-    term1, term2, rhs = generator_identity_parts(cavity)
-    assert (term1 - expr_column(
-        alg, ["a1'*a2^2", "-a2'*a1^2", "a2'^2*a1", "-a1'^2*a2"]
+    lhs, rhs = generator_identity_parts(cavity)
+    expected = expr_column(alg, ["2*a1'*a2^2", "-2*a2'*a1^2", "2*a2'^2*a1", "-2*a1'^2*a2"])
+    assert (lhs - expected).is_zero
+    assert (rhs - expected).is_zero
+    # the left side is i[H, abar] for the extracted H
+    hbar = extract_hamiltonian(cavity)
+    assert (lhs - OperatorMatrix.column(
+        alg, [hbar.commutator(a).scale(Scalar(0, 1)) for a in double(cavity).abar.col(0)]
     )).is_zero
-    assert (term2 + term1).is_zero
-    assert (rhs - expr_column(
-        alg, ["2*a1'*a2^2", "-2*a2'*a1^2", "2*a2'^2*a1", "-2*a1'^2*a2"]
-    )).is_zero
-    assert (term1 - term2 - rhs).is_zero
 
 
 def test_class_fails_with_creation_in_output(cavity_text):
@@ -231,6 +231,11 @@ NONNEG_CASES = [
     ("identity", CAVITY_PHI + " + a1'*a2", False, "quadratic form is not Hermitian"),
     ("identity", "-2*a1'*a1 - 2*a2'*a2", False, "quadratic form has negative eigenvalue -2"),
     ("identity", QUARTIC_PHI, True, "truncated-representation minimum eigenvalue 0"),
+    # negative at 2 and 3 quanta (<3|phi|3> = -6), beyond one quantum per mode
+    ("identity", "a1'^3*a1^3 - 2*a1'^2*a1^2", False,
+     "truncated-representation minimum eigenvalue -6"),
+    ("identity", "a1'^4*a1^4 - 12*a1'^3*a1^3 + 36*a1'^2*a1^2", False,
+     "truncated-representation minimum eigenvalue -336"),
     (DIAG_THETA, QUARTIC_PHI, False, "positivity not established for non-identity theta"),
     (DIAG_THETA, "8*a1'*a1 + 2*a2'*a2", True, "positive semidefinite quadratic form"),
 ]

@@ -214,7 +214,7 @@ def test_check_float_refuses_a_coefficient_beyond_binary64(capsys):
     # --float converts 1e400 itself, which binary64 cannot hold
     code, out, err = run_cli(capsys, "check", str(HUGE_PATH), "--float")
     assert code == 2 and out == ""
-    assert err == "error: integer division result too large for a float\n"
+    assert err == "error: a coefficient is beyond binary64\n"
 
 
 def test_check_json_schema_and_verdict(capsys):

@@ -181,7 +181,7 @@ def test_float_mode_rejects_a_number_beyond_binary64(capsys, tmp_path):
     assert run_check(capsys, tmp_path, text)[0] == 0
     code, out, err = run_check(capsys, tmp_path, text, "--float")
     assert (code, out) == (2, "")
-    assert err == "error: integer division result too large for a float\n"
+    assert err == "error: a coefficient is beyond binary64\n"
 
 
 def test_number_bound_admits_a_thousand_digits(capsys, tmp_path):
