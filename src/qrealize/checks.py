@@ -1,28 +1,17 @@
 """Verification engines: class membership, commutation preservation,
-physical realizability, Hamiltonian extraction, generator reconstruction,
-lossless and storage-function conditions.
+physical realizability, Hamiltonian extraction, lossless and storage
+conditions, and storage-function synthesis.
 
-Every engine returns a :class:`CheckReport` whose conditions carry symbolic
-residuals; in exact mode a passing condition has residual exactly zero.
-
-All engines read one doubled model (:func:`double`).  ``run_checks`` builds
-it once per run and hands it to every family and to ``synthesize_storage``;
-each public ``check_*`` function takes it as an optional ``dm`` and builds
-its own only when not given one.  The doubled model caches what a run
-reads twice: ``Bbar'``, the ``Bbar`` commutators and the CCR summary
-(``CCR-*`` and ``PR-CCR-*``), the Hamiltonian (the class identity and
-extraction), and ``I - Dbar' Dbar`` and the last phi's gradient
-residuals (synthesis and ``check_lossless``).  theta is Hermitian, so each
-doubled residual is formed from the half that carries its information.
-
-Storage synthesis has one candidate, ``phi* = 2 sum_j a_j' a_j``: for
-``phi = 2 a' P a`` the ``ST-gradient-commutator`` target's top-right block
-``2 theta`` holds only at P = I when theta is invertible.  A synthesized
-phi is checked like a declared one.
+Every condition id is one row of ``CONDITIONS``, judged by ``_judge``; each
+``check_*`` function judges its family's rows in table order, on the doubled
+model it is given or builds (:func:`double`).  A judged row is kept on the
+doubled model, with what several rows read (``Bbar'``, the Hamiltonian,
+``I - Dbar' Dbar``, phi's gradient residuals), so a run forms each once.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -104,319 +93,111 @@ def _rendered(value):
     return value
 
 
-def _residual_condition(cid, desc, labelled_residuals, residuals=None):
-    """A condition over [(label, residual), ...], keeping ``residuals`` (default: all)."""
-    nonzero = [(lab, p) for lab, p in labelled_residuals if not p.is_zero]
-    return Condition(
-        condition_id=cid,
-        description=desc,
-        passed=not nonzero,
-        residual_norm=max((p.coeff_norm() for _, p in nonzero), default=0.0),
-        witness=[{"entry": lab, "residual": render(p)} for lab, p in nonzero],
-        residuals=[p for _, p in labelled_residuals] if residuals is None else residuals,
-    )
+# -- the doubled model of a run, and what it keeps ----------------------------
+
+def _doubled(model: QsdeModel, dm: DoubledModel | None) -> DoubledModel:
+    """``dm``, or the doubled model of ``model`` when none is given."""
+    if dm is None:
+        return double(model)
+    if dm.model is not model:
+        raise ValueError("the doubled model was built from another model")
+    return dm
 
 
-def _matrix_residual(cid, desc, mat: OperatorMatrix):
-    """Labels only the nonzero entries, which ``nonzero`` holds row-major."""
-    labelled = [(f"({i + 1},{j + 1})", p) for (i, j), p in mat.nonzero.items()]
-    return _residual_condition(cid, desc, labelled, mat.entries)
+def _kept(dm: DoubledModel | None, phi, key, build):
+    """``build()``, kept on the doubled model under (key, phi).  phi is kept with
+    it, so its id is not reused while the doubled model lives."""
+    memo = dm.memo if dm is not None else {}
+    kept = memo.get((key, id(phi)))
+    if kept is None:
+        kept = memo[key, id(phi)] = phi, build()
+    return kept[1]
 
 
-def _commutation_condition(cid, desc, label, named, alg):
-    """Condition over the nonzero [m_ij, w_k] of ``matrix_vector_commutators``;
-    ``label`` formats (i, j, k)."""
-    labelled = [(label.format(i, j, k), p) for (i, j, k), p in named]
-    return _residual_condition(cid, desc, labelled or [("all", alg.zero())])
-
-
-def _verdict(cid, desc, failures):
-    """A condition without residual polynomials; fails on [(entry, reason), ...]."""
-    return Condition(
-        condition_id=cid,
-        description=desc,
-        passed=not failures,
-        residual_norm=0.0,
-        witness=[{"entry": entry, "residual": reason} for entry, reason in failures],
-    )
-
-
-# -- residual matrices shared by several conditions, one per doubled model ----
+# -- residuals that several rows or synthesis read ----------------------------
 # At Hermitian theta a doubled residual's bottom half mirrors its top half by
-# adjoint: [Abar, abar'] has entry (n+i, k+n mod 2n) = -(entry (i, k))',
-# [abar, Abar'] = [Abar, abar']^dagger and, as H = H', i[H, a_j'] = (i[H, a_j])'.
-# No binary64 part of a coefficient is ever -0.0, so a mirrored polynomial
-# has the bits of its direct form.
+# adjoint: [Abar, abar'] has entry (n+i, k+n mod 2n) = -(entry (i, k))' and
+# [abar, Abar'] = [Abar, abar']^dagger.  No binary64 part of a coefficient is
+# ever -0.0, so a mirrored polynomial has the bits of its direct form.
 
-def _ccr_sum(dm: DoubledModel) -> OperatorMatrix:
-    """[Abar, abar'] + [abar, Abar'] + Bbar Ibar Bbar', read once, by the cached CCR summary."""
+def _modes(dm: DoubledModel) -> OperatorMatrix:
+    """The column (a_1, ..., a_n), the top half of abar."""
+    return dm.cached("a", lambda: OperatorMatrix.column(dm.algebra, dm.abar.col(0)[:dm.n]))
+
+
+def _ccr_sum(dm: DoubledModel, _=None) -> OperatorMatrix:
+    """[Abar, abar'] + [abar, Abar'] + Bbar Ibar Bbar', for ``CCR-sum`` and ``PR-CCR-sum``."""
     n, alg = dm.n, dm.algebra
-    top = outer_commutator(OperatorMatrix.column(alg, dm.Abar.col(0)[:n]), dm.abar).nonzero
-    left = {**top, **{(n + i, (k + n) % (2 * n)): -p.adjoint()
-                      for (i, k), p in top.items()}}
+    top = outer_commutator(dm.model.A, dm.abar).nonzero  # A is the top half of Abar
+    left = {**top, **{(n + i, (k + n) % (2 * n)): -p.adjoint() for (i, k), p in top.items()}}
     right = {(k, j): p.adjoint() for (j, k), p in left.items()}
     return (OperatorMatrix.from_nonzero(alg, 2 * n, 2 * n, left)
             + OperatorMatrix.from_nonzero(alg, 2 * n, 2 * n, right)
             + dm.Bbar @ dm.Ibar_matrix @ dm.Bbar_adjoint)
 
 
-def _bbar_commutators(dm: DoubledModel):
-    """The nonzero [Bbar_ij, abar_k'] and [Bbar'_ij, abar_k]."""
-    return dm.cached("bbar-commutators", lambda: (
-        matrix_vector_commutators(dm.Bbar, dm.abar, dagger=True),
-        matrix_vector_commutators(dm.Bbar_adjoint, dm.abar),
-    ))
+def _unitary_residual(dm: DoubledModel, _=None) -> OperatorMatrix:
+    """I - Dbar' Dbar, the ``LL-D-unitary`` residual, once per doubled model."""
+    return dm.cached("I - Dbar' Dbar", lambda: dm.identity - dm.Dbar.adjoint() @ dm.Dbar)
 
 
-def _hamiltonian(dm: DoubledModel) -> OperatorPolynomial:
-    """H = (i / 2 nbar) (s' - s) for s = Abar' J^-1 abar and J = diag(theta,
-    -theta*), whose inverse is diag(T, -conj(T)) with T = theta^-1; H = H'
-    term for term, since s' - s is anti-self-adjoint coefficient by coefficient."""
+def _gradient(dm: DoubledModel | None, phi: OperatorPolynomial) -> OperatorMatrix:
+    """grad(phi), read by the lossless and storage rows."""
+    return _kept(dm, phi, "gradient",
+                 lambda: OperatorMatrix.column(phi.algebra, wirtinger_gradient(phi)))
 
-    def build():
-        t = OperatorMatrix.from_scalars(dm.algebra, dm.algebra.theta.inverse())
-        s = (doubled_adjoint(dm.Abar) @ block_diag(t, -t.conj()) @ dm.abar).entry(0, 0)
-        return (s.adjoint() - s).scale(Scalar(0, Fraction(1, 2 * (dm.nbar or 1))))
 
-    return dm.cached("hamiltonian", build)
+def _gradient_a(dm: DoubledModel, phi: OperatorPolynomial) -> OperatorPolynomial:
+    """grad(phi)' Abar + Cbar' Cbar, the ``LL-gradient-A`` residual; synthesis
+    and ``check_lossless`` read phi*'s."""
+    return _kept(dm, phi, "LL-gradient-A", lambda: (
+        (_gradient(dm, phi).adjoint() @ dm.Abar).entry(0, 0)
+        + (doubled_adjoint(dm.Cbar) @ dm.Cbar).entry(0, 0)))
+
+
+def _b_gradient(dm: DoubledModel, phi: OperatorPolynomial) -> OperatorMatrix:
+    """(1/2) Bbar' grad(phi) + Cbar, the ``LL-B-gradient`` residual, read likewise."""
+    return _kept(dm, phi, "LL-B-gradient",
+                 lambda: (dm.Bbar_adjoint @ _gradient(dm, phi)).scale(HALF) + dm.Cbar)
 
 
 def coupling_commutator_matrix(lbar: OperatorMatrix, abar: OperatorMatrix) -> OperatorMatrix:
     """The matrix [Lbar', abar] with entry (j, k) = [Lbar_k*, abar_j]."""
     table = commutator_table(lbar.conj().nonzero, abar.nonzero)
-    return OperatorMatrix.from_nonzero(
-        abar.algebra, abar.rows, lbar.rows, {(j, k): c for ((k, _), (j, _)), c in table.items()}
-    )
+    entries = {(j, k): c for ((k, _), (j, _)), c in table.items()}
+    return OperatorMatrix.from_nonzero(abar.algebra, abar.rows, lbar.rows, entries)
 
-
-# -- Definition-class membership ----------------------------------------------
 
 def generator_identity_parts(model: QsdeModel, dm: DoubledModel | None = None):
     """The two sides (i[H, abar], Abar - (1/2) Bbar Cbar) of the class identity,
-    H the extracted Hamiltonian.  Since H = H', i[H, a_j'] = (i[H, a_j])', so
-    the bottom half mirrors the top."""
-    dm = dm or double(model)
+    H the extracted Hamiltonian (0 for a zero drift).  As H = H', the bottom
+    half mirrors the top: i[H, a_j'] = (i[H, a_j])'."""
+    dm = _doubled(model, dm)
     n = dm.n
-    top = scalar_vec_commutator(
-        _hamiltonian(dm), OperatorMatrix.column(dm.algebra, dm.abar.col(0)[:n])).scale(I)
+    h = dm.algebra.zero() if model.A.is_zero else extract_hamiltonian(model, dm)
+    top = scalar_vec_commutator(h, _modes(dm)).scale(I)
     lhs = OperatorMatrix.from_nonzero(dm.algebra, 2 * n, 1, {
         **top.nonzero, **{(j + n, 0): p.adjoint() for (j, _), p in top.nonzero.items()}})
     return lhs, dm.Abar - (dm.Bbar @ dm.Cbar).scale(HALF)
 
 
-def check_class(
-    model: QsdeModel, model_id: str = "model", dm: DoubledModel | None = None
-) -> CheckReport:
-    """Membership conditions for the admissible model class."""
-    alg = model.algebra
-    dm = dm or double(model)
-    a_vec = OperatorMatrix.column(alg, dm.abar.col(0)[: model.n])
-    row_a = row_commutator(model.A, a_vec)
-    lhs, rhs = generator_identity_parts(model, dm)
-    conditions = [
-        _commutation_condition(
-            "CLASS-B-commutes",
-            "every entry of B commutes with every mode operator",
-            "B[{0},{1}] vs a{2}",
-            matrix_vector_commutators(model.B, a_vec),
-            alg,
-        ),
-        _commutation_condition(
-            "CLASS-C-commutes",
-            "every entry of C commutes with every mode operator",
-            "C[{0}] vs a{2}",
-            matrix_vector_commutators(model.C, a_vec),
-            alg,
-        ),
-        _matrix_residual(
-            "CLASS-A-antisymmetry",
-            "the drift commutator matrix [A_j, a_k] is symmetric",
-            row_a - row_a.transpose(),
-        ),
-        _verdict(
-            "CLASS-structure",
-            "drift and output monomials have the admissible single-mode form",
-            [(v, "structural") for v in structural_class_check(model)],
-        ),
-        _matrix_residual(
-            "CLASS-generator-identity",
-            "the graded commutator identity reproduces Abar - (1/2) Bbar Cbar",
-            lhs - rhs,
-        ),
-    ]
-    return CheckReport(model_id=model_id, conditions=conditions)
+# -- row builders ---------------------------------------------------------------
+
+def _commuting(label: str, m: OperatorMatrix, w: OperatorMatrix, dagger: bool = False):
+    """The nonzero [m_ij, w_k] (w_k' if ``dagger``), labelled by ``label`` formatted
+    with (i, j, k), or one zero when there are none."""
+    named = matrix_vector_commutators(m, w, dagger)
+    return [(label.format(*ijk), p) for ijk, p in named] or [("all", m.algebra.zero())]
 
 
-# -- commutation preservation -------------------------------------------------
-
-def check_preservation(
-    model: QsdeModel,
-    model_id: str = "model",
-    id_prefix: str = "CCR",
-    dm: DoubledModel | None = None,
-) -> CheckReport:
-    """Differential conditions for preservation of the commutation relations."""
-    alg = model.algebra
-    dm = dm or double(model)
-    b_left, b_right = _bbar_commutators(dm)
-    cid, desc = f"{id_prefix}-sum", "[Abar, abar'] + [abar, Abar'] + Bbar Ibar Bbar' vanishes"
-    # CCR-sum and PR-CCR-sum share one summary, not one witness list
-    ccr = dm.cached("ccr-summary", lambda: _matrix_residual(cid, desc, _ccr_sum(dm)))
-    conditions = [
-        Condition(cid, desc, ccr.passed, ccr.residual_norm,
-                  [dict(w) for w in ccr.witness], list(ccr.residuals)),
-        _commutation_condition(
-            f"{id_prefix}-B-left",
-            "every entry of Bbar commutes with every doubled creation generator",
-            "Bbar[{0},{1}] vs abar{2}'",
-            b_left,
-            alg,
-        ),
-        _commutation_condition(
-            f"{id_prefix}-B-right",
-            "every doubled generator commutes with every entry of Bbar'",
-            "Bbar'[{0},{1}] vs abar{2}",
-            b_right,
-            alg,
-        ),
-    ]
-    return CheckReport(model_id=model_id, conditions=conditions)
-
-
-# -- physical realizability ---------------------------------------------------
-
-def check_physical_realizability(
-    model: QsdeModel, model_id: str = "model", dm: DoubledModel | None = None
-) -> CheckReport:
-    """Necessary and sufficient realizability conditions, plus extraction."""
-    dm = dm or double(model)
-    report = check_preservation(model, model_id, id_prefix="PR-CCR", dm=dm)
-    report.conditions += [
-        _matrix_residual(
-            "PR-B-match",
-            "Bbar equals the coupling commutator matrix [Cbar', abar] Ibar",
-            dm.Bbar - coupling_commutator_matrix(dm.Cbar, dm.abar) @ dm.Ibar_matrix,
-        ),
-        _matrix_residual(
-            "PR-D-identity",
-            "Dbar is the identity",
-            dm.Dbar - dm.identity,
-        ),
-    ]
-    if report.overall and not model.A.is_zero:
-        report.derived = realization_derived(model, dm)
-    return report
-
-
-def realization_derived(model: QsdeModel, dm: DoubledModel | None = None) -> dict:
-    """nbar, the extracted Hamiltonian, its self-adjointness and the coupling."""
-    dm = dm or double(model)
-    hbar = extract_hamiltonian(model, dm=dm)
-    return {
-        "nbar": dm.nbar,
-        "hamiltonian": hbar,
-        "hamiltonian_self_adjoint": hbar.adjoint() == hbar,
-        "coupling": dm.Cbar.col(0),
-    }
-
-
-def extract_hamiltonian(model: QsdeModel, dm: DoubledModel | None = None) -> OperatorPolynomial:
-    """Hamiltonian of the realizing oscillator.
-
-    Uses the graded commutation matrix J = diag(theta, -theta*) where the
-    doubled-theta inverse appears; the class identity reads the same H.
-    """
-    if model.A.is_zero:
-        raise ValueError("Hamiltonian extraction needs a nonzero drift")
-    return _hamiltonian(dm or double(model))
-
-
-def reconstruct_generator(
-    hbar: OperatorPolynomial, lbar: OperatorMatrix
-) -> OperatorMatrix:
-    """Drift vector of the oscillator defined by (hbar, lbar).
-
-    Entry j is (1/2) (row j of [Lbar', abar] Ibar) Lbar + i [hbar, abar_j];
-    for a physically realizable model this reproduces Abar exactly.
-    """
-    alg = hbar.algebra
-    alg.require_compatible(lbar.algebra)
-    if lbar.cols != 1 or lbar.rows % 2 != 0:
-        raise ValueError("coupling vector must be a column of even length")
-    abar = doubled_generators(alg)
-    ibar = sign_matrix(alg, lbar.rows // 2)
-    dissipative = (coupling_commutator_matrix(lbar, abar) @ ibar @ lbar).scale(HALF)
-    return dissipative + scalar_vec_commutator(hbar, abar).scale(I)
-
-
-# -- lossless and storage conditions ------------------------------------------
-
-def check_lossless(
-    model: QsdeModel,
-    phi: OperatorPolynomial | None = None,
-    model_id: str = "model",
-    dm: DoubledModel | None = None,
-) -> CheckReport:
-    """Differential lossless conditions for a given storage function."""
-    phi = phi if phi is not None else model.phi
-    if phi is None:
-        raise ValueError("a storage function is required (model phi or argument)")
-    dm = dm or double(model)
-    gradient_residual, b_residual = _gradient_residuals(dm, phi)
-    conditions = [
-        _residual_condition(
-            "LL-gradient-A",
-            "grad(phi)' Abar equals -Cbar' Cbar",
-            [("scalar", gradient_residual)],
-        ),
-        _matrix_residual("LL-B-gradient", "(1/2) Bbar' grad(phi) equals -Cbar", b_residual),
-        _matrix_residual("LL-D-unitary", "I - Dbar' Dbar vanishes", _unitary_residual(dm)),
-        _residual_condition(
-            "LL-phi-selfadjoint",
-            "the storage function is self-adjoint",
-            [("phi' - phi", phi.adjoint() - phi)],
-        ),
-    ]
-    nonneg, note = _phi_nonnegative(phi)
-    conditions.append(
-        _verdict(
-            "LL-phi-nonneg",
-            f"the storage function is non-negative ({note})",
-            [] if nonneg else [("phi", note)],
-        )
-    )
-    return CheckReport(model_id=model_id, conditions=conditions)
-
-
-def _gradient_residuals(dm: DoubledModel, phi: OperatorPolynomial):
-    """Yield phi's ``LL-gradient-A`` residual grad(phi)' Abar + Cbar' Cbar,
-    then, formed when asked for, its ``LL-B-gradient`` residual
-    (1/2) Bbar' grad(phi) + Cbar; both are kept for the last phi, so
-    synthesis and ``check_lossless`` form phi*'s once."""
-    if dm.memo.get("phi") is not phi:
-        grad = OperatorMatrix.column(dm.algebra, wirtinger_gradient(phi))
-        cc = (doubled_adjoint(dm.Cbar) @ dm.Cbar).entry(0, 0)
-        dm.memo.update(phi=phi, gradient=[grad, (grad.adjoint() @ dm.Abar).entry(0, 0) + cc])
-    kept = dm.memo["gradient"]
-    yield kept[1]
-    if len(kept) == 2:
-        kept.append((dm.Bbar_adjoint @ kept[0]).scale(HALF) + dm.Cbar)
-    yield kept[2]
-
-
-def _unitary_residual(dm: DoubledModel) -> OperatorMatrix:
-    """I - Dbar' Dbar, the ``LL-D-unitary`` residual, once per doubled model."""
-    return dm.cached("I - Dbar' Dbar", lambda: dm.identity - dm.Dbar.adjoint() @ dm.Dbar)
+def _nonnegative(_, phi: OperatorPolynomial):
+    passed, note = _phi_nonnegative(phi)
+    return note, [] if passed else [("phi", note)]
 
 
 def _phi_nonnegative(phi: OperatorPolynomial):
-    """Structural positivity check with a numerical fallback.
-
-    Returns (passed, note).  Structural route: phi vanishes at the vacuum
-    and is a quadratic form with a positive semidefinite Hermitian
-    coefficient matrix.  Otherwise, when theta is the identity, the
-    truncated-representation eigenvalue check decides.
-    """
+    """(passed, note): phi is a positive semidefinite Hermitian quadratic form, or
+    else, at theta = I, self-adjoint with no negative truncated eigenvalue."""
     alg = phi.algebra
     if phi.is_zero:
         return True, "zero storage function"
@@ -439,6 +220,8 @@ def _phi_nonnegative(phi: OperatorPolynomial):
             return True, "positive semidefinite quadratic form"
         return False, f"quadratic form has negative eigenvalue {min_eig:.3g}"
     if alg.theta.is_identity:
+        if not (phi.adjoint() - phi).is_zero:
+            return False, "storage function is not self-adjoint"
         from .fock import psd_check
 
         passed, min_eig = psd_check(phi)
@@ -446,29 +229,193 @@ def _phi_nonnegative(phi: OperatorPolynomial):
     return False, "positivity not established for non-identity theta"
 
 
-def check_storage_condition(
-    phi: OperatorPolynomial, model_id: str = "model", dm: DoubledModel | None = None
-) -> CheckReport:
-    """Gradient commutator condition characterizing admissible storage functions."""
+def _storage_residual(dm: DoubledModel | None, phi: OperatorPolynomial):
+    """[grad(phi), abar^T] minus the target [[0, 2 theta], [-2 theta^T, 0]], with
+    the target's name; without a doubled model abar is built from phi's algebra."""
     alg = phi.algebra
     n = alg.modes
     abar = dm.abar if dm is not None else doubled_generators(alg)
-    grad = OperatorMatrix.column(alg, wirtinger_gradient(phi))
-    actual = row_commutator(grad, abar)
+    actual = row_commutator(_gradient(dm, phi), abar)
     # [[0, 2 theta], [-2 theta^T, 0]], from the nonzero entries of 2 theta
     two_theta = [(j, l, alg.scalar(Scalar(2) * t))
                  for j, row in enumerate(alg.theta.row_entries) for l, t, _ in row]
     target = OperatorMatrix.from_nonzero(alg, 2 * n, 2 * n, {
         **{(j, n + l): p for j, l, p in two_theta}, **{(n + l, j): -p for j, l, p in two_theta}})
-    desc = "[grad(phi), abar^T] equals the constant block matrix [[0, 2I], [-2I, 0]]"
-    if not alg.theta.is_identity:
-        desc = (
-            "[grad(phi), abar^T] equals the theta-scaled block matrix "
-            "[[0, 2*theta], [-2*theta^T, 0]] (generalized target for "
-            "non-identity theta)"
-        )
-    cond = _matrix_residual("ST-gradient-commutator", desc, actual - target)
-    return CheckReport(model_id=model_id, conditions=[cond])
+    if alg.theta.is_identity:
+        return "constant block matrix [[0, 2I], [-2I, 0]]", actual - target
+    return ("theta-scaled block matrix [[0, 2*theta], [-2*theta^T, 0]] (generalized target "
+            "for non-identity theta)", actual - target)
+
+
+# -- the condition table --------------------------------------------------------
+
+_CCR = (
+    ("CCR-sum", "preserve", "[Abar, abar'] + [abar, Abar'] + Bbar Ibar Bbar' vanishes",
+     _ccr_sum),
+    ("CCR-B-left", "preserve",
+     "every entry of Bbar commutes with every doubled creation generator",
+     lambda dm, _: _commuting("Bbar[{0},{1}] vs abar{2}'", dm.Bbar, dm.abar, dagger=True)),
+    ("CCR-B-right", "preserve", "every doubled generator commutes with every entry of Bbar'",
+     lambda dm, _: _commuting("Bbar'[{0},{1}] vs abar{2}", dm.Bbar_adjoint, dm.abar)),
+)
+
+# (condition id, family, description, builder) in report order; ``_ROWS`` maps a
+# family to its rows.  Where a description holds "{}", the builder returns
+# (note, result) and the note fills it.  ``run_checks`` reports the "phi" row in
+# place of the lossless and storage families when no storage function is found.
+CONDITIONS = (
+    ("CLASS-B-commutes", "class", "every entry of B commutes with every mode operator",
+     lambda dm, _: _commuting("B[{0},{1}] vs a{2}", dm.model.B, _modes(dm))),
+    ("CLASS-C-commutes", "class", "every entry of C commutes with every mode operator",
+     lambda dm, _: _commuting("C[{0}] vs a{2}", dm.model.C, _modes(dm))),
+    ("CLASS-A-antisymmetry", "class", "the drift commutator matrix [A_j, a_k] is symmetric",
+     lambda dm, _: (row_a := row_commutator(dm.model.A, _modes(dm))) - row_a.transpose()),
+    ("CLASS-structure", "class",
+     "drift and output monomials have the admissible single-mode form",
+     lambda dm, _: [(v, "structural") for v in structural_class_check(dm.model)]),
+    ("CLASS-generator-identity", "class",
+     "the graded commutator identity reproduces Abar - (1/2) Bbar Cbar",
+     lambda dm, _: operator.sub(*generator_identity_parts(dm.model, dm))),
+    *_CCR,
+    *((f"PR-{cid}", "realize", desc, build) for cid, _, desc, build in _CCR),
+    ("PR-B-match", "realize", "Bbar equals the coupling commutator matrix [Cbar', abar] Ibar",
+     lambda dm, _: dm.Bbar - coupling_commutator_matrix(dm.Cbar, dm.abar) @ dm.Ibar_matrix),
+    ("PR-D-identity", "realize", "Dbar is the identity", lambda dm, _: dm.Dbar - dm.identity),
+    ("LL-gradient-A", "lossless", "grad(phi)' Abar equals -Cbar' Cbar",
+     lambda dm, phi: [("scalar", _gradient_a(dm, phi))]),
+    ("LL-B-gradient", "lossless", "(1/2) Bbar' grad(phi) equals -Cbar", _b_gradient),
+    ("LL-D-unitary", "lossless", "I - Dbar' Dbar vanishes", _unitary_residual),
+    ("LL-phi-selfadjoint", "lossless", "the storage function is self-adjoint",
+     lambda _, phi: [("phi' - phi", phi.adjoint() - phi)]),
+    ("LL-phi-nonneg", "lossless", "the storage function is non-negative ({})", _nonnegative),
+    ("ST-gradient-commutator", "storage", "[grad(phi), abar^T] equals the {}", _storage_residual),
+    ("LL-phi-available", "phi", "a storage function is available (declared or synthesized)",
+     lambda _, phi: [] if phi is not None else [("phi", "no candidate found")]),
+)
+_ROWS = {row[1]: [r for r in CONDITIONS if r[1] == row[1]] for row in CONDITIONS}
+
+
+def _judge(cid: str, desc: str, result) -> Condition:
+    """A builder's result as a condition: a residual matrix, labelled (i,j) with
+    every entry kept; labelled residuals, all kept; or a verdict's failures."""
+    if isinstance(result, tuple):  # (note, result): the note fills the description
+        note, result = result
+        desc = desc.format(note)
+    if isinstance(result, OperatorMatrix):
+        residuals = result.entries
+        result = [(f"({i + 1},{j + 1})", p) for (i, j), p in result.nonzero.items()]
+    elif result and isinstance(result[0][1], str):  # a verdict: no residual polynomials
+        return Condition(cid, desc, False, 0.0,
+                         [{"entry": entry, "residual": reason} for entry, reason in result])
+    else:
+        residuals = [p for _, p in result]
+    nonzero = [(label, p) for label, p in result if not p.is_zero]
+    norm = max((p.coeff_norm() for _, p in nonzero), default=0.0)
+    return Condition(cid, desc, not nonzero, norm,
+                     [{"entry": label, "residual": render(p)} for label, p in nonzero], residuals)
+
+
+def _condition(row, dm: DoubledModel | None, phi) -> Condition:
+    """One row judged on (dm, phi) and kept, so a builder two ids share is built
+    and judged once; the other id gets a copy with its own witness list."""
+    cid, _, desc, build = row
+    first = _kept(dm, phi, build, lambda: _judge(cid, desc, build(dm, phi)))
+    if first.condition_id == cid:
+        return first
+    return Condition(cid, first.description, first.passed, first.residual_norm,
+                     [dict(w) for w in first.witness], list(first.residuals))
+
+
+def _report(family: str, model_id: str, dm: DoubledModel | None, phi=None) -> CheckReport:
+    """The rows of one family, judged in table order."""
+    return CheckReport(model_id, [_condition(row, dm, phi) for row in _ROWS[family]])
+
+
+# -- the check families ---------------------------------------------------------
+
+def check_class(
+    model: QsdeModel, model_id: str = "model", dm: DoubledModel | None = None
+) -> CheckReport:
+    """Membership conditions for the admissible model class."""
+    return _report("class", model_id, _doubled(model, dm))
+
+
+def check_preservation(
+    model: QsdeModel, model_id: str = "model", dm: DoubledModel | None = None
+) -> CheckReport:
+    """Differential conditions for preservation of the commutation relations."""
+    return _report("preserve", model_id, _doubled(model, dm))
+
+
+def check_physical_realizability(
+    model: QsdeModel, model_id: str = "model", dm: DoubledModel | None = None
+) -> CheckReport:
+    """Necessary and sufficient realizability conditions, plus extraction."""
+    dm = _doubled(model, dm)
+    report = _report("realize", model_id, dm)
+    if report.overall and not model.A.is_zero:
+        report.derived = realization_derived(model, dm)
+    return report
+
+
+def realization_derived(model: QsdeModel, dm: DoubledModel | None = None) -> dict:
+    """nbar, the extracted Hamiltonian, its self-adjointness and the coupling."""
+    dm = _doubled(model, dm)
+    hbar = extract_hamiltonian(model, dm=dm)
+    return {
+        "nbar": dm.nbar,
+        "hamiltonian": hbar,
+        "hamiltonian_self_adjoint": hbar.adjoint() == hbar,
+        "coupling": dm.Cbar.col(0),
+    }
+
+
+def extract_hamiltonian(model: QsdeModel, dm: DoubledModel | None = None) -> OperatorPolynomial:
+    """H = (i / 2 nbar) (s' - s), once per doubled model, for s = Abar' J^-1 abar and
+    J^-1 = diag(T, -conj(T)), T = theta^-1; s' - s is anti-self-adjoint
+    coefficient by coefficient, so H = H' term for term."""
+    if model.A.is_zero:
+        raise ValueError("Hamiltonian extraction needs a nonzero drift")
+    dm = _doubled(model, dm)
+    if "hamiltonian" not in dm.memo:
+        t = OperatorMatrix.from_scalars(dm.algebra, dm.algebra.theta.inverse())
+        s = (doubled_adjoint(dm.Abar) @ block_diag(t, -t.conj()) @ dm.abar).entry(0, 0)
+        dm.memo["hamiltonian"] = (s.adjoint() - s).scale(Scalar(0, Fraction(1, 2 * dm.nbar)))
+    return dm.memo["hamiltonian"]
+
+
+def reconstruct_generator(hbar: OperatorPolynomial, lbar: OperatorMatrix) -> OperatorMatrix:
+    """Drift vector of the oscillator (hbar, lbar), with entry j (1/2) (row j of
+    [Lbar', abar] Ibar) Lbar + i [hbar, abar_j]; for a physically realizable
+    model this reproduces Abar exactly."""
+    alg = hbar.algebra
+    alg.require_compatible(lbar.algebra)
+    if lbar.cols != 1 or lbar.rows % 2 != 0:
+        raise ValueError("coupling vector must be a column of even length")
+    abar = doubled_generators(alg)
+    ibar = sign_matrix(alg, lbar.rows // 2)
+    dissipative = (coupling_commutator_matrix(lbar, abar) @ ibar @ lbar).scale(HALF)
+    return dissipative + scalar_vec_commutator(hbar, abar).scale(I)
+
+
+def check_lossless(
+    model: QsdeModel,
+    phi: OperatorPolynomial | None = None,
+    model_id: str = "model",
+    dm: DoubledModel | None = None,
+) -> CheckReport:
+    """Differential lossless conditions for a given storage function."""
+    phi = phi if phi is not None else model.phi
+    if phi is None:
+        raise ValueError("a storage function is required (model phi or argument)")
+    return _report("lossless", model_id, _doubled(model, dm), phi)
+
+
+def check_storage_condition(
+    phi: OperatorPolynomial, model_id: str = "model", dm: DoubledModel | None = None
+) -> CheckReport:
+    """Gradient commutator condition characterizing admissible storage functions."""
+    return _report("storage", model_id, dm, phi)
 
 
 def _storage_candidate(alg) -> OperatorPolynomial:
@@ -478,39 +425,28 @@ def _storage_candidate(alg) -> OperatorPolynomial:
     return sum(pairs, alg.zero()).scale(2 if alg.theta.exact else 2.0)
 
 
-# -- storage-function synthesis -----------------------------------------------
-
 def synthesize_storage(
     model: QsdeModel, dm: DoubledModel | None = None
 ) -> OperatorPolynomial | None:
-    """phi* = 2 sum_j a_j' a_j when it certifies the lossless property, else None.
-
-    phi* is the one quadratic form the storage target admits at invertible
-    theta.  It is decided on its ``LL-D-unitary``, ``LL-gradient-A`` and
-    ``LL-B-gradient`` residuals as ``check_lossless`` forms them; its other
-    conditions hold by construction (phi* is self-adjoint, its quadratic form
-    is 2I, and ``[2 abar_j, abar_k]`` is the storage target term for term).
-    ``Bbar' abar + Cbar``, that ``LL-B-gradient`` residual at grad(phi*) =
-    2 abar without the factor 2 the halving undoes, rejects most models first.
-    """
-    dm = dm or double(model)
+    """phi* = 2 sum_j a_j' a_j when it certifies the lossless property, else None,
+    decided on its ``LL-D-unitary``, ``LL-gradient-A`` and ``LL-B-gradient`` residuals:
+    phi* is self-adjoint, its form is 2I and [2 abar_j, abar_k] is the storage target.
+    ``Bbar' abar + Cbar``, the last at grad(phi*) = 2 abar unhalved, rejects most first."""
+    dm = _doubled(model, dm)
     if not (dm.Bbar_adjoint @ dm.abar + dm.Cbar).is_zero or not _unitary_residual(dm).is_zero:
         return None
     phi = _storage_candidate(model.algebra)
-    return phi if all(r.is_zero for r in _gradient_residuals(dm, phi)) else None
+    return phi if _gradient_a(dm, phi).is_zero and _b_gradient(dm, phi).is_zero else None
 
 
-# -- aggregate runner ---------------------------------------------------------
+# -- aggregate runner -----------------------------------------------------------
 
 CHECK_NAMES = ("class", "preserve", "realize", "lossless", "storage")
 
 
 def run_checks(model: QsdeModel, selected=CHECK_NAMES, model_id: str = "model") -> CheckReport:
-    """Run the selected check families on one doubled model; merge their reports.
-
-    ``selected`` names families of ``CHECK_NAMES`` (a bare string names one);
-    an unknown name or an empty selection is a ValueError.
-    """
+    """Run the selected families of ``CHECK_NAMES`` (a bare string names one) on
+    one doubled model; an unknown name or an empty selection is a ValueError."""
     selected = (selected,) if isinstance(selected, str) else tuple(selected)
     for name in selected:
         if name not in CHECK_NAMES:
@@ -527,19 +463,13 @@ def run_checks(model: QsdeModel, selected=CHECK_NAMES, model_id: str = "model") 
     if "class" in selected:
         add(check_class(model, model_id, dm))
     if "preserve" in selected:
-        add(check_preservation(model, model_id, dm=dm))
+        add(check_preservation(model, model_id, dm))
     if "realize" in selected:
         add(check_physical_realizability(model, model_id, dm))
     if "lossless" in selected or "storage" in selected:
         phi = model.phi if model.phi is not None else synthesize_storage(model, dm)
         if phi is None:
-            conditions.append(
-                _verdict(
-                    "LL-phi-available",
-                    "a storage function is available (declared or synthesized)",
-                    [("phi", "no candidate found")],
-                )
-            )
+            add(_report("phi", model_id, dm))
         else:
             if "lossless" in selected:
                 add(check_lossless(model, phi, model_id, dm))

@@ -119,7 +119,8 @@ class DoubledModel:
     """The doubled form (abar, Abar, Bbar, Cbar, Dbar) plus derived constants.
 
     One instance is the shared context of a check run: ``cached`` builds each
-    derived matrix once, however many conditions read it.
+    derived matrix once, however many conditions read it.  ``model`` is the
+    model it was built from.
     """
 
     algebra: Algebra
@@ -133,6 +134,7 @@ class DoubledModel:
     Ibar_matrix: OperatorMatrix  # diag(I_m, -I_m): the CCR sum and PR-B-match
     identity: OperatorMatrix    # 2m x 2m: PR-D-identity and LL-D-unitary
     nbar: int | None            # None when A is identically zero
+    model: QsdeModel = field(compare=False, repr=False)
     memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def cached(self, key, build):
@@ -185,6 +187,7 @@ def double(model: QsdeModel) -> DoubledModel:
         Ibar_matrix=sign_matrix(alg, model.m),
         identity=OperatorMatrix.identity(alg, 2 * model.m),
         nbar=nbar,
+        model=model,
     )
 
 

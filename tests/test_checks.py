@@ -19,6 +19,7 @@ from qrealize import (
     synthesize_storage,
 )
 import qrealize.checks
+from qrealize.checks import realization_derived
 
 from conftest import mutate
 from helpers import chain_text
@@ -236,6 +237,8 @@ NONNEG_CASES = [
      "truncated-representation minimum eigenvalue -6"),
     ("identity", "a1'^4*a1^4 - 12*a1'^3*a1^3 + 36*a1'^2*a1^2", False,
      "truncated-representation minimum eigenvalue -336"),
+    # not quadratic and not self-adjoint: no eigenvalue to compute
+    ("identity", "a1'^2*a1 + 2*a2'*a2", False, "storage function is not self-adjoint"),
     (DIAG_THETA, QUARTIC_PHI, False, "positivity not established for non-identity theta"),
     (DIAG_THETA, "8*a1'*a1 + 2*a2'*a2", True, "positive semidefinite quadratic form"),
 ]
@@ -422,6 +425,19 @@ def test_run_checks_takes_each_adjoint_once(cavity, monkeypatch):
     monkeypatch.setattr(OperatorPolynomial, "adjoint", counting)
     assert run_checks(cavity).overall
     assert len(calls) <= 78
+
+
+def test_a_doubled_model_of_another_model_is_refused(cavity, cavity_text):
+    # with the fixture's doubled model the sign-flipped B[1,1] went unseen:
+    # realize and class passed, and extraction returned the fixture's H
+    bad = parse_model(mutate(cavity_text, "B = [[-sqrt(2*k1), 0],", "B = [[sqrt(2*k1), 0],"))
+    assert not check_physical_realizability(bad).overall and not check_class(bad).overall
+    for call in (check_class, check_preservation, check_physical_realizability,
+                 realization_derived, extract_hamiltonian, generator_identity_parts,
+                 check_lossless, synthesize_storage):
+        with pytest.raises(ValueError, match="^the doubled model was built from another model$"):
+            call(bad, dm=double(cavity))
+        call(cavity, dm=double(cavity))  # its own doubled model is accepted
 
 
 def test_ccr_and_pr_ccr_residuals_agree(cavity, mutated_models):

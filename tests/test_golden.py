@@ -21,6 +21,15 @@ The same two reports of the cavity at the non-diagonal thetas
 [[2, 1], [1, 2]] and [[2, i], [-i, 2]], with and without phi, were recorded
 while non-diagonal products still went through word rewriting, before the
 one Wick contraction path.
+
+Family subsets are pinned too, recorded before the conditions were read
+from one table: on the three models above, ``check --checks
+preserve,realize`` (the ``PR-CCR-*`` ids beside the ``CCR-*`` ones, and
+the derived block of a subset run) and ``check --checks storage,class
+--json`` (reported in family order, not selection order); on the three
+theta models without phi that parse, ``check --checks lossless``, which
+synthesizes phi at diag(2, 1/3) and reports ``LL-phi-available`` alone at
+the two non-diagonal thetas.
 """
 
 import json
@@ -45,6 +54,8 @@ COMMANDS = {
     "check-json": ["check", "--json"],
     "check-float-oracle-json": ["check", "--float", "--oracle", "--json"],
     "extract-force": ["extract", "--force"],
+    "check-preserve-realize": ["check", "--checks", "preserve,realize"],
+    "check-storage-class-json": ["check", "--checks", "storage,class", "--json"],
 }
 THETA_MODELS = {
     f"cavity_theta_{shape}_{kind}{phi}": f"golden/cavity_theta_{shape}_{kind}{phi}.qsde"
@@ -56,9 +67,14 @@ THETA_COMMANDS = {
     "check-json": ["check", "--json"],
     "check-float-json": ["check", "--float", "--json"],
 }
+# the theta models without phi that parse (diag(2, i/2) is not Hermitian)
+LOSSLESS_MODELS = {model: path for model, path in THETA_MODELS.items()
+                   if model.endswith("_nophi") and model != "cavity_theta_diag_complex_nophi"}
+LOSSLESS_COMMANDS = {"check-lossless": ["check", "--checks", "lossless"]}
 CASES = {
     (model, command): (path, argv)
-    for models, commands in ((MODELS, COMMANDS), (THETA_MODELS, THETA_COMMANDS))
+    for models, commands in ((MODELS, COMMANDS), (THETA_MODELS, THETA_COMMANDS),
+                             (LOSSLESS_MODELS, LOSSLESS_COMMANDS))
     for model, path in models.items()
     for command, argv in commands.items()
 }
