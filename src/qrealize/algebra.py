@@ -48,16 +48,22 @@ class CommutationMatrix:
         if any(len(row) != n for row in self.theta):
             raise ValueError("theta must be square")
         self._inverse = None
-        self.exact = all(t.den is not None for row in self.theta for t in row)
-        self._is_identity = grid_is_identity(self.theta)
-        nonzero = [(j, l, t) for j, row in enumerate(self.theta)
-                   for l, t in enumerate(row) if not t.is_zero(0.0)]
-        self.row_entries = tuple(tuple((l, t, t == ONE) for r, l, t in nonzero if r == j)
-                                 for j in range(n))
-        self.col_entries = tuple(tuple((j, t, t == ONE) for j, c, t in nonzero if c == l)
-                                 for l in range(n))
+        exact = {t.den is not None for row in self.theta for t in row}
+        self.exact = False not in exact
+        rows, cols = [[] for _ in range(n)], [[] for _ in range(n)]
+        for j, row in enumerate(self.theta):
+            for l, t in enumerate(row):
+                if t.re_num or t.im_num:
+                    unit = t.re_num == 1 and not t.im_num and t.den in (1, None)  # t == 1
+                    rows[j].append((l, t, unit))
+                    cols[l].append((j, t, unit))
+        self.row_entries, self.col_entries = tuple(map(tuple, rows)), tuple(map(tuple, cols))
         self.col_reach = tuple(sum(1 << j for j, _, _ in col) for col in self.col_entries)
-        self._is_diagonal = all(j == l for j, l, _ in nonzero)
+        self._is_diagonal = all(j == l for j, row in enumerate(rows) for l, _, _ in row)
+        # the identity's fields, all exact or all binary64: its own inverse
+        self._unit = len(exact) == 1 and all(
+            len(row) == 1 and row[0][0] == j and row[0][2] for j, row in enumerate(rows))
+        self._is_identity = self._unit or grid_is_identity(self.theta)
 
     @classmethod
     def identity(cls, n: int) -> "CommutationMatrix":
@@ -90,7 +96,7 @@ class CommutationMatrix:
 
     def inverse(self):
         if self._inverse is None:
-            self._inverse = grid_inverse(self.theta)
+            self._inverse = self.theta if self._unit else grid_inverse(self.theta)
         return self._inverse
 
 
@@ -248,7 +254,7 @@ class OperatorPolynomial:
 
     @property
     def max_degree(self) -> int:
-        return max((m.degree for m in self.terms), default=0)
+        return max((sum(cre) + sum(ann) for cre, ann in self.terms), default=0)
 
     @property
     def is_constant(self) -> bool:

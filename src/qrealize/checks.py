@@ -197,7 +197,8 @@ def _nonnegative(_, phi: OperatorPolynomial):
 
 def _phi_nonnegative(phi: OperatorPolynomial):
     """(passed, note): phi is a positive semidefinite Hermitian quadratic form, or
-    else, at theta = I, self-adjoint with no negative truncated eigenvalue."""
+    else, at theta = I, self-adjoint with no negative truncated eigenvalue; past
+    the truncation's dimension bound positivity is not established."""
     alg = phi.algebra
     if phi.is_zero:
         return True, "zero storage function"
@@ -222,9 +223,12 @@ def _phi_nonnegative(phi: OperatorPolynomial):
     if alg.theta.is_identity:
         if not (phi.adjoint() - phi).is_zero:
             return False, "storage function is not self-adjoint"
-        from .fock import psd_check
+        from .fock import DimensionError, psd_check
 
-        passed, min_eig = psd_check(phi)
+        try:
+            passed, min_eig = psd_check(phi)
+        except DimensionError as exc:  # too many touched modes for one quantum each
+            return False, f"positivity not established: {exc}"
         return passed, f"truncated-representation minimum eigenvalue {min_eig:.3g}"
     return False, "positivity not established for non-identity theta"
 

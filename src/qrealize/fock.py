@@ -29,6 +29,10 @@ ORACLE_TOL = 1e-9
 MAX_DIMENSION = 4096
 
 
+class DimensionError(ValueError):
+    """The refusal of ``psd_check`` to build a block of more than ``MAX_DIMENSION`` states."""
+
+
 def _cap(p: OperatorPolynomial, truncation: int, guard: int) -> int:
     """Guarded occupation bound, once truncation, guard and (cap+1)^n are admissible."""
     if not p.algebra.theta.is_identity:
@@ -125,7 +129,8 @@ def psd_check(phi: OperatorPolynomial):
     touched = _touched(phi)
     cap = max(c for c in range(phi.max_degree + 1) if (c + 1) ** len(touched) <= MAX_DIMENSION)
     if touched and not cap:
-        raise ValueError(f"representation dimension {2 ** len(touched)} exceeds {MAX_DIMENSION}")
+        raise DimensionError(
+            f"representation dimension {2 ** len(touched)} exceeds {MAX_DIMENSION}")
     min_eig = float(np.linalg.eigvalsh(_block(phi, cap, touched)).min())
     return min_eig >= -ORACLE_TOL, min_eig
 

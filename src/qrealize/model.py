@@ -17,20 +17,30 @@ The model format is line-oriented (``#`` starts a comment):
 
 Operator expressions use generators ``a1``, ``a1'`` (prime = dagger),
 explicit ``*`` for products, ``^`` for positive integer powers, ``i`` for
-the imaginary unit and ``sqrt(...)`` of scalar subexpressions.  Parameter
+the imaginary unit and ``sqrt(...)`` of scalar subexpressions; ``i``,
+``sqrt`` and every ``a<digits>`` are refused as param names.  Parameter
 values are evaluated once, at parse time.  A statement continues over the
 following lines while its brackets are open.  modes, channels, theta, B, D,
 phi and each param name are declared at most once, and the three headers
 before the first A, B, C, D or phi statement.  A declared theta must be
 Hermitian and invertible; it is inverted once, here.  A ParseError names
 the line and the 1-based column, counted from the start of that source
-line, of the offending token.  Parsing refuses there more than
-MAX_MODES = 128 modes or channels, an exponent above MAX_EXPONENT = 64, a
-product or power of degree above MAX_DEGREE = 32 or of more than
-MAX_TERM_PAIRS = 10,000 term pairs, brackets nested deeper than
-MAX_NESTING = 64, and a number literal of more than MAX_DIGITS = 1,000
-digits written out without its exponent (so ``1e400`` has 401).  A matrix
-literal ends its statement.
+line, of the offending token; a token's column is worked out only then.
+
+A mode-free subexpression (numbers, params, ``i``, ``sqrt`` and the
+operators between them) folds to a ``Scalar``, exactly as the one-term
+polynomial it stands for would: a binary64 value at or below the tolerance
+drops to zero.  A constant becomes a polynomial only where it meets a
+generator, so ``k1*a1`` is one scaling.  Each bound is checked before the
+work it bounds, at the token named: MAX_DIGITS = 1,000 digits of a number
+written out without its exponent (``1e400`` has 401) as its line is read;
+MAX_MODES = 128 at the count of ``modes:`` or ``channels:``; MAX_NESTING =
+64 at a ``(`` or ``sqrt``; MAX_EXPONENT = 64 and MAX_DEGREE = 32 of a power
+at its exponent; MAX_DEGREE and MAX_TERM_PAIRS = 10,000 of a product at its
+``*`` (of each step of a power at the exponent).  A result beyond binary64
+is refused at its operator, tested only once a binary64 value (a param, a
+``sqrt`` or a theta entry) has taken part.  A matrix literal ends its
+statement.
 """
 
 from __future__ import annotations
@@ -43,7 +53,7 @@ from math import isfinite
 from .algebra import (Algebra, CommutationMatrix, OperatorPolynomial, _format_monomial,
                       format_scalar, render)
 from .matrices import OperatorMatrix, block_diag
-from .scalars import DEFAULT_TOL, ONE, Scalar, grid_is_hermitian
+from .scalars import DEFAULT_TOL, I, ONE, ZERO, Scalar, grid_is_hermitian
 
 
 class ParseError(ValueError):
@@ -85,7 +95,8 @@ class QsdeModel:
                 return OperatorPolynomial(alg, {m: c.to_float() for m, c in p.terms.items()})
 
             def conv_mat(mat):
-                return OperatorMatrix(alg, mat.rows, mat.cols, [conv_poly(e) for e in mat.entries])
+                return OperatorMatrix.from_nonzero(alg, mat.rows, mat.cols, {
+                    key: conv_poly(e) for key, e in mat.nonzero.items()})
 
             return QsdeModel(
                 algebra=alg,
@@ -240,91 +251,124 @@ MAX_NESTING = 64          # nested ( and sqrt( in one expression
 MAX_DIGITS = 1000         # digits of a number literal written out without exponent
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<sym>[-+*/^()\[\],'=:]))"
-)
+    r"\s*(\d+(?:\.\d+)?(?:[eE][-+]?\d+)?|[A-Za-z_][A-Za-z_0-9]*|[-+*/^()\[\],'=:])")
+# text without these has no comment, stray character or number beyond MAX_DIGITS
+_CHECKED_RE = re.compile(r"[^\s\dA-Za-z_\-+*/^()\[\],'=:]|\d(?:[eE]|\d{%d})" % MAX_DIGITS)
+_SYMS = frozenset("-+*/^()[],'=:")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrstuvwxyz")
 
 
 def _tokenize(body: str, line: int) -> list:
-    """Tokens of one source line as ``(kind, text, (line, col))``."""
-    tokens = []
-    pos = 0
+    """The token texts of one source line, ``body``."""
+    if not _CHECKED_RE.search(body):
+        return _TOKEN_RE.findall(body)
+    tokens, pos = [], 0
     while m := _TOKEN_RE.match(body, pos):
-        kind = m.lastgroup
-        text, where = m.group(kind), (line, m.start(kind) + 1)
-        if kind == "number":
+        text, pos = m.group(1), m.end()
+        if text[0] not in _SYMS and text[0] not in _NAME_START:  # a number
             mantissa, _, exp = text.lower().partition("e")
             digits = len(mantissa.replace(".", ""))
             if max(digits, len(exp)) > MAX_DIGITS or digits + abs(int(exp or 0)) > MAX_DIGITS:
-                raise ParseError(f"number exceeds {MAX_DIGITS} digits", *where)
-        tokens.append((kind, text, where))
-        pos = m.end()
-    rest = body[pos:].lstrip()
-    if rest:
+                raise ParseError(f"number exceeds {MAX_DIGITS} digits", line, m.start(1) + 1)
+        tokens.append(text)
+    if rest := body[pos:].lstrip():
         raise ParseError(f"unexpected character {rest[0]!r}", line, len(body) - len(rest) + 1)
     return tokens
 
 
-class _Parser:
-    """Recursive descent over one statement's tokens, from index ``start``.
+def _statements(text: str):
+    """Each statement as its token texts and the (line, first token, body) of
+    each source line it spans: a line's tokens, continued over the following
+    lines while a bracket is open."""
+    toks, lines, depth = [], [], 0
+    plain = not _CHECKED_RE.search(text)  # no line needs _tokenize's checks
+    for lineno, body in enumerate(text.splitlines(), start=1):
+        body = body if plain else body.split("#", 1)[0]
+        if line_tokens := _TOKEN_RE.findall(body) if plain else _tokenize(body, lineno):
+            lines.append((lineno, len(toks), body))
+            toks += line_tokens
+            depth += (line_tokens.count("(") + line_tokens.count("[")
+                      - line_tokens.count(")") - line_tokens.count("]"))
+            if depth <= 0:
+                yield toks, lines
+                toks, lines, depth = [], [], 0
+    if toks:
+        yield toks, lines
 
-    Expressions become polynomials over ``algebra``.  A ``scalar`` statement
-    (a param or theta) names no mode: each generator in it stands for a1 of
-    the one-mode scratch algebra and sets ``nonscalar``.
+
+def _where(lines, k: int):
+    """(line, col) of token ``k`` of a statement spanning ``lines``."""
+    line, first, body = next(x for x in reversed(lines) if x[1] <= k)
+    return line, [m.start(1) + 1 for m in _TOKEN_RE.finditer(body)][k - first]
+
+
+def _number(text: str) -> Scalar:
+    value = Scalar(int(text) if text.isdigit() else Fraction(text))
+    return value if value.re_num else ZERO
+
+
+def _prune(c: Scalar, tol: float) -> Scalar:
+    """c, or ZERO where the polynomial constructor would drop c as a coefficient."""
+    if c.den is not None:
+        return c if c.re_num or c.im_num else ZERO
+    return c if abs(c.re_num) > tol or abs(c.im_num) > tol or c.magnitude() > tol else ZERO
+
+
+def _finite(c: Scalar) -> bool:
+    return c.den is not None or isfinite(c.re_num) and isfinite(c.im_num)
+
+
+def _fold(sym: str, a: Scalar, b: Scalar, tol: float) -> Scalar:
+    """a sym b for two constants, as their one-term polynomials give it: a
+    quotient scales a by ONE / b, and ZERO stands for the empty one."""
+    if sym == "/":
+        inverse = ONE / b
+        return _prune(inverse * a, tol) if a.re_num or a.im_num else ZERO
+    if sym == "-":
+        b = -b
+    if not (a.re_num or a.im_num):
+        return ZERO if sym == "*" else b
+    if not (b.re_num or b.im_num):
+        return ZERO if sym == "*" else a
+    return _prune(a * b if sym == "*" else a + b, tol)
+
+
+class _Parser:
+    """Recursive descent over a statement's tokens, from index ``idx``.
+
+    A mode-free value is a Scalar (see ``_fold``); it becomes a polynomial
+    over the operand's algebra only where it meets one.  Without ``alg`` (a
+    param or theta, which name no mode) a generator stands for a1 of a
+    one-mode scratch algebra and sets ``nonscalar``.  ``floating`` records
+    that a binary64 value took part, a binary64 theta through every operator
+    product: only then can a result leave the range.
     """
 
-    def __init__(self, tokens, start, algebra, params, scalar=False):
-        self.toks = tokens
-        self.idx = start
-        self.alg = algebra
-        self.params = params
-        self.scalar = scalar
-        self.nonscalar = False
-        self.depth = 0
+    def __init__(self, statement, idx, params, tol, alg=None):
+        (self.toks, self.lines), self.n, self.idx = statement, len(statement[0]), idx
+        self.params, self.tol, self.alg, self.scalar = params, tol, alg, alg is None
+        self.nonscalar, self.depth = False, 0
+        self.floating = alg is not None and not alg.theta.exact
 
-    def peek(self):
-        return self.toks[self.idx] if self.idx < len(self.toks) else None
+    def fail(self, message: str, k: int) -> ParseError:
+        return ParseError(message, *_where(self.lines, k))
 
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            _, text, (line, col) = self.toks[-1] if self.toks else ("", "", (0, 1))
-            raise ParseError("unexpected end of expression", line, col + len(text))
-        self.idx += 1
-        return tok
-
-    def accept(self, *syms):
-        """The next token, consumed, when it is one of the symbols ``syms``."""
-        tok = self.peek()
-        if tok and tok[0] == "sym" and tok[1] in syms:
+    def next(self) -> str:
+        if self.idx < self.n:
             self.idx += 1
-            return tok
-        return None
+            return self.toks[self.idx - 1]
+        line, col = _where(self.lines, self.n - 1) if self.n else (0, 1)
+        raise ParseError("unexpected end of expression", line, col + len("".join(self.toks[-1:])))
 
     def expect(self, sym: str):
-        tok = self.next()
-        if tok[1] != sym:
-            raise ParseError(f"expected {sym!r}, found {tok[1]!r}", *tok[2])
+        if (text := self.next()) != sym:
+            raise self.fail(f"expected {sym!r}, found {text!r}", self.idx - 1)
 
     def end(self, value):
         """``value``, once no token is left in the statement."""
-        tok = self.peek()
-        if tok:
-            raise ParseError(f"unexpected {tok[1]!r}", *tok[2])
+        if self.idx < self.n:
+            raise self.fail(f"unexpected {self.toks[self.idx]!r}", self.idx)
         return value
-
-    def parse(self) -> OperatorPolynomial:
-        """The rest of the statement, as one expression."""
-        return self.end(self.expr())
-
-    def count(self, what: str) -> int:
-        """The rest of the statement, as a positive integer up to MAX_MODES."""
-        rest = self.toks[self.idx:]
-        if len(rest) != 1 or not rest[0][1].isdigit() or int(rest[0][1]) < 1:
-            raise ParseError(f"{what} must be a positive integer", self.toks[0][2][0], 1)
-        if int(rest[0][1]) > MAX_MODES:
-            raise ParseError(f"{what} exceeds {MAX_MODES}", *rest[0][2])
-        return int(rest[0][1])
 
     def bracketed(self, item):
         """``[item, item, ...]``: the items."""
@@ -332,148 +376,164 @@ class _Parser:
         items = []
         while True:
             items.append(item())
-            tok = self.next()
-            if tok[1] == "]":
+            if (text := self.next()) == "]":
                 return items
-            if tok[1] != ",":
-                raise ParseError(f"expected ',' or ']', found {tok[1]!r}", *tok[2])
+            if text != ",":
+                raise self.fail(f"expected ',' or ']', found {text!r}", self.idx - 1)
 
     def matrix(self):
-        """The rest of the statement, a ``[[...], ...]`` literal: its rows of
-        polynomials."""
-        rows = self.end(self.bracketed(lambda: self.bracketed(self.expr)))
+        """The rest of the statement, a ``[[...], ...]`` literal: its rows of values."""
+        rows = self.end(self.bracketed(lambda: self.bracketed(self.entry)))
         if any(len(r) != len(rows[0]) for r in rows):
-            raise ParseError("ragged matrix literal", self.toks[0][2][0], 1)
+            raise ParseError("ragged matrix literal", self.lines[0][0], 1)
         return rows
 
-    def expr(self) -> OperatorPolynomial:
-        acc = self.term()
-        while tok := self.accept("+", "-"):
-            rhs = self.term()
-            acc = self.arith(tok, lambda: acc + rhs if tok[1] == "+" else acc - rhs)
-        return acc
+    def entry(self):
+        """A matrix entry; a lone number skips the expression grammar."""
+        i, toks = self.idx, self.toks
+        if i + 1 < self.n and toks[i + 1] in ",]" and toks[i][0].isdecimal():
+            self.idx = i + 1
+            return _number(toks[i])
+        return self.expr()
 
-    def term(self) -> OperatorPolynomial:
-        acc = self.factor()
+    def expr(self):
+        """A sum of terms, each a product of factors; left to right at each level."""
+        toks, n = self.toks, self.n
+        acc, op = None, 0  # the sum so far, and the index of the sign before the term
         while True:
-            tok = self.accept("*", "/")
-            if tok is None:
-                nxt = self.peek()
-                if nxt and nxt[0] != "sym":
-                    raise ParseError("juxtaposition is not multiplication; use '*'", *nxt[2])
+            term = self.factor()
+            while self.idx < n:
+                if (sym := toks[self.idx]) in "*/":
+                    self.idx += 1
+                    term = self.binary(self.idx - 1, sym, term, self.factor())
+                elif sym[0] not in _SYMS:
+                    raise self.fail("juxtaposition is not multiplication; use '*'", self.idx)
+                else:
+                    break
+            acc = term if acc is None else self.binary(op, toks[op], acc, term)
+            if self.idx == n or toks[self.idx] not in "+-":
                 return acc
-            rhs = self.factor()
-            if tok[1] == "*":
-                acc = self.product(tok, acc, rhs)
-            elif not rhs.is_constant:
-                raise ParseError("division by a non-constant operator", *tok[2])
-            else:
-                acc = self.arith(tok, lambda: acc.scale(ONE / rhs.constant_value()))
+            op, self.idx = self.idx, self.idx + 1
 
-    def factor(self) -> OperatorPolynomial:
+    def factor(self):
         # unary signs bind looser than '^', so -a1^2 means -(a1^2)
-        negate = False
-        while sign := self.accept("+", "-"):
-            negate ^= sign[1] == "-"
-        base = self.primary()
-        while self.accept("^"):
-            tok = self.next()
-            if not tok[1].isdigit() or int(tok[1]) < 1:
-                raise ParseError("exponent must be a positive integer", *tok[2])
-            k = int(tok[1])
-            if k > MAX_EXPONENT:
-                raise ParseError(f"exponent exceeds {MAX_EXPONENT}", *tok[2])
-            if base.max_degree * k > MAX_DEGREE:
-                raise ParseError(f"degree exceeds {MAX_DEGREE}", *tok[2])
-            power = self.alg.one()
+        toks, n, negate = self.toks, self.n, False
+        while self.idx < n and (text := toks[self.idx]) in "+-":
+            negate, self.idx = negate ^ (text == "-"), self.idx + 1
+        text, at = self.next(), self.idx - 1
+        if text[0] in _NAME_START and text != "sqrt":
+            if text[0] == "a" and text[1:].isdigit():
+                mode, alg = int(text[1:]), self.alg
+                if self.scalar:
+                    self.nonscalar, mode = True, 1
+                    alg = self.alg = alg or Algebra(1, tol=self.tol)
+                elif not 1 <= mode <= alg.modes:
+                    raise self.fail(f"unknown mode a{mode}; model has {alg.modes} modes", at)
+                creates = self.idx < n and toks[self.idx] == "'"
+                self.idx += creates
+                base = alg.creator(mode) if creates else alg.annihilator(mode)
+            elif text == "i":
+                base = I
+            elif text in self.params:
+                base = self.params[text]
+                self.floating |= base.den is None
+            else:
+                raise self.fail(f"unknown parameter {text!r}", at)
+        elif text in ("(", "sqrt"):
+            base = self.bracket(text, at)
+        elif text[0] not in _SYMS:
+            base = _number(text)
+        else:
+            raise self.fail(f"unexpected {text!r}", at)
+        while self.idx < n and toks[self.idx] == "^":
+            self.idx += 1
+            text, at = self.next(), self.idx - 1
+            if not text.isdigit() or int(text) < 1:
+                raise self.fail("exponent must be a positive integer", at)
+            if (k := int(text)) > MAX_EXPONENT:
+                raise self.fail(f"exponent exceeds {MAX_EXPONENT}", at)
+            if type(base) is not Scalar and base.max_degree * k > MAX_DEGREE:
+                raise self.fail(f"degree exceeds {MAX_DEGREE}", at)
+            power = ONE
             for _ in range(k):
-                power = self.product(tok, power, base)
+                power = self.binary(at, "*", power, base)
             base = power
         return -base if negate else base
 
-    def primary(self) -> OperatorPolynomial:
-        tok = self.next()
-        kind, text, pos = tok
-        if kind == "number":
-            return self.alg.scalar(Scalar(int(text) if text.isdigit() else Fraction(text)))
-        if text in ("(", "sqrt"):
-            if text == "sqrt":
-                self.expect("(")
-            if self.depth == MAX_NESTING:
-                raise ParseError(f"brackets nested deeper than {MAX_NESTING}", *pos)
-            self.depth += 1
-            inner = self.expr()
-            self.depth -= 1
-            self.expect(")")
-            if text == "(":
-                return inner
+    def bracket(self, text: str, at: int):
+        """``( expr )`` or ``sqrt( expr )``, opened by ``text`` at token ``at``."""
+        if text == "sqrt":
+            self.expect("(")
+        if self.depth == MAX_NESTING:
+            raise self.fail(f"brackets nested deeper than {MAX_NESTING}", at)
+        self.depth += 1
+        inner = self.expr()
+        self.depth -= 1
+        self.expect(")")
+        if text == "(":
+            return inner
+        if type(inner) is not Scalar:
             if not inner.is_constant:
-                raise ParseError("sqrt of a non-scalar expression", *pos)
-            return self.arith(tok, lambda: self.alg.scalar(inner.constant_value().sqrt()))
-        if kind == "sym":
-            raise ParseError(f"unexpected {text!r}", *pos)
-        if text == "i":
-            return self.alg.scalar(Scalar(0, 1))
-        if text[0] == "a" and text[1:].isdigit():
-            mode = int(text[1:])
-            if self.scalar:
-                self.nonscalar = True
-                mode = 1
-            elif not 1 <= mode <= self.alg.modes:
-                raise ParseError(f"unknown mode a{mode}; model has {self.alg.modes} modes", *pos)
-            if self.accept("'"):
-                return self.alg.creator(mode)
-            return self.alg.annihilator(mode)
-        if text in self.params:
-            return self.alg.scalar(self.params[text])
-        raise ParseError(f"unknown parameter {text!r}", *pos)
-
-    def product(self, tok, lhs, rhs) -> OperatorPolynomial:
-        """lhs * rhs, refused at ``tok`` when it would exceed a bound."""
-        if lhs.max_degree + rhs.max_degree > MAX_DEGREE:
-            raise ParseError(f"degree exceeds {MAX_DEGREE}", *tok[2])
-        if len(lhs.terms) * len(rhs.terms) > MAX_TERM_PAIRS:
-            raise ParseError(f"product exceeds {MAX_TERM_PAIRS} term pairs", *tok[2])
-        return self.arith(tok, lambda: lhs * rhs)
-
-    def arith(self, tok, step):
-        """``step()``, the arithmetic of the operator ``tok``, refused there
-        when it divides by zero or leaves the binary64 range."""
+                raise self.fail("sqrt of a non-scalar expression", at)
+            inner = inner.constant_value()
         try:
-            value = step()
-            if all(c.den is not None or isfinite(c.re_num) and isfinite(c.im_num)
-                   for c in value.terms.values()):
-                return value
-        except ZeroDivisionError:
-            raise ParseError("division by zero", *tok[2]) from None
+            root = _prune(inner.sqrt(), self.tol)
         except OverflowError:
-            pass
-        raise ParseError("number too large for binary64", *tok[2])
+            root = None
+        if root is None or not _finite(root):
+            raise self.fail("number too large for binary64", at)
+        self.floating |= root.den is None
+        return root
+
+    def binary(self, at: int, sym: str, lhs, rhs):
+        """lhs ``sym`` rhs as their polynomials give it, refused at token ``at``
+        where it exceeds a bound, divides by zero or leaves the binary64 range."""
+        if sym == "/" and type(rhs) is not Scalar:
+            if not rhs.is_constant:
+                raise self.fail("division by a non-constant operator", at)
+            rhs = rhs.constant_value()
+        lconst, rconst = type(lhs) is Scalar, type(rhs) is Scalar
+        try:
+            if lconst and rconst:
+                value = _fold(sym, lhs, rhs, self.tol)
+            elif sym == "/":
+                value = lhs.scale(ONE / rhs)
+            elif sym != "*":
+                alg = (rhs if lconst else lhs).algebra
+                lhs, rhs = (alg.scalar(v) if type(v) is Scalar else v for v in (lhs, rhs))
+                value = lhs + rhs if sym == "+" else lhs - rhs
+            elif lconst or rconst:
+                c, p = (lhs, rhs) if lconst else (rhs, lhs)
+                if not (c.re_num or c.im_num):
+                    return p.algebra.zero()
+                if len(p.terms) > MAX_TERM_PAIRS:
+                    raise self.fail(f"product exceeds {MAX_TERM_PAIRS} term pairs", at)
+                value = p.scale(c)
+            elif lhs.max_degree + rhs.max_degree > MAX_DEGREE:
+                raise self.fail(f"degree exceeds {MAX_DEGREE}", at)
+            elif len(lhs.terms) * len(rhs.terms) > MAX_TERM_PAIRS:
+                raise self.fail(f"product exceeds {MAX_TERM_PAIRS} term pairs", at)
+            else:
+                value = lhs * rhs
+        except ZeroDivisionError:
+            raise self.fail("division by zero", at) from None
+        except OverflowError:
+            value = None
+        if value is None or (not _finite(value) if type(value) is Scalar else self.floating
+                             and not all(map(_finite, value.terms.values()))):
+            raise self.fail("number too large for binary64", at)
+        return value
+
+
+def _lift(value, alg: Algebra) -> OperatorPolynomial:
+    """A parsed value as a polynomial over ``alg``."""
+    return alg.scalar(value) if type(value) is Scalar else value
 
 
 def parse_expression(text: str, algebra: Algebra,
                      params: dict | None = None) -> OperatorPolynomial:
-    return _Parser(_tokenize(text, 0), 0, algebra, params or {}).parse()
-
-
-def _statements(text: str):
-    """(source, tokens) of each statement: the tokens of a line, continued
-    over the following lines while a bracket is open."""
-    source, tokens, depth = [], [], 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        line_tokens = _tokenize(body, lineno)
-        if not line_tokens:
-            continue
-        source.append(body.strip())
-        tokens += line_tokens
-        texts = [tok[1] for tok in line_tokens]
-        depth += texts.count("(") + texts.count("[") - texts.count(")") - texts.count("]")
-        if depth <= 0:
-            yield " ".join(source), tokens
-            source, tokens, depth = [], [], 0
-    if tokens:
-        yield " ".join(source), tokens
+    parser = _Parser((_tokenize(text, 0), [(0, 0, text)]), 0, params or {}, algebra.tol, algebra)
+    return _lift(parser.end(parser.expr()), algebra)
 
 
 def parse_model(text: str, tol: float = DEFAULT_TOL) -> QsdeModel:
@@ -483,21 +543,19 @@ def parse_model(text: str, tol: float = DEFAULT_TOL) -> QsdeModel:
     params: dict = {}
     entries = {"A": {}, "C": {}}
     literals = {"D": "identity"}  # B and D: "identity" or (line, rows)
-    phi = None
-    algebra = None
-    scratch = Algebra(1, tol=tol)  # params and theta name no mode
+    phi = algebra = None
     declared = set()
 
-    def declare(toks):
+    def declare(key, lines):
         """Refuses a header once the algebra is bound (by the first A, B, C, D
         or phi statement), and a second statement of the same keyword."""
-        _, key, where = toks[0]
         header = key in ("modes", "channels", "theta")
         if header and algebra is not None:
-            raise ParseError(f"{key!r} must be declared before A, B, C, D and phi", *where)
+            raise ParseError(f"{key!r} must be declared before A, B, C, D and phi",
+                             *_where(lines, 0))
         if key in declared:
             raise ParseError(f"duplicate {key!r} declaration" if header
-                             else f"duplicate {key}", *where)
+                             else f"duplicate {key}", *_where(lines, 0))
         declared.add(key)
 
     def require_algebra(lineno):
@@ -505,14 +563,14 @@ def parse_model(text: str, tol: float = DEFAULT_TOL) -> QsdeModel:
         if algebra is None:
             if n is None or m is None:
                 raise ParseError("modes and channels must be declared first", lineno, 1)
-            grid_theta = CommutationMatrix.identity(n)
+            grid_theta = None
             if theta is not None:
                 line, rows, nonscalar = theta
-                if nonscalar or not all(e.is_constant for r in rows for e in r):
+                if nonscalar:
                     raise ParseError("theta entries must be scalars", line, 1)
                 if len(rows) != n or any(len(r) != n for r in rows):
                     raise ParseError(f"theta must be {n}x{n}", line, 1)
-                grid_theta = CommutationMatrix([[e.constant_value() for e in r] for r in rows])
+                grid_theta = CommutationMatrix(rows)
                 if not grid_is_hermitian(grid_theta.theta, tol):
                     raise ParseError("theta must be Hermitian", line, 1)
                 try:
@@ -522,29 +580,32 @@ def parse_model(text: str, tol: float = DEFAULT_TOL) -> QsdeModel:
             algebra = Algebra(n, grid_theta, tol=tol)
         return algebra
 
-    for source, toks in _statements(text):
-        lineno = toks[0][2][0]
-        identity = len(toks) == 3 and toks[2][1] == "identity"
-        match [tok[1] for tok in toks[:5]]:
-            case ["modes", ":", *_]:
-                declare(toks)
-                n = _Parser(toks, 2, scratch, params).count("modes")
-            case ["channels", ":", *_]:
-                declare(toks)
-                m = _Parser(toks, 2, scratch, params).count("channels")
+    for statement in _statements(text):
+        toks, lines = statement
+        lineno, identity = lines[0][0], len(toks) == 3 and toks[2] == "identity"
+        match toks[:5]:
+            case ["modes" | "channels" as key, ":", *_]:
+                declare(key, lines)
+                if len(toks) != 3 or not toks[2].isdigit() or int(toks[2]) < 1:
+                    raise ParseError(f"{key} must be a positive integer", lineno, 1)
+                if int(toks[2]) > MAX_MODES:
+                    raise ParseError(f"{key} exceeds {MAX_MODES}", *_where(lines, 2))
+                n, m = (int(toks[2]), m) if key == "modes" else (n, int(toks[2]))
             case ["theta", ":", *_]:
-                declare(toks)
+                declare("theta", lines)
                 if not identity:
-                    parser = _Parser(toks, 2, scratch, params, scalar=True)
+                    parser = _Parser(statement, 2, params, tol)
                     theta = (lineno, parser.matrix(), parser.nonscalar)
-            case ["param", name, "=", *_] if toks[1][0] == "name":
+            case ["param", name, "=", *_] if name[0] in _NAME_START:
+                if name in ("i", "sqrt") or name[0] == "a" and name[1:].isdigit():
+                    raise ParseError(f"{name!r} is reserved and cannot name a parameter",
+                                     *_where(lines, 1))
                 if name in params:
-                    raise ParseError(f"duplicate parameter {name!r}", *toks[1][2])
-                parser = _Parser(toks, 3, scratch, params, scalar=True)
-                value = parser.parse()
-                if parser.nonscalar or not value.is_constant:
+                    raise ParseError(f"duplicate parameter {name!r}", *_where(lines, 1))
+                parser = _Parser(statement, 3, params, tol)
+                params[name] = parser.end(parser.expr())
+                if parser.nonscalar:
                     raise ParseError(f"parameter {name!r} is not a scalar", lineno, 1)
-                params[name] = value.constant_value()
             case ["A" | "C" as which, "[", index, "]", "="] if index.isdigit():
                 alg = require_algebra(lineno)
                 idx, limit = int(index), n if which == "A" else m
@@ -552,18 +613,21 @@ def parse_model(text: str, tol: float = DEFAULT_TOL) -> QsdeModel:
                     raise ParseError(f"{which}[{idx}] out of range 1..{limit}", lineno, 1)
                 if idx in entries[which]:
                     raise ParseError(f"duplicate {which}[{idx}]", lineno, 1)
-                entries[which][idx] = _Parser(toks, 5, alg, params).parse()
+                parser = _Parser(statement, 5, params, tol, alg)
+                entries[which][idx] = _lift(parser.end(parser.expr()), alg)
             case ["B" | "D" as which, "=", *_]:
-                declare(toks)
+                declare(which, lines)
                 alg = require_algebra(lineno)
                 if identity and which == "B":
                     raise ParseError("B must be a matrix literal", lineno, 1)
                 literals[which] = "identity" if identity else (
-                    lineno, _Parser(toks, 2, alg, params).matrix())
+                    lineno, _Parser(statement, 2, params, tol, alg).matrix())
             case ["phi", "=", *_]:
-                declare(toks)
-                phi = _Parser(toks, 2, require_algebra(lineno), params).parse()
+                declare("phi", lines)
+                parser = _Parser(statement, 2, params, tol, require_algebra(lineno))
+                phi = _lift(parser.end(parser.expr()), parser.alg)
             case _:
+                source = " ".join(body.strip() for _, _, body in lines)
                 raise ParseError(f"unrecognized statement {source!r}", lineno, 1)
 
     if n is None:
@@ -584,14 +648,13 @@ def parse_model(text: str, tol: float = DEFAULT_TOL) -> QsdeModel:
         line, values = literals[which]
         if len(values) != rows or any(len(r) != cols for r in values):
             raise ParseError(f"{which} must be {rows}x{cols}", line, 1)
-        return OperatorMatrix(alg, rows, cols, [e for r in values for e in r])
+        # a ZERO entry is the algebra's shared zero: it builds nothing
+        return OperatorMatrix(alg, rows, cols, [_lift(e, alg) for r in values for e in r])
 
-    B = literal("B", n, m)
-    D = literal("D", m, m)
-    A = OperatorMatrix.column(alg, [entries["A"][i] for i in range(1, n + 1)])
-    C = OperatorMatrix.column(alg, [entries["C"][v] for v in range(1, m + 1)])
-    return QsdeModel(algebra=alg, n=n, m=m, A=A, B=B, C=C, D=D,
-                     params=params, phi=phi)
+    B, D = literal("B", n, m), literal("D", m, m)
+    A, C = (OperatorMatrix.column(alg, [entries[which][i] for i in range(1, size + 1)])
+            for which, size in (("A", n), ("C", m)))
+    return QsdeModel(alg, n, m, A, B, C, D, params, phi)
 
 
 # -- rendering ----------------------------------------------------------------

@@ -185,15 +185,16 @@ class Scalar:
 
     def sqrt(self) -> "Scalar":
         """Principal square root, kept exact for perfect rational squares."""
-        re, im = self.re, self.im
+        re, im, den = self.re_num, self.im_num, self.den
         if im == 0:
             mag = re if re >= 0 else -re
-            root = _rational_sqrt(mag) if isinstance(mag, Fraction) else math.sqrt(mag)
-            if root is None:
-                root = math.sqrt(float(mag))
-            if re >= 0:
-                return Scalar(root, 0 if isinstance(root, Fraction) else 0.0)
-            return Scalar(0 if isinstance(root, Fraction) else 0.0, root)
+            if den is not None:
+                rn, rd = math.isqrt(mag), math.isqrt(den)  # re and den share no factor
+                if rn * rn == mag and rd * rd == den:
+                    return _exact(rn, 0, rd) if re >= 0 else _exact(0, rn, rd)
+                mag /= den  # rounded once, as float(Fraction) rounds it
+            root = math.sqrt(mag)
+            return _float(root, 0.0) if re >= 0 else _float(0.0, root)
         z = cmath.sqrt(self.to_complex())
         return Scalar(z.real, z.imag)
 
@@ -250,15 +251,6 @@ def _float(re: float, im: float) -> Scalar:
     out = _new(Scalar)
     out.re_num, out.im_num, out.den = re + 0.0, im + 0.0, None
     return out
-
-
-def _rational_sqrt(f: Fraction):
-    """Exact square root of a non-negative Fraction, or None."""
-    num, den = f.numerator, f.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
 
 
 ZERO = Scalar(0)

@@ -357,6 +357,28 @@ def test_compatible_compares_theta_of_distinct_algebras(diag, off):
         a.annihilator(1).commutator(other.creator(1))
 
 
+def grid_fields(g):
+    return [[(repr(t.re_num), repr(t.im_num), t.den) for t in row] for row in g]
+
+
+@pytest.mark.parametrize("theta", [
+    [[1, 0], [0, 1]],
+    [[1.0, 0.0], [0.0, 1.0]],
+    [[1.0, 0], [0, 1]],  # binary64 and exact entries: Gauss-Jordan makes row 1 binary64
+    [[1, 0], [0, 1 + 1e-12]],
+    [[2, 0], [0, 1]],
+    [[1, 1], [1, 2]],
+    [[Fraction(1, 2), 0], [0, 1]],
+])
+def test_inverse_and_unit_flags_match_gauss_jordan_and_comparison(theta):
+    cm = CommutationMatrix(theta)
+    assert grid_fields(cm.inverse()) == grid_fields(qrealize.algebra.grid_inverse(cm.theta))
+    for j, row in enumerate(cm.row_entries):
+        assert [(l, unit) for l, _, unit in row] == [
+            (l, t == ONE) for l, t in enumerate(cm.theta[j]) if not t.is_zero(0.0)]
+    assert cm.is_identity == qrealize.algebra.grid_is_identity(cm.theta)
+
+
 # -- the commutator's contraction filter --------------------------------------
 
 def all_pairs_commutator(p, q):

@@ -19,9 +19,10 @@ from qrealize import (
     synthesize_storage,
 )
 import qrealize.checks
+from qrealize import fock
 from qrealize.checks import realization_derived
 
-from conftest import mutate
+from conftest import FIXTURE_DIR, mutate
 from helpers import chain_text
 
 
@@ -241,17 +242,33 @@ NONNEG_CASES = [
     ("identity", "a1'^2*a1 + 2*a2'*a2", False, "storage function is not self-adjoint"),
     (DIAG_THETA, QUARTIC_PHI, False, "positivity not established for non-identity theta"),
     (DIAG_THETA, "8*a1'*a1 + 2*a2'*a2", True, "positive semidefinite quadratic form"),
+    # a fixture: chain(13) with a quartic phi, too many modes for one quantum each
+    (None, "chain13_quartic_phi.qsde", False,
+     "positivity not established: representation dimension 8192 exceeds 4096"),
 ]
 
 
 @pytest.mark.parametrize("theta, phi, passed, note", NONNEG_CASES)
 def test_phi_nonneg_verdict_and_note(cavity_text, theta, phi, passed, note):
-    text = mutate(cavity_text, "theta: identity", f"theta: {theta}")
-    model = parse_model(mutate(text, f"phi = {CAVITY_PHI}", f"phi = {phi}"))
+    if theta is None:
+        model = parse_model((FIXTURE_DIR / phi).read_text())
+    else:
+        text = mutate(cavity_text, "theta: identity", f"theta: {theta}")
+        model = parse_model(mutate(text, f"phi = {CAVITY_PHI}", f"phi = {phi}"))
     cond = check_lossless(model).condition("LL-phi-nonneg")
     assert cond.passed is passed
     assert cond.description == f"the storage function is non-negative ({note})"
     assert cond.witness == ([] if passed else [{"entry": "phi", "residual": note}])
+
+
+def test_phi_nonneg_fails_only_on_the_dimension_refusal(cavity_text, monkeypatch):
+    def refuse(phi):
+        raise ValueError("some other refusal")
+
+    monkeypatch.setattr(fock, "psd_check", refuse)
+    model = parse_model(mutate(cavity_text, f"phi = {CAVITY_PHI}", f"phi = {QUARTIC_PHI}"))
+    with pytest.raises(ValueError, match="some other refusal"):
+        check_lossless(model)
 
 
 def test_storage_condition_fixture(cavity):

@@ -34,7 +34,8 @@ from conftest import CAVITY_PATH, FIXTURE_DIR, MUTATIONS, golden_models, mutate
 from helpers import load_workloads
 
 WORKLOADS = load_workloads()
-REFUSED_FIXTURES = {"malformed_cavity", "nonhermitian_theta", "late_theta", "singular_theta"}
+REFUSED_FIXTURES = {"malformed_cavity", "nonhermitian_theta", "late_theta", "singular_theta",
+                    "reserved_param"}
 
 
 def fields(p):

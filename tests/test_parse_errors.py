@@ -128,11 +128,22 @@ CASES = [
      "line 7, col 12: number too large for binary64"),
     ("operator-overflow", "param k2 = 2", "param k2 = sqrt(2)*1e400",
      "line 7, col 19: number too large for binary64"),
+    # a binary64 theta weighs every contraction of an operator product
+    ("theta-product-overflow", THETA_TO_A1, THETA_TO_A1.replace(
+        "identity", "[[sqrt(200), 0], [0, 1]]").replace("-k1*a1 + 2*a1'*a2^2", "1e308*a1*a1'"),
+     "line 9, col 16: number too large for binary64"),
     # theta and params name no mode, whatever its number
     ("theta-other-mode", "theta: identity", "theta: [[a2, 0], [0, 1]]",
      "line 4, col 1: theta entries must be scalars"),
     ("param-other-mode", "param k2 = 2", "param k2 = a2",
      "line 7, col 1: parameter 'k2' is not a scalar"),
+    # a parameter may not take a name an expression reads otherwise
+    ("reserved-imaginary-unit", "param k2 = 2", "param i = 2",
+     "line 7, col 7: 'i' is reserved and cannot name a parameter"),
+    ("reserved-sqrt", "param k2 = 2", "param sqrt = 2",
+     "line 7, col 7: 'sqrt' is reserved and cannot name a parameter"),
+    ("reserved-generator", "param k2 = 2", "param a1 = 3",
+     "line 7, col 7: 'a1' is reserved and cannot name a parameter"),
     # a character no token matches is reported first, at its own column
     ("character-before-statement-error", "modes: 2", "modes: 2!",
      "line 2, col 9: unexpected character '!'"),
@@ -195,6 +206,7 @@ def test_malformed_fixture(capsys):
         ("malformed_cavity", "line 14, col 22: juxtaposition is not multiplication; use '*'"),
         ("late_theta", "line 7, col 1: 'theta' must be declared before A, B, C, D and phi"),
         ("singular_theta", "line 6, col 1: theta must be invertible"),
+        ("reserved_param", "line 8, col 7: 'i' is reserved and cannot name a parameter"),
     ]:
         code = main(["check", str(FIXTURE_DIR / f"{name}.qsde")])
         captured = capsys.readouterr()
