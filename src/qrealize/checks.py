@@ -105,13 +105,9 @@ def _doubled(model: QsdeModel, dm: DoubledModel | None) -> DoubledModel:
 
 
 def _kept(dm: DoubledModel | None, phi, key, build):
-    """``build()``, kept on the doubled model under (key, phi).  phi is kept with
-    it, so its id is not reused while the doubled model lives."""
-    memo = dm.memo if dm is not None else {}
-    kept = memo.get((key, id(phi)))
-    if kept is None:
-        kept = memo[key, id(phi)] = phi, build()
-    return kept[1]
+    """``build()``, cached on the doubled model under (key, id(phi)).  phi is kept
+    with it, so its id is not reused while the doubled model lives."""
+    return build() if dm is None else dm.cached((key, id(phi)), lambda: (phi, build()))[1]
 
 
 # -- residuals that several rows or synthesis read ----------------------------
@@ -381,11 +377,12 @@ def extract_hamiltonian(model: QsdeModel, dm: DoubledModel | None = None) -> Ope
     if model.A.is_zero:
         raise ValueError("Hamiltonian extraction needs a nonzero drift")
     dm = _doubled(model, dm)
-    if "hamiltonian" not in dm.memo:
+
+    def build():
         t = OperatorMatrix.from_scalars(dm.algebra, dm.algebra.theta.inverse())
         s = (doubled_adjoint(dm.Abar) @ block_diag(t, -t.conj()) @ dm.abar).entry(0, 0)
-        dm.memo["hamiltonian"] = (s.adjoint() - s).scale(Scalar(0, Fraction(1, 2 * dm.nbar)))
-    return dm.memo["hamiltonian"]
+        return (s.adjoint() - s).scale(Scalar(0, Fraction(1, 2 * dm.nbar)))
+    return dm.cached("hamiltonian", build)
 
 
 def reconstruct_generator(hbar: OperatorPolynomial, lbar: OperatorMatrix) -> OperatorMatrix:

@@ -37,9 +37,9 @@ written out without its exponent (``1e400`` has 401) as its line is read;
 MAX_MODES = 128 at the count of ``modes:`` or ``channels:``; MAX_NESTING =
 64 at a ``(`` or ``sqrt``; MAX_EXPONENT = 64 and MAX_DEGREE = 32 of a power
 at its exponent; MAX_DEGREE and MAX_TERM_PAIRS = 10,000 of a product at its
-``*`` (of each step of a power at the exponent).  A result beyond binary64
-is refused at its operator, tested only once a binary64 value (a param, a
-``sqrt`` or a theta entry) has taken part.  A matrix literal ends its
+``*`` (of each step of a power at the exponent).  Every operator's result
+is tested for finiteness, and one beyond binary64 is refused at that
+operator; an exact result always passes.  A matrix literal ends its
 statement.
 """
 
@@ -251,28 +251,27 @@ MAX_NESTING = 64          # nested ( and sqrt( in one expression
 MAX_DIGITS = 1000         # digits of a number literal written out without exponent
 
 _TOKEN_RE = re.compile(
-    r"\s*(\d+(?:\.\d+)?(?:[eE][-+]?\d+)?|[A-Za-z_][A-Za-z_0-9]*|[-+*/^()\[\],'=:])")
-# text without these has no comment, stray character or number beyond MAX_DIGITS
+    r"\s*(\d+(?:\.\d+)?(?:[eE][-+]?\d+)?|[A-Za-z_][A-Za-z_0-9]*|[-+*/^()\[\],'=:]|\S)")
+# a line without these has no stray character or number beyond MAX_DIGITS
 _CHECKED_RE = re.compile(r"[^\s\dA-Za-z_\-+*/^()\[\],'=:]|\d(?:[eE]|\d{%d})" % MAX_DIGITS)
 _SYMS = frozenset("-+*/^()[],'=:")
 _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrstuvwxyz")
 
 
 def _tokenize(body: str, line: int) -> list:
-    """The token texts of one source line, ``body``."""
-    if not _CHECKED_RE.search(body):
-        return _TOKEN_RE.findall(body)
-    tokens, pos = [], 0
-    while m := _TOKEN_RE.match(body, pos):
-        text, pos = m.group(1), m.end()
-        if text[0] not in _SYMS and text[0] not in _NAME_START:  # a number
-            mantissa, _, exp = text.lower().partition("e")
-            digits = len(mantissa.replace(".", ""))
-            if max(digits, len(exp)) > MAX_DIGITS or digits + abs(int(exp or 0)) > MAX_DIGITS:
-                raise ParseError(f"number exceeds {MAX_DIGITS} digits", line, m.start(1) + 1)
-        tokens.append(text)
-    if rest := body[pos:].lstrip():
-        raise ParseError(f"unexpected character {rest[0]!r}", line, len(body) - len(rest) + 1)
+    """The token texts of one source line, ``body``; a line the pre-scan flags
+    is walked for a stray character (a token of its own) and a long number."""
+    tokens = _TOKEN_RE.findall(body)
+    if _CHECKED_RE.search(body):
+        where = [(line, 0, body)]
+        for k, text in enumerate(tokens):
+            if text[0].isdecimal():  # as \d: "²" is a digit but starts no number
+                mantissa, _, exp = text.lower().partition("e")
+                digits = len(mantissa.replace(".", ""))
+                if max(digits, len(exp)) > MAX_DIGITS or digits + abs(int(exp or 0)) > MAX_DIGITS:
+                    raise ParseError(f"number exceeds {MAX_DIGITS} digits", *_where(where, k))
+            elif text[0] not in _SYMS and text[0] not in _NAME_START:
+                raise ParseError(f"unexpected character {text!r}", *_where(where, k))
     return tokens
 
 
@@ -281,10 +280,9 @@ def _statements(text: str):
     each source line it spans: a line's tokens, continued over the following
     lines while a bracket is open."""
     toks, lines, depth = [], [], 0
-    plain = not _CHECKED_RE.search(text)  # no line needs _tokenize's checks
     for lineno, body in enumerate(text.splitlines(), start=1):
-        body = body if plain else body.split("#", 1)[0]
-        if line_tokens := _TOKEN_RE.findall(body) if plain else _tokenize(body, lineno):
+        body = body.split("#", 1)[0]
+        if line_tokens := _tokenize(body, lineno):
             lines.append((lineno, len(toks), body))
             toks += line_tokens
             depth += (line_tokens.count("(") + line_tokens.count("[")
@@ -300,11 +298,6 @@ def _where(lines, k: int):
     """(line, col) of token ``k`` of a statement spanning ``lines``."""
     line, first, body = next(x for x in reversed(lines) if x[1] <= k)
     return line, [m.start(1) + 1 for m in _TOKEN_RE.finditer(body)][k - first]
-
-
-def _number(text: str) -> Scalar:
-    value = Scalar(int(text) if text.isdigit() else Fraction(text))
-    return value if value.re_num else ZERO
 
 
 def _prune(c: Scalar, tol: float) -> Scalar:
@@ -339,16 +332,13 @@ class _Parser:
     A mode-free value is a Scalar (see ``_fold``); it becomes a polynomial
     over the operand's algebra only where it meets one.  Without ``alg`` (a
     param or theta, which name no mode) a generator stands for a1 of a
-    one-mode scratch algebra and sets ``nonscalar``.  ``floating`` records
-    that a binary64 value took part, a binary64 theta through every operator
-    product: only then can a result leave the range.
+    one-mode scratch algebra and sets ``nonscalar``.
     """
 
     def __init__(self, statement, idx, params, tol, alg=None):
         (self.toks, self.lines), self.n, self.idx = statement, len(statement[0]), idx
         self.params, self.tol, self.alg, self.scalar = params, tol, alg, alg is None
         self.nonscalar, self.depth = False, 0
-        self.floating = alg is not None and not alg.theta.exact
 
     def fail(self, message: str, k: int) -> ParseError:
         return ParseError(message, *_where(self.lines, k))
@@ -383,18 +373,10 @@ class _Parser:
 
     def matrix(self):
         """The rest of the statement, a ``[[...], ...]`` literal: its rows of values."""
-        rows = self.end(self.bracketed(lambda: self.bracketed(self.entry)))
+        rows = self.end(self.bracketed(lambda: self.bracketed(self.expr)))
         if any(len(r) != len(rows[0]) for r in rows):
             raise ParseError("ragged matrix literal", self.lines[0][0], 1)
         return rows
-
-    def entry(self):
-        """A matrix entry; a lone number skips the expression grammar."""
-        i, toks = self.idx, self.toks
-        if i + 1 < self.n and toks[i + 1] in ",]" and toks[i][0].isdecimal():
-            self.idx = i + 1
-            return _number(toks[i])
-        return self.expr()
 
     def expr(self):
         """A sum of terms, each a product of factors; left to right at each level."""
@@ -436,13 +418,13 @@ class _Parser:
                 base = I
             elif text in self.params:
                 base = self.params[text]
-                self.floating |= base.den is None
             else:
                 raise self.fail(f"unknown parameter {text!r}", at)
         elif text in ("(", "sqrt"):
             base = self.bracket(text, at)
         elif text[0] not in _SYMS:
-            base = _number(text)
+            base = Scalar(int(text) if text.isdigit() else Fraction(text))
+            base = base if base.re_num else ZERO
         else:
             raise self.fail(f"unexpected {text!r}", at)
         while self.idx < n and toks[self.idx] == "^":
@@ -482,7 +464,6 @@ class _Parser:
             root = None
         if root is None or not _finite(root):
             raise self.fail("number too large for binary64", at)
-        self.floating |= root.den is None
         return root
 
     def binary(self, at: int, sym: str, lhs, rhs):
@@ -519,8 +500,8 @@ class _Parser:
             raise self.fail("division by zero", at) from None
         except OverflowError:
             value = None
-        if value is None or (not _finite(value) if type(value) is Scalar else self.floating
-                             and not all(map(_finite, value.terms.values()))):
+        if value is None or not (_finite(value) if type(value) is Scalar
+                                 else all(map(_finite, value.terms.values()))):
             raise self.fail("number too large for binary64", at)
         return value
 
@@ -571,12 +552,16 @@ def parse_model(text: str, tol: float = DEFAULT_TOL) -> QsdeModel:
                 if len(rows) != n or any(len(r) != n for r in rows):
                     raise ParseError(f"theta must be {n}x{n}", line, 1)
                 grid_theta = CommutationMatrix(rows)
-                if not grid_is_hermitian(grid_theta.theta, tol):
-                    raise ParseError("theta must be Hermitian", line, 1)
                 try:
-                    grid_theta.inverse()  # cached for the checks
+                    hermitian = grid_is_hermitian(grid_theta.theta, tol)
+                    if hermitian:
+                        grid_theta.inverse()  # cached for the checks
+                except OverflowError:  # a binary64 entry met one beyond binary64
+                    raise ParseError("number too large for binary64", line, 1) from None
                 except ValueError:
                     raise ParseError("theta must be invertible", line, 1) from None
+                if not hermitian:
+                    raise ParseError("theta must be Hermitian", line, 1)
             algebra = Algebra(n, grid_theta, tol=tol)
         return algebra
 

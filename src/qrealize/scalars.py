@@ -138,8 +138,6 @@ class Scalar:
             c, f = (o.re_num, o.im_num) if e is None else o._floats()
             return _float(a * c - b * f, a * f + b * c)
         a, b, c, f = self.re_num, self.im_num, o.re_num, o.im_num
-        if not (b or f):  # two exact reals: no cross terms
-            return _exact(a * c, 0, d * e)
         return _exact(a * c - b * f, a * f + b * c, d * e)
 
     __rmul__ = __mul__

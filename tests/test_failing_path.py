@@ -35,7 +35,7 @@ from helpers import load_workloads
 
 WORKLOADS = load_workloads()
 REFUSED_FIXTURES = {"malformed_cavity", "nonhermitian_theta", "late_theta", "singular_theta",
-                    "reserved_param"}
+                    "reserved_param", "mixed_theta_overflow"}
 
 
 def fields(p):

@@ -128,6 +128,14 @@ CASES = [
      "line 7, col 12: number too large for binary64"),
     ("operator-overflow", "param k2 = 2", "param k2 = sqrt(2)*1e400",
      "line 7, col 19: number too large for binary64"),
+    # a theta mixing binary64 entries with one beyond binary64, refused where
+    # the Hermiticity test or the inverse overflows
+    ("theta-mixed-overflow-hermitian", "theta: identity",
+     "theta: [[sqrt(3), 1e400], [sqrt(2), 2]]",
+     "line 4, col 1: number too large for binary64"),
+    ("theta-mixed-overflow-inverse", "theta: identity",
+     "theta: [[sqrt(3), 1e400], [1e400, 2]]",
+     "line 4, col 1: number too large for binary64"),
     # a binary64 theta weighs every contraction of an operator product
     ("theta-product-overflow", THETA_TO_A1, THETA_TO_A1.replace(
         "identity", "[[sqrt(200), 0], [0, 1]]").replace("-k1*a1 + 2*a1'*a2^2", "1e308*a1*a1'"),
@@ -207,6 +215,7 @@ def test_malformed_fixture(capsys):
         ("late_theta", "line 7, col 1: 'theta' must be declared before A, B, C, D and phi"),
         ("singular_theta", "line 6, col 1: theta must be invertible"),
         ("reserved_param", "line 8, col 7: 'i' is reserved and cannot name a parameter"),
+        ("mixed_theta_overflow", "line 7, col 1: number too large for binary64"),
     ]:
         code = main(["check", str(FIXTURE_DIR / f"{name}.qsde")])
         captured = capsys.readouterr()

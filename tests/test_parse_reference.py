@@ -74,9 +74,14 @@ def test_parser_matches_reference_on_drawn_texts(text):
     assert_same(text)
 
 
+# the reference ends in an OverflowError on a theta mixing binary64 entries with
+# one beyond binary64; the parser refuses it with a positioned ParseError
+REFERENCE_CRASHES = {"mixed_theta_overflow"}
+
+
 def fixture_texts():
     paths = [*sorted(FIXTURE_DIR.glob("*.qsde")), *sorted((FIXTURE_DIR / "golden").glob("*.qsde"))]
-    return [(p.stem, p.read_text()) for p in paths]
+    return [(p.stem, p.read_text()) for p in paths if p.stem not in REFERENCE_CRASHES]
 
 
 @pytest.mark.parametrize("name, text", fixture_texts(), ids=[n for n, _ in fixture_texts()])
@@ -115,6 +120,22 @@ def test_parser_matches_reference_on_chains(n):
     "modes: 2\nchannels: 1\ntheta: [[sqrt(4), i], [-i, 2]]\nA[1] = a1\nA[2] = a2^2*a1'\n"
     "B = [[1], [0]]\nC[1] = a1\n",
     CAVITY_PATH.read_text().replace("param k1 = 2", "param k1 = 2\nparam i = 2"),
+    # "²" passes str.isdigit but starts no number: a stray character, alone or not
+    "modes: 1\nchannels: 1\nA[1] = a1\nB = [[²]]\nC[1] = a1\n",
+    "modes: 1\nchannels: 1\nA[1] = a1\nB = [[2*²]]\nC[1] = a1\n",
+    "modes: 1\nchannels: 1\nA[1] = ²*a1\nB = [[1]]\nC[1] = a1\n",
+    # a Unicode decimal digit is a number
+    "modes: 1\nchannels: 1\nA[1] = a1\nB = [[٣]]\nC[1] = a1\n",
+    # a character outside the token set in a comment is no error
+    CAVITY_PATH.read_text().replace("D = identity", "D = identity  # ∂"),
+    # a lone entry of more than MAX_DIGITS digits, or followed by a stray
+    # character, on a continuation line
+    "modes: 1\nchannels: 2\nA[1] = a1\nB = [[1,\n " + "1" * 1001 + "]]\nC[1] = a1\n",
+    "modes: 1\nchannels: 2\nA[1] = a1\nB = [[1,\n 2 $]]\nC[1] = a1\n",
+    # lone numbers as entries of theta, B and D
+    *(f"modes: 2\nchannels: 2\ntheta: [[2, {x}], [{x}, 2]]\nA[1] = a1\nA[2] = a2\n"
+      f"B = [[{x}, 0], [1, {x}]]\nC[1] = a1\nC[2] = a2\nD = [[{x}, 1], [0, {x}]]\n"
+      for x in ("0", "00", "0.0", "1e-400", "2.5e3", "1e400")),
 ])
 def test_parser_matches_reference_on_edge_cases(text):
     assert_same(text)
