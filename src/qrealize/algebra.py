@@ -16,7 +16,7 @@ algebra, i.e. the model; nothing is kept at module level.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from math import comb, factorial, gcd, inf
 from operator import add, itemgetter, neg
 
@@ -28,8 +28,10 @@ from .scalars import (
     grid,
     grid_equal,
     grid_inverse,
+    grid_is_hermitian,
     grid_is_identity,
     identity_grid,
+    largest,
 )
 
 
@@ -59,7 +61,6 @@ class CommutationMatrix:
                     cols[l].append((j, t, unit))
         self.row_entries, self.col_entries = tuple(map(tuple, rows)), tuple(map(tuple, cols))
         self.col_reach = tuple(sum(1 << j for j, _, _ in col) for col in self.col_entries)
-        self._is_diagonal = all(j == l for j, row in enumerate(rows) for l, _, _ in row)
         # the identity's fields, all exact or all binary64: its own inverse
         self._unit = len(exact) == 1 and all(
             len(row) == 1 and row[0][0] == j and row[0][2] for j, row in enumerate(rows))
@@ -82,7 +83,7 @@ class CommutationMatrix:
 
     @property
     def is_diagonal(self) -> bool:
-        return self._is_diagonal
+        return all(j == l for j, row in enumerate(self.row_entries) for l, _, _ in row)
 
     def reach(self, creates: int) -> int:
         """Bitmask of the modes j with theta_jl != 0 for some mode l in the
@@ -121,6 +122,12 @@ class Algebra:
         self._zero = OperatorPolynomial(self, {})
         self._words = {}
         self._generators = {}  # (j, creates): a_j' or a_j
+
+    @cached_property
+    def hermitian(self) -> bool:
+        """Whether theta is Hermitian at this algebra's tolerance, decided on the
+        first read; a unit theta needs no scan."""
+        return self.theta._unit or grid_is_hermitian(self.theta.theta, self.tol)
 
     def word(self, m: "Monomial"):
         """(annihilated modes, created modes, generator) of the word m: two
@@ -185,10 +192,7 @@ class Algebra:
         m = Monomial(tuple(creation), tuple(annihilation))
         if len(m.creation) != self.modes or len(m.annihilation) != self.modes:
             raise ValueError("multidegree length does not match mode count")
-        c = Scalar.of(coeff)
-        if c.is_zero(0.0):
-            return self.zero()
-        return OperatorPolynomial(self, {m: c})
+        return OperatorPolynomial(self, {m: Scalar.of(coeff)})  # which drops a zero
 
 
 class Monomial(tuple):
@@ -231,8 +235,8 @@ class OperatorPolynomial:
     """Finite linear combination of normal-ordered monomials.
 
     Values are immutable; all arithmetic returns new polynomials with zero
-    coefficients pruned (exactly in exact mode, below the workspace
-    tolerance in floating mode).
+    coefficients pruned (exactly in exact mode, by ``Scalar.is_zero`` at the
+    workspace tolerance in floating mode).
     """
 
     __slots__ = ("algebra", "terms", "_support")
@@ -241,9 +245,7 @@ class OperatorPolynomial:
         self.algebra, tol = algebra, algebra.tol
         kept = self.terms = {}
         for m, c in terms.items():
-            # hypot(re, im) exceeds tol wherever one part does
-            if (c.re_num or c.im_num) if c.den is not None else (
-                    abs(c.re_num) > tol or abs(c.im_num) > tol or c.magnitude() > tol):
+            if (c.re_num or c.im_num) if c.den is not None else not c.is_zero(tol):
                 kept[m] = c
 
     # -- basic queries --------------------------------------------------------
@@ -266,7 +268,7 @@ class OperatorPolynomial:
         return self.terms.get(self.algebra.unit, ZERO)
 
     def coeff_norm(self) -> float:
-        return max((c.magnitude() for c in self.terms.values()), default=0.0)
+        return largest(c.magnitude() for c in self.terms.values())
 
     def support(self):
         """(annihilated, reached): bitmasks of the modes the terms annihilate and
@@ -308,7 +310,7 @@ class OperatorPolynomial:
             prev = out.get(m)
             c = c if prev is None else prev + c
             if prev is None or ((c.re_num or c.im_num) if c.den is not None
-                                else c.magnitude() > tol):
+                                else not c.is_zero(tol)):
                 out[m] = c
             else:
                 del out[m]  # only a sum can vanish, where both sides share tol

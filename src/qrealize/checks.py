@@ -34,7 +34,7 @@ from .model import (
     sign_matrix,
     structural_class_check,
 )
-from .scalars import HALF, I, Scalar
+from .scalars import HALF, I, Scalar, largest
 
 
 @dataclass
@@ -44,7 +44,7 @@ class Condition:
     passed: bool
     residual_norm: float
     witness: list
-    # asserted-zero residual polynomials, kept for numerical re-verification
+    # the nonzero residual polynomials, or one zero, kept for the Fock oracle
     residuals: list = field(default_factory=list, repr=False)
 
     def to_dict(self):
@@ -198,27 +198,27 @@ def _phi_nonnegative(phi: OperatorPolynomial):
     alg = phi.algebra
     if phi.is_zero:
         return True, "zero storage function"
+    if alg.unit in phi.terms:  # a kept coefficient is nonzero
+        return False, "nonzero vacuum value"
     quad = {}  # (i, j): the coefficient of a_i' a_j
     for mono, coeff in phi.terms.items():
-        if mono.is_unit and not coeff.is_zero(alg.tol):
-            return False, "nonzero vacuum value"
         if mono.degree == 2 and sum(mono.creation) == 1 == sum(mono.annihilation):
             quad[mono.creation.index(1), mono.annihilation.index(1)] = coeff
-    if len(quad) == len(phi.terms):  # a quadratic form, vanishing at the vacuum
+    quadratic = len(quad) == len(phi.terms)  # a quadratic form, vanishing at the vacuum
+    if (quadratic or alg.theta.is_identity) and not (phi.adjoint() - phi).is_zero:
+        return False, ("quadratic form is not Hermitian" if quadratic
+                       else "storage function is not self-adjoint")
+    if quadratic:
         import numpy as np
 
         p = np.zeros((alg.modes, alg.modes), dtype=complex)
         for ij, coeff in quad.items():
             p[ij] = coeff.to_complex()
-        if np.max(np.abs(p - p.conj().T)) > alg.tol:
-            return False, "quadratic form is not Hermitian"
         min_eig = float(np.linalg.eigvalsh(p).min())
         if min_eig >= -alg.tol:
             return True, "positive semidefinite quadratic form"
         return False, f"quadratic form has negative eigenvalue {min_eig:.3g}"
     if alg.theta.is_identity:
-        if not (phi.adjoint() - phi).is_zero:
-            return False, "storage function is not self-adjoint"
         from .fock import DimensionError, psd_check
 
         try:
@@ -296,21 +296,21 @@ _ROWS = {row[1]: [r for r in CONDITIONS if r[1] == row[1]] for row in CONDITIONS
 
 
 def _judge(cid: str, desc: str, result) -> Condition:
-    """A builder's result as a condition: a residual matrix, labelled (i,j) with
-    every entry kept; labelled residuals, all kept; or a verdict's failures."""
+    """A builder's result as a condition: a residual matrix, whose nonzero entries
+    are kept labelled (i,j), or one zero when it has none; labelled residuals, all
+    kept; or a verdict's failures."""
     if isinstance(result, tuple):  # (note, result): the note fills the description
         note, result = result
         desc = desc.format(note)
     if isinstance(result, OperatorMatrix):
-        residuals = result.entries
-        result = [(f"({i + 1},{j + 1})", p) for (i, j), p in result.nonzero.items()]
+        zero = [("all", result.algebra.zero())]
+        result = [(f"({i + 1},{j + 1})", p) for (i, j), p in result.nonzero.items()] or zero
     elif result and isinstance(result[0][1], str):  # a verdict: no residual polynomials
         return Condition(cid, desc, False, 0.0,
                          [{"entry": entry, "residual": reason} for entry, reason in result])
-    else:
-        residuals = [p for _, p in result]
+    residuals = [p for _, p in result]
     nonzero = [(label, p) for label, p in result if not p.is_zero]
-    norm = max((p.coeff_norm() for _, p in nonzero), default=0.0)
+    norm = largest(p.coeff_norm() for _, p in nonzero)
     return Condition(cid, desc, not nonzero, norm,
                      [{"entry": label, "residual": render(p)} for label, p in nonzero], residuals)
 

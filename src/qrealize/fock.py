@@ -24,6 +24,7 @@ import math
 import numpy as np
 
 from .algebra import OperatorPolynomial
+from .scalars import largest
 
 ORACLE_TOL = 1e-9
 MAX_DIMENSION = 4096
@@ -137,8 +138,9 @@ def psd_check(phi: OperatorPolynomial):
 
 def residual_deviation(residuals, truncation: int, guard: int) -> float:
     """Largest guarded-subspace deviation of residual polynomials from zero,
-    each with the guard raised to its degree and the truncation to fit both."""
-    worst, zero_seen = 0.0, False
+    each with the guard raised to its degree and the truncation to fit both;
+    NaN when one deviation is NaN."""
+    deviations, zero_seen = [], False
     for p in residuals:
         if p.is_zero and zero_seen:
             continue  # every zero residual passes _cap the same arguments
@@ -147,8 +149,8 @@ def residual_deviation(residuals, truncation: int, guard: int) -> float:
         eff_guard = max(guard, degree)
         cap = _cap(p, max(truncation, degree + 2, eff_guard + 1), eff_guard)
         if not p.is_zero:
-            worst = max(worst, float(np.max(np.abs(_block(p, cap, _touched(p))))))
-    return worst
+            deviations.append(float(np.max(np.abs(_block(p, cap, _touched(p))))))
+    return largest(deviations)
 
 
 def oracle_results(report, model, truncation: int, guard: int) -> list:

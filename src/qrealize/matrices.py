@@ -61,7 +61,7 @@ class OperatorMatrix:
     def from_scalars(cls, algebra: Algebra, scalar_grid) -> "OperatorMatrix":
         return cls.from_nonzero(algebra, len(scalar_grid), len(scalar_grid[0]), {
             (i, j): algebra.scalar(x) for i, row in enumerate(scalar_grid)
-            for j, x in enumerate(row) if not x.is_zero(0.0)})
+            for j, x in enumerate(row)})
 
     # -- access ---------------------------------------------------------------
 

@@ -29,18 +29,18 @@ line, of the offending token; a token's column is worked out only then.
 
 A mode-free subexpression (numbers, params, ``i``, ``sqrt`` and the
 operators between them) folds to a ``Scalar``, exactly as the one-term
-polynomial it stands for would: a binary64 value at or below the tolerance
-drops to zero.  A constant becomes a polynomial only where it meets a
-generator, so ``k1*a1`` is one scaling.  Each bound is checked before the
-work it bounds, at the token named: MAX_DIGITS = 1,000 digits of a number
-written out without its exponent (``1e400`` has 401) as its line is read;
-MAX_MODES = 128 at the count of ``modes:`` or ``channels:``; MAX_NESTING =
-64 at a ``(`` or ``sqrt``; MAX_EXPONENT = 64 and MAX_DEGREE = 32 of a power
-at its exponent; MAX_DEGREE and MAX_TERM_PAIRS = 10,000 of a product at its
-``*`` (of each step of a power at the exponent).  Every operator's result
-is tested for finiteness, and one beyond binary64 is refused at that
-operator; an exact result always passes.  A matrix literal ends its
-statement.
+polynomial it stands for would: a binary64 value whose modulus is at or
+below the tolerance drops to zero.  A constant becomes a polynomial only
+where it meets a generator, so ``k1*a1`` is one scaling.  Each bound is
+checked before the work it bounds, at the token named: MAX_DIGITS = 1,000
+digits of a number written out without its exponent (``1e400`` has 401) as
+its line is read; MAX_MODES = 128 at the count of ``modes:`` or
+``channels:``; MAX_NESTING = 64 at a ``(`` or ``sqrt``; MAX_EXPONENT = 64
+and MAX_DEGREE = 32 of a power at its exponent; MAX_DEGREE and
+MAX_TERM_PAIRS = 10,000 of a product at its ``*`` (of each step of a power
+at the exponent).  Every operator's result is tested for finiteness, and
+one beyond binary64 is refused at that operator; an exact result always
+passes.  A matrix literal ends its statement.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from math import isfinite
 from .algebra import (Algebra, CommutationMatrix, OperatorPolynomial, _format_monomial,
                       format_scalar, render)
 from .matrices import OperatorMatrix, block_diag
-from .scalars import DEFAULT_TOL, I, ONE, ZERO, Scalar, grid_is_hermitian
+from .scalars import DEFAULT_TOL, I, ONE, ZERO, Scalar
 
 
 class ParseError(ValueError):
@@ -181,7 +181,7 @@ def doubled_generators(alg: Algebra) -> OperatorMatrix:
 def double(model: QsdeModel) -> DoubledModel:
     """The doubled model (stacked generator, block matrices); theta must be Hermitian."""
     alg = model.algebra
-    if not grid_is_hermitian(alg.theta.theta, alg.tol):
+    if not alg.hermitian:
         raise ValueError("theta must be Hermitian")
     Abar = OperatorMatrix.column(alg, model.A.col(0) + [p.adjoint() for p in model.A.col(0)])
     Cbar = OperatorMatrix.column(alg, model.C.col(0) + [p.adjoint() for p in model.C.col(0)])
@@ -300,30 +300,18 @@ def _where(lines, k: int):
     return line, [m.start(1) + 1 for m in _TOKEN_RE.finditer(body)][k - first]
 
 
-def _prune(c: Scalar, tol: float) -> Scalar:
-    """c, or ZERO where the polynomial constructor would drop c as a coefficient."""
-    if c.den is not None:
-        return c if c.re_num or c.im_num else ZERO
-    return c if abs(c.re_num) > tol or abs(c.im_num) > tol or c.magnitude() > tol else ZERO
-
-
 def _finite(c: Scalar) -> bool:
     return c.den is not None or isfinite(c.re_num) and isfinite(c.im_num)
 
 
 def _fold(sym: str, a: Scalar, b: Scalar, tol: float) -> Scalar:
     """a sym b for two constants, as their one-term polynomials give it: a
-    quotient scales a by ONE / b, and ZERO stands for the empty one."""
+    quotient scales a by ONE / b, and a value they would drop is ZERO."""
     if sym == "/":
-        inverse = ONE / b
-        return _prune(inverse * a, tol) if a.re_num or a.im_num else ZERO
-    if sym == "-":
-        b = -b
-    if not (a.re_num or a.im_num):
-        return ZERO if sym == "*" else b
-    if not (b.re_num or b.im_num):
-        return ZERO if sym == "*" else a
-    return _prune(a * b if sym == "*" else a + b, tol)
+        value = ONE / b * a
+    else:
+        value = a * b if sym == "*" else a + b if sym == "+" else a - b
+    return ZERO if value.is_zero(tol) else value
 
 
 class _Parser:
@@ -459,12 +447,12 @@ class _Parser:
                 raise self.fail("sqrt of a non-scalar expression", at)
             inner = inner.constant_value()
         try:
-            root = _prune(inner.sqrt(), self.tol)
+            root = inner.sqrt()
         except OverflowError:
             root = None
         if root is None or not _finite(root):
             raise self.fail("number too large for binary64", at)
-        return root
+        return ZERO if root.is_zero(self.tol) else root
 
     def binary(self, at: int, sym: str, lhs, rhs):
         """lhs ``sym`` rhs as their polynomials give it, refused at token ``at``
@@ -544,25 +532,24 @@ def parse_model(text: str, tol: float = DEFAULT_TOL) -> QsdeModel:
         if algebra is None:
             if n is None or m is None:
                 raise ParseError("modes and channels must be declared first", lineno, 1)
-            grid_theta = None
-            if theta is not None:
-                line, rows, nonscalar = theta
-                if nonscalar:
-                    raise ParseError("theta entries must be scalars", line, 1)
-                if len(rows) != n or any(len(r) != n for r in rows):
-                    raise ParseError(f"theta must be {n}x{n}", line, 1)
-                grid_theta = CommutationMatrix(rows)
-                try:
-                    hermitian = grid_is_hermitian(grid_theta.theta, tol)
-                    if hermitian:
-                        grid_theta.inverse()  # cached for the checks
-                except OverflowError:  # a binary64 entry met one beyond binary64
-                    raise ParseError("number too large for binary64", line, 1) from None
-                except ValueError:
-                    raise ParseError("theta must be invertible", line, 1) from None
-                if not hermitian:
-                    raise ParseError("theta must be Hermitian", line, 1)
-            algebra = Algebra(n, grid_theta, tol=tol)
+            if theta is None:
+                algebra = Algebra(n, tol=tol)
+                return algebra
+            line, rows, nonscalar = theta
+            if nonscalar:
+                raise ParseError("theta entries must be scalars", line, 1)
+            if len(rows) != n or any(len(r) != n for r in rows):
+                raise ParseError(f"theta must be {n}x{n}", line, 1)
+            algebra = Algebra(n, rows, tol=tol)
+            try:
+                if algebra.hermitian:  # decided once, for double() too
+                    algebra.theta.inverse()  # cached for the checks
+            except OverflowError:  # a binary64 entry met one beyond binary64
+                raise ParseError("number too large for binary64", line, 1) from None
+            except ValueError:
+                raise ParseError("theta must be invertible", line, 1) from None
+            if not algebra.hermitian:
+                raise ParseError("theta must be Hermitian", line, 1)
         return algebra
 
     for statement in _statements(text):

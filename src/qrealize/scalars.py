@@ -10,8 +10,8 @@ No binary64 part is ever ``-0.0``: every float scalar is stored as
 ``x + 0.0``, which maps ``-0.0`` to ``0.0`` and keeps every other value's
 bits, so a zero prints unsigned and the sign of a zero never needs settling.
 ``re`` and ``im`` read the components as ``Fraction`` or ``float``.
-Equality of exact scalars is syntactic; floating comparisons are
-tolerance-based and live at the polynomial level.
+Equality of exact scalars is syntactic; whether a binary64 scalar is zero
+is decided by ``is_zero`` alone, against a tolerance on its modulus.
 """
 
 from __future__ import annotations
@@ -199,9 +199,12 @@ class Scalar:
     # -- predicates -----------------------------------------------------------
 
     def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
+        """The one zero rule: an exact scalar is zero when it is 0, a binary64 one
+        when its modulus is at or below ``tol``, which a NaN part never is."""
+        re, im = self.re_num, self.im_num
         if self.den is not None:
-            return not (self.re_num or self.im_num)
-        return abs(self.re_num) <= tol and abs(self.im_num) <= tol
+            return not (re or im)
+        return abs(re) <= tol and abs(im) <= tol and math.hypot(re, im) <= tol
 
     def magnitude(self) -> float:
         try:
@@ -249,6 +252,13 @@ def _float(re: float, im: float) -> Scalar:
     out = _new(Scalar)
     out.re_num, out.im_num, out.den = re + 0.0, im + 0.0, None
     return out
+
+
+def largest(norms) -> float:
+    """max(norms, default=0.0), but NaN when a norm is NaN, wherever it stands:
+    ``max`` keeps a NaN only in first place."""
+    norms = list(norms)
+    return math.nan if any(map(math.isnan, norms)) else max(norms, default=0.0)
 
 
 ZERO = Scalar(0)
@@ -308,9 +318,8 @@ def grid_inverse(g):
 
 
 def grid_is_hermitian(g, tol: float = DEFAULT_TOL) -> bool:
+    """Whether the square grid g equals its conjugate transpose, entry by entry."""
     n = len(g)
-    if any(len(row) != n for row in g):
-        return False
     return all(
         (g[i][j] - g[j][i].conjugate()).is_zero(tol)
         for i in range(n)
@@ -319,8 +328,7 @@ def grid_is_hermitian(g, tol: float = DEFAULT_TOL) -> bool:
 
 
 def grid_equal(a, b, tol: float = DEFAULT_TOL) -> bool:
-    if len(a) != len(b) or len(a[0]) != len(b[0]):
-        return False
+    """Whether two grids of one shape agree entry by entry."""
     return all(
         (x - y).is_zero(tol) for ra, rb in zip(a, b) for x, y in zip(ra, rb)
     )

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import defaultdict
 from fractions import Fraction
@@ -11,8 +12,10 @@ import reference_kernel
 from helpers import polynomials, random_poly
 from qrealize import (
     Algebra,
+    ParseError,
     Scalar,
     normal_order,
+    parse_expression,
     render,
     wirtinger_gradient,
 )
@@ -22,6 +25,7 @@ from qrealize.algebra import (
     CommutationMatrix,
     Monomial,
     OperatorPolynomial,
+    _poly,
 )
 
 
@@ -153,6 +157,43 @@ def test_multiply_rejects_mode_mismatch(one_mode, two_modes):
 def test_algebra_refuses_a_tolerance_that_is_not_positive_and_finite(tol):
     with pytest.raises(ValueError, match="tolerance must be positive and finite"):
         Algebra(1, tol=tol)
+
+
+# (re, im, whether Scalar(re, im).is_zero(1e-9)): a binary64 coefficient is
+# zero when its modulus is at most the tolerance, and a NaN never is
+ZERO_RULE_ROWS = [
+    (8e-10, 8e-10, False),  # each part is within 1e-9, the modulus is not
+    (7e-10, 7e-10, True),
+    (math.nan, 0.0, False),
+    (math.inf, 0.0, False),
+    (0.0, -0.0, True),
+]
+
+
+@pytest.mark.parametrize("re, im, zero", ZERO_RULE_ROWS)
+def test_one_zero_rule_for_binary64_coefficients(re, im, zero):
+    c = Scalar(re, im)
+    assert c.is_zero(1e-9) is zero
+    alg = Algebra(1, tol=1e-9)
+    word = Monomial((0,), (1,))
+    # the constructor prunes c, and so does a sum that lands on c
+    assert OperatorPolynomial(alg, {word: c}).is_zero is zero
+    assert _poly(alg, {word: Scalar(0.0)})._plus(alg, [(word, c)]).is_zero is zero
+    # the parser folds k*1 to c: it drops c where it is zero and refuses it
+    # where it is not finite, but never reads a NaN as zero
+    if math.isfinite(re):
+        assert parse_expression("k*1", alg, {"k": c}).is_zero is zero
+    else:
+        with pytest.raises(ParseError, match="number too large for binary64"):
+            parse_expression("k*1", alg, {"k": c})
+
+
+def test_coeff_norm_is_nan_wherever_the_nan_coefficient_stands(one_mode):
+    words = [Monomial((0,), (0,)), Monomial((1,), (0,)), Monomial((0,), (1,))]
+    coeffs = [Scalar(math.nan, 0.0), Scalar(3.0), Scalar(1.0)]
+    for k in range(len(coeffs)):
+        p = OperatorPolynomial(one_mode, dict(zip(words, coeffs[k:] + coeffs[:k])))
+        assert len(p.terms) == 3 and math.isnan(p.coeff_norm()), k
 
 
 def test_adjoint_rules(two_modes):

@@ -231,6 +231,9 @@ NONNEG_CASES = [
     ("identity", "0", True, "zero storage function"),
     ("identity", "1 + " + CAVITY_PHI, False, "nonzero vacuum value"),
     ("identity", CAVITY_PHI + " + a1'*a2", False, "quadratic form is not Hermitian"),
+    # Hermitian only up to 1e-12, which the exact test does not round away
+    ("identity", "a1'*a1 + a2'*a2 + a1'*a2 + 1000000000001/1000000000000*a2'*a1", False,
+     "quadratic form is not Hermitian"),
     ("identity", "-2*a1'*a1 - 2*a2'*a2", False, "quadratic form has negative eigenvalue -2"),
     ("identity", QUARTIC_PHI, True, "truncated-representation minimum eigenvalue 0"),
     # negative at 2 and 3 quanta (<3|phi|3> = -6), beyond one quantum per mode

@@ -210,6 +210,30 @@ def test_float_oracle_json_is_strict_where_a_deviation_overflows(capsys, tmp_pat
     assert norms["PR-B-match"] == 1e200 and deviations["CCR-sum"] == 0.0
 
 
+NAN_PATH = FIXTURE_DIR / "nan_residual.qsde"
+# the conditions whose residuals carry inf - inf, in report order
+NAN_ROWS = ["CCR-sum", "PR-CCR-sum", "LL-gradient-A"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_nan_residual_fails_in_binary64_as_in_exact_mode(capsys):
+    code, out, err = run_cli(capsys, "check", str(NAN_PATH), "--json")
+    assert code == 1 and err == ""
+    failed = [c["condition_id"] for c in json.loads(out)["checks"] if not c["pass"]]
+    assert failed == ["CLASS-generator-identity", *NAN_ROWS]
+    # binary64 turns the infinite residuals of NAN_ROWS into NaN, which is never
+    # zero; (1/2) Bbar' grad(phi) overflows in binary64 alone
+    code, out, err = run_cli(capsys, "check", str(NAN_PATH), "--float", "--oracle", "--json")
+    assert code == 1 and err == ""
+    payload = json.loads(out, parse_constant=refuse_constant)
+    norms = {c["condition_id"]: c["residual_norm"] for c in payload["checks"] if not c["pass"]}
+    assert list(norms) == [*failed, "LL-B-gradient"]
+    deviations = {e["condition_id"]: e for e in payload["oracle"]}
+    for cid in NAN_ROWS:
+        assert norms[cid] == deviations[cid]["max_deviation"] == "nan", cid
+        assert deviations[cid]["pass"] is False, cid
+
+
 def test_check_float_refuses_a_coefficient_beyond_binary64(capsys):
     # --float converts 1e400 itself, which binary64 cannot hold
     code, out, err = run_cli(capsys, "check", str(HUGE_PATH), "--float")

@@ -99,8 +99,8 @@ def test_synthesis_decides_as_the_full_reports_would(floating):
 
 @pytest.mark.parametrize("floating", [False, True], ids=["exact", "float"])
 def test_overflowing_bbar_gradient_leaves_no_candidate(floating):
-    # exact mode rejects phi* at LL-gradient-A; binary64 reads that residual's
-    # inf - inf as zero, but (1/2) Bbar' grad(phi*) overflows to -inf
+    # exact mode rejects phi* at LL-gradient-A; in binary64 that residual's
+    # inf - inf is NaN, never zero, and (1/2) Bbar' grad(phi*) overflows to -inf
     model = parse_model((FIXTURE_DIR / "overflow_synthesis.qsde").read_text())
     model = model.to_float() if floating else model
     assert synthesize_storage(model) is None

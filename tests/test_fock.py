@@ -271,6 +271,14 @@ def test_zero_residual_is_held_to_the_dimension_bound():
         residual_deviation([alg.zero()], 6, 4)
 
 
+def test_residual_deviation_is_nan_wherever_the_nan_residual_stands(one_mode):
+    # max() keeps a NaN only in first place; the oracle must fail it anywhere
+    a1 = one_mode.annihilator(1)
+    residuals = [a1, a1.scale(Scalar(math.nan, 0.0)), a1.scale(Scalar(5.0)), one_mode.zero()]
+    for k in range(len(residuals)):
+        assert math.isnan(residual_deviation(residuals[k:] + residuals[:k], 6, 4)), k
+
+
 def test_zero_residuals_share_one_bound_check(monkeypatch):
     # every zero residual passes _cap the same arguments, so only the first
     # one of a call is checked, at its place among the nonzero residuals

@@ -118,7 +118,8 @@ class RefScalar:
     def is_zero(self, tol=1e-9):
         if self.is_exact:
             return self.re == 0 and self.im == 0
-        return abs(self.re) <= tol and abs(self.im) <= tol
+        # the modulus rule, which replaced a box test that read (1e-12, 1e-9) as zero
+        return abs(self.re) <= tol and abs(self.im) <= tol and self.magnitude() <= tol
 
     def magnitude(self):
         return math.hypot(float(self.re), float(self.im))
