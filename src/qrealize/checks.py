@@ -194,7 +194,8 @@ def _nonnegative(_, phi: OperatorPolynomial):
 def _phi_nonnegative(phi: OperatorPolynomial):
     """(passed, note): phi is a positive semidefinite Hermitian quadratic form, or
     else, at theta = I, self-adjoint with no negative truncated eigenvalue; past
-    the truncation's dimension bound positivity is not established."""
+    the truncation's dimension bound, or with a coefficient beyond binary64,
+    positivity is not established."""
     alg = phi.algebra
     if phi.is_zero:
         return True, "zero storage function"
@@ -208,24 +209,26 @@ def _phi_nonnegative(phi: OperatorPolynomial):
     if (quadratic or alg.theta.is_identity) and not (phi.adjoint() - phi).is_zero:
         return False, ("quadratic form is not Hermitian" if quadratic
                        else "storage function is not self-adjoint")
-    if quadratic:
-        import numpy as np
+    import numpy as np
 
-        p = np.zeros((alg.modes, alg.modes), dtype=complex)
-        for ij, coeff in quad.items():
-            p[ij] = coeff.to_complex()
-        min_eig = float(np.linalg.eigvalsh(p).min())
-        if min_eig >= -alg.tol:
-            return True, "positive semidefinite quadratic form"
-        return False, f"quadratic form has negative eigenvalue {min_eig:.3g}"
-    if alg.theta.is_identity:
-        from .fock import DimensionError, psd_check
+    from .fock import DimensionError, psd_check
 
-        try:
+    try:
+        if quadratic:
+            p = np.zeros((alg.modes, alg.modes), dtype=complex)
+            for ij, coeff in quad.items():
+                p[ij] = coeff.to_complex()
+            min_eig = float(np.linalg.eigvalsh(p).min())
+            if min_eig >= -alg.tol:
+                return True, "positive semidefinite quadratic form"
+            return False, f"quadratic form has negative eigenvalue {min_eig:.3g}"
+        if alg.theta.is_identity:
             passed, min_eig = psd_check(phi)
-        except DimensionError as exc:  # too many touched modes for one quantum each
-            return False, f"positivity not established: {exc}"
-        return passed, f"truncated-representation minimum eigenvalue {min_eig:.3g}"
+            return passed, f"truncated-representation minimum eigenvalue {min_eig:.3g}"
+    except DimensionError as exc:  # too many touched modes for one quantum each
+        return False, f"positivity not established: {exc}"
+    except OverflowError:  # from to_complex, or psd_check's refusal of an infinite entry
+        return False, "positivity not established: a coefficient is beyond binary64"
     return False, "positivity not established for non-identity theta"
 
 

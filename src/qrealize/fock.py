@@ -73,8 +73,12 @@ def _block(p: OperatorPolynomial, cap: int, modes) -> np.ndarray:
             amp = np.multiply.outer(amp, [
                 math.sqrt(math.perm(n, k) * math.perm(n - k + h, h)) for n in src
             ]).ravel()
+        try:
+            value = coeff.to_complex()
+        except OverflowError:  # an exact coefficient beyond binary64: as inf, |entry| inf
+            value = complex(math.inf)
         with np.errstate(invalid="ignore"):  # inf * amp: NaN imaginary parts, |entry| inf
-            out[_flat(targets, side), _flat(sources, side)] += coeff.to_complex() * amp
+            out[_flat(targets, side), _flat(sources, side)] += value * amp
     return out
 
 
@@ -132,7 +136,10 @@ def psd_check(phi: OperatorPolynomial):
     if touched and not cap:
         raise DimensionError(
             f"representation dimension {2 ** len(touched)} exceeds {MAX_DIMENSION}")
-    min_eig = float(np.linalg.eigvalsh(_block(phi, cap, touched)).min())
+    block = _block(phi, cap, touched)
+    if not np.isfinite(block).all():
+        raise OverflowError("a coefficient is beyond binary64")
+    min_eig = float(np.linalg.eigvalsh(block).min())
     return min_eig >= -ORACLE_TOL, min_eig
 
 

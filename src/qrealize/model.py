@@ -20,9 +20,8 @@ explicit ``*`` for products, ``^`` for positive integer powers, ``i`` for
 the imaginary unit and ``sqrt(...)`` of scalar subexpressions; ``i``,
 ``sqrt`` and every ``a<digits>`` are refused as param names.  Parameter
 values are evaluated once, at parse time.  A statement continues over the
-following lines while its brackets are open.  modes, channels, theta, B, D,
-phi and each param name are declared at most once, and the three headers
-before the first A, B, C, D or phi statement.  A declared theta must be
+following lines while its brackets are open.  Each statement kind is a row
+of ``_STATEMENTS``, which gives its rules.  A declared theta must be
 Hermitian and invertible; it is inverted once, here.  A ParseError names
 the line and the 1-based column, counted from the start of that source
 line, of the offending token; a token's column is worked out only then.
@@ -294,8 +293,11 @@ def _statements(text: str):
         yield toks, lines
 
 
-def _where(lines, k: int):
-    """(line, col) of token ``k`` of a statement spanning ``lines``."""
+def _where(lines, k: int | None):
+    """(line, col) of token ``k`` of a statement spanning ``lines``; column 1 of
+    its first line when ``k`` is None."""
+    if k is None:
+        return lines[0][0], 1
     line, first, body = next(x for x in reversed(lines) if x[1] <= k)
     return line, [m.start(1) + 1 for m in _TOKEN_RE.finditer(body)][k - first]
 
@@ -320,12 +322,13 @@ class _Parser:
     A mode-free value is a Scalar (see ``_fold``); it becomes a polynomial
     over the operand's algebra only where it meets one.  Without ``alg`` (a
     param or theta, which name no mode) a generator stands for a1 of a
-    one-mode scratch algebra and sets ``nonscalar``.
+    one-mode scratch algebra and sets ``nonscalar``.  A name reads the value
+    ``store`` holds under ("param", name).
     """
 
-    def __init__(self, statement, idx, params, tol, alg=None):
+    def __init__(self, statement, idx, store, tol, alg=None):
         (self.toks, self.lines), self.n, self.idx = statement, len(statement[0]), idx
-        self.params, self.tol, self.alg, self.scalar = params, tol, alg, alg is None
+        self.store, self.tol, self.alg, self.scalar = store, tol, alg, alg is None
         self.nonscalar, self.depth = False, 0
 
     def fail(self, message: str, k: int) -> ParseError:
@@ -404,8 +407,8 @@ class _Parser:
                 base = alg.creator(mode) if creates else alg.annihilator(mode)
             elif text == "i":
                 base = I
-            elif text in self.params:
-                base = self.params[text]
+            elif ("param", text) in self.store:
+                base = self.store["param", text]
             else:
                 raise self.fail(f"unknown parameter {text!r}", at)
         elif text in ("(", "sqrt"):
@@ -495,138 +498,134 @@ class _Parser:
 
 
 def _lift(value, alg: Algebra) -> OperatorPolynomial:
-    """A parsed value as a polynomial over ``alg``."""
+    """A parsed value as a polynomial over ``alg``; None stays None."""
     return alg.scalar(value) if type(value) is Scalar else value
 
 
 def parse_expression(text: str, algebra: Algebra,
                      params: dict | None = None) -> OperatorPolynomial:
-    parser = _Parser((_tokenize(text, 0), [(0, 0, text)]), 0, params or {}, algebra.tol, algebra)
+    store = {("param", name): value for name, value in (params or {}).items()}
+    parser = _Parser((_tokenize(text, 0), [(0, 0, text)]), 0, store, algebra.tol, algebra)
     return _lift(parser.end(parser.expr()), algebra)
 
 
+# kind: (head, name at, header, binds, value, index limit, repeat refusal, at).
+# ``head`` is the tokens before the value; its None, at ``name at``, stands for a
+# param name or an index, and the statement's key is then (kind, name), else kind.
+# A header must come before the first statement that binds the algebra.  A value is
+# a "count", a "matrix" literal, one or "identity", or an "expr".  An index lies in
+# 1..the count of its limit.  A repeat is refused at token ``at`` (None: column 1).
+_STATEMENTS = {
+    "modes": (["modes", ":"], 0, True, False, "count", None, "duplicate {!r} declaration", 0),
+    "channels": (["channels", ":"], 0, True, False, "count", None,
+                 "duplicate {!r} declaration", 0),
+    "theta": (["theta", ":"], 0, True, False, "identity", None, "duplicate {!r} declaration", 0),
+    "param": (["param", None, "="], 1, False, False, "expr", None, "duplicate parameter {!r}", 1),
+    "A": (["A", "[", None, "]", "="], 2, False, True, "expr", "modes", "duplicate A[{}]", None),
+    "C": (["C", "[", None, "]", "="], 2, False, True, "expr", "channels", "duplicate C[{}]", None),
+    "B": (["B", "="], 0, False, True, "matrix", None, "duplicate {}", 0),
+    "D": (["D", "="], 0, False, True, "identity", None, "duplicate {}", 0),
+    "phi": (["phi", "="], 0, False, True, "expr", None, "duplicate {}", 0),
+}
+
+
 def parse_model(text: str, tol: float = DEFAULT_TOL) -> QsdeModel:
-    """Parse and fully bind a model; raises ParseError on any defect."""
-    n = m = None
-    theta = None  # (line, rows, nonscalar) of a theta literal; None is the identity
-    params: dict = {}
-    entries = {"A": {}, "C": {}}
-    literals = {"D": "identity"}  # B and D: "identity" or (line, rows)
-    phi = algebra = None
-    declared = set()
+    """Parse and fully bind a model; raises ParseError on any defect.  Each statement,
+    classified once by ``_STATEMENTS``, meets the rules reserved name, header after
+    binding, bind, index range, repeat and value in order, and leaves its value in
+    ``store`` under its key (for theta, B and D: None, or (line, rows, nonscalar))."""
+    store, algebra = {}, None
 
-    def declare(key, lines):
-        """Refuses a header once the algebra is bound (by the first A, B, C, D
-        or phi statement), and a second statement of the same keyword."""
-        header = key in ("modes", "channels", "theta")
-        if header and algebra is not None:
-            raise ParseError(f"{key!r} must be declared before A, B, C, D and phi",
-                             *_where(lines, 0))
-        if key in declared:
-            raise ParseError(f"duplicate {key!r} declaration" if header
-                             else f"duplicate {key}", *_where(lines, 0))
-        declared.add(key)
+    def literal(key, rows, cols):
+        """The rows of matrix statement ``key``, refused unless rows x cols scalars."""
+        line, values, nonscalar = store[key]
+        if nonscalar:
+            raise ParseError(f"{key} entries must be scalars", line, 1)
+        if len(values) != rows or any(len(r) != cols for r in values):
+            raise ParseError(f"{key} must be {rows}x{cols}", line, 1)
+        return values
 
-    def require_algebra(lineno):
-        nonlocal algebra
-        if algebra is None:
-            if n is None or m is None:
-                raise ParseError("modes and channels must be declared first", lineno, 1)
-            if theta is None:
-                algebra = Algebra(n, tol=tol)
-                return algebra
-            line, rows, nonscalar = theta
-            if nonscalar:
-                raise ParseError("theta entries must be scalars", line, 1)
-            if len(rows) != n or any(len(r) != n for r in rows):
-                raise ParseError(f"theta must be {n}x{n}", line, 1)
-            algebra = Algebra(n, rows, tol=tol)
-            try:
-                if algebra.hermitian:  # decided once, for double() too
-                    algebra.theta.inverse()  # cached for the checks
-            except OverflowError:  # a binary64 entry met one beyond binary64
-                raise ParseError("number too large for binary64", line, 1) from None
-            except ValueError:
-                raise ParseError("theta must be invertible", line, 1) from None
-            if not algebra.hermitian:
-                raise ParseError("theta must be Hermitian", line, 1)
-        return algebra
+    def bind(line):
+        """The algebra of the headers; refused at ``line`` before both counts."""
+        if "modes" not in store or "channels" not in store:
+            raise ParseError("modes and channels must be declared first", line, 1)
+        n, theta = store["modes"], store.get("theta")
+        alg = Algebra(n, literal("theta", n, n) if theta else None, tol=tol)
+        try:
+            if theta and alg.hermitian:  # decided once, for double() too
+                alg.theta.inverse()  # cached for the checks
+        except OverflowError:  # a binary64 entry met one beyond binary64
+            raise ParseError("number too large for binary64", theta[0], 1) from None
+        except ValueError:
+            raise ParseError("theta must be invertible", theta[0], 1) from None
+        if not alg.hermitian:
+            raise ParseError("theta must be Hermitian", theta[0], 1)
+        return alg
 
     for statement in _statements(text):
         toks, lines = statement
-        lineno, identity = lines[0][0], len(toks) == 3 and toks[2] == "identity"
-        match toks[:5]:
-            case ["modes" | "channels" as key, ":", *_]:
-                declare(key, lines)
-                if len(toks) != 3 or not toks[2].isdigit() or int(toks[2]) < 1:
-                    raise ParseError(f"{key} must be a positive integer", lineno, 1)
-                if int(toks[2]) > MAX_MODES:
-                    raise ParseError(f"{key} exceeds {MAX_MODES}", *_where(lines, 2))
-                n, m = (int(toks[2]), m) if key == "modes" else (n, int(toks[2]))
-            case ["theta", ":", *_]:
-                declare("theta", lines)
-                if not identity:
-                    parser = _Parser(statement, 2, params, tol)
-                    theta = (lineno, parser.matrix(), parser.nonscalar)
-            case ["param", name, "=", *_] if name[0] in _NAME_START:
-                if name in ("i", "sqrt") or name[0] == "a" and name[1:].isdigit():
-                    raise ParseError(f"{name!r} is reserved and cannot name a parameter",
-                                     *_where(lines, 1))
-                if name in params:
-                    raise ParseError(f"duplicate parameter {name!r}", *_where(lines, 1))
-                parser = _Parser(statement, 3, params, tol)
-                params[name] = parser.end(parser.expr())
-                if parser.nonscalar:
-                    raise ParseError(f"parameter {name!r} is not a scalar", lineno, 1)
-            case ["A" | "C" as which, "[", index, "]", "="] if index.isdigit():
-                alg = require_algebra(lineno)
-                idx, limit = int(index), n if which == "A" else m
-                if not 1 <= idx <= limit:
-                    raise ParseError(f"{which}[{idx}] out of range 1..{limit}", lineno, 1)
-                if idx in entries[which]:
-                    raise ParseError(f"duplicate {which}[{idx}]", lineno, 1)
-                parser = _Parser(statement, 5, params, tol, alg)
-                entries[which][idx] = _lift(parser.end(parser.expr()), alg)
-            case ["B" | "D" as which, "=", *_]:
-                declare(which, lines)
-                alg = require_algebra(lineno)
-                if identity and which == "B":
-                    raise ParseError("B must be a matrix literal", lineno, 1)
-                literals[which] = "identity" if identity else (
-                    lineno, _Parser(statement, 2, params, tol, alg).matrix())
-            case ["phi", "=", *_]:
-                declare("phi", lines)
-                parser = _Parser(statement, 2, params, tol, require_algebra(lineno))
-                phi = _lift(parser.end(parser.expr()), parser.alg)
-            case _:
-                source = " ".join(body.strip() for _, _, body in lines)
-                raise ParseError(f"unrecognized statement {source!r}", lineno, 1)
+        row = _STATEMENTS.get(kind := toks[0])
+        if fits := row is not None and len(toks) >= len(row[0]):
+            head, var, header, binds, form, limit, repeat, at = row
+            words, arg = toks[:len(head)], toks[var]
+            words[var] = head[var]  # None at a name, else the kind
+            fits = words == head and (arg.isdigit() if limit else arg[0] in _NAME_START)
+        if not fits:
+            source = " ".join(body.strip() for _, _, body in lines)
+            raise ParseError(f"unrecognized statement {source!r}", *_where(lines, None))
+        key = (kind, arg := int(arg) if limit else arg) if var else kind
+        if kind == "param" and (arg in ("i", "sqrt") or arg[0] == "a" and arg[1:].isdigit()):
+            raise ParseError(f"{arg!r} is reserved and cannot name a parameter",
+                             *_where(lines, var))
+        if header and algebra is not None:
+            raise ParseError(f"{kind!r} must be declared before A, B, C, D and phi",
+                             *_where(lines, 0))
+        if binds and algebra is None:
+            algebra = bind(lines[0][0])
+        if limit and not 1 <= arg <= store[limit]:
+            raise ParseError(f"{kind}[{arg}] out of range 1..{store[limit]}", *_where(lines, None))
+        if key in store:
+            raise ParseError(repeat.format(arg), *_where(lines, at))
+        start = len(head)
+        if form == "expr":
+            parser = _Parser(statement, start, store, tol, algebra if binds else None)
+            store[key] = parser.end(parser.expr())
+            if parser.nonscalar:  # a param, read without an algebra, named a mode
+                raise ParseError(f"parameter {arg!r} is not a scalar", *_where(lines, None))
+        elif form == "count":
+            count = toks[start] if len(toks) == start + 1 else ""
+            if not count.isdigit() or int(count) < 1:
+                raise ParseError(f"{kind} must be a positive integer", *_where(lines, None))
+            if int(count) > MAX_MODES:
+                raise ParseError(f"{kind} exceeds {MAX_MODES}", *_where(lines, start))
+            store[key] = int(count)
+        elif toks[start:] == ["identity"]:
+            if form == "matrix":
+                raise ParseError(f"{kind} must be a matrix literal", *_where(lines, None))
+            store[key] = None
+        else:
+            parser = _Parser(statement, start, store, tol, algebra if binds else None)
+            store[key] = lines[0][0], parser.matrix(), parser.nonscalar
 
-    if n is None:
-        raise ParseError("missing 'modes:' declaration")
-    if m is None:
-        raise ParseError("missing 'channels:' declaration")
-    alg = require_algebra(0)
+    for key in ("modes", "channels"):
+        if key not in store:
+            raise ParseError(f"missing '{key}:' declaration")
+    alg = algebra if algebra is not None else bind(0)
+    n, m = store["modes"], store["channels"]
     for which, size, role in (("A", n, "drift"), ("C", m, "output")):
-        missing = [i for i in range(1, size + 1) if i not in entries[which]]
+        missing = [j for j in range(1, size + 1) if (which, j) not in store]
         if missing:
             raise ParseError(f"missing {role} entries {which}{missing}")
-    if "B" not in literals:
+    if "B" not in store:
         raise ParseError("missing noise matrix B")
-
-    def literal(which, rows, cols):
-        if literals[which] == "identity":
-            return OperatorMatrix.identity(alg, cols)
-        line, values = literals[which]
-        if len(values) != rows or any(len(r) != cols for r in values):
-            raise ParseError(f"{which} must be {rows}x{cols}", line, 1)
-        # a ZERO entry is the algebra's shared zero: it builds nothing
-        return OperatorMatrix(alg, rows, cols, [_lift(e, alg) for r in values for e in r])
-
-    B, D = literal("B", n, m), literal("D", m, m)
-    A, C = (OperatorMatrix.column(alg, [entries[which][i] for i in range(1, size + 1)])
+    # a ZERO entry is the algebra's shared zero: it builds nothing
+    B, D = (OperatorMatrix(alg, k, m, [_lift(e, alg) for r in literal(key, k, m) for e in r])
+            if store.get(key) else OperatorMatrix.identity(alg, m)
+            for key, k in (("B", n), ("D", m)))
+    A, C = (OperatorMatrix.column(alg, [_lift(store[which, j], alg) for j in range(1, size + 1)])
             for which, size in (("A", n), ("C", m)))
-    return QsdeModel(alg, n, m, A, B, C, D, params, phi)
+    params = {k[1]: v for k, v in store.items() if k[0] == "param"}  # a kind's [0]: a letter
+    return QsdeModel(alg, n, m, A, B, C, D, params, _lift(store.get("phi"), alg))
 
 
 # -- rendering ----------------------------------------------------------------

@@ -248,6 +248,12 @@ NONNEG_CASES = [
     # a fixture: chain(13) with a quartic phi, too many modes for one quantum each
     (None, "chain13_quartic_phi.qsde", False,
      "positivity not established: representation dimension 8192 exceeds 4096"),
+    # an exact coefficient beyond binary64, on the quadratic route and on the
+    # truncated representation
+    (None, "huge_phi.qsde", False,
+     "positivity not established: a coefficient is beyond binary64"),
+    ("identity", "1e400*a1'^2*a1^2 + 2*a2'*a2", False,
+     "positivity not established: a coefficient is beyond binary64"),
 ]
 
 

@@ -234,6 +234,21 @@ def test_a_nan_residual_fails_in_binary64_as_in_exact_mode(capsys):
         assert deviations[cid]["pass"] is False, cid
 
 
+# the oracle reads an exact coefficient beyond binary64 as an infinite |entry|
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", ["huge_coefficient", "overflow_coupling", "overflow_synthesis"])
+def test_exact_oracle_reports_on_a_coefficient_beyond_binary64(capsys, name):
+    path = str(FIXTURE_DIR / f"{name}.qsde")
+    code, out, err = run_cli(capsys, "check", path, "--oracle", "--json")
+    assert code == 1 and err == ""
+    oracle = json.loads(out, parse_constant=refuse_constant)["oracle"]
+    infinite = [e for e in oracle if e["max_deviation"] == "inf"]
+    assert infinite and not any(e["pass"] for e in infinite)
+    code, out, err = run_cli(capsys, "check", path, "--oracle")
+    assert code == 1 and err == ""
+    assert "max deviation inf" in out and "overall: FAIL" in out
+
+
 def test_check_float_refuses_a_coefficient_beyond_binary64(capsys):
     # --float converts 1e400 itself, which binary64 cannot hold
     code, out, err = run_cli(capsys, "check", str(HUGE_PATH), "--float")

@@ -177,6 +177,25 @@ CASES = [
      "line 7, col 12: number exceeds 1000 digits"),
     ("count-digits-bound", "modes: 2", "modes: " + "0" * 5000 + "2",
      "line 2, col 8: number exceeds 1000 digits"),
+    # A[j] and C[j] are refused at column 1, however indented; every other
+    # repeat at its first token (a param at its name)
+    ("duplicate-drift-entry", "A[2] = -k2*a2", "A[1] = -k2*a2",
+     "line 10, col 1: duplicate A[1]"),
+    ("duplicate-drift-entry-indented", "A[2] = -k2*a2", "   A[1] = -k2*a2",
+     "line 10, col 1: duplicate A[1]"),
+    ("drift-index-out-of-range", "A[2] = -k2*a2", "A[3] = -k2*a2",
+     "line 10, col 1: A[3] out of range 1..2"),
+    ("drift-index-zero", "A[2] = -k2*a2", "A[0] = -k2*a2",
+     "line 10, col 1: A[0] out of range 1..2"),
+    ("duplicate-phi-indented", "phi = 2*a1'*a1 + 2*a2'*a2",
+     "phi = 2*a1'*a1 + 2*a2'*a2\n   phi = 2*a1'*a1",
+     "line 21, col 4: duplicate phi"),
+    # a repeat is refused before its value is read
+    ("duplicate-phi-before-value", "phi = 2*a1'*a1 + 2*a2'*a2",
+     "phi = 2*a1'*a1 + 2*a2'*a2\nphi = *",
+     "line 21, col 1: duplicate phi"),
+    ("duplicate-b-identity", "C[1] =", "B = identity\nC[1] =",
+     "line 15, col 1: duplicate B"),
 ]
 
 
@@ -193,6 +212,14 @@ def run_check(capsys, tmp_path, text, *options):
 def test_parse_error_table(capsys, tmp_path, old, new, message):
     code, out, err = run_check(capsys, tmp_path, mutate(CAVITY, old, new))
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_param_may_share_a_header_name(capsys, tmp_path):
+    # a param's key never collides with the header of the same name
+    text = mutate(CAVITY, "param k1 = 2", "param modes = 2\nparam k1 = modes")
+    code, out, err = run_check(capsys, tmp_path, text)
+    assert (code, err) == (0, "")
+    assert out == run_check(capsys, tmp_path, CAVITY)[1]
 
 
 def test_float_mode_rejects_a_number_beyond_binary64(capsys, tmp_path):
