@@ -18,7 +18,6 @@ from fractions import Fraction
 from .algebra import OperatorPolynomial, render, wirtinger_gradient
 from .matrices import (
     OperatorMatrix,
-    block_diag,
     commutator_table,
     doubled_adjoint,
     matrix_vector_commutators,
@@ -26,14 +25,7 @@ from .matrices import (
     row_commutator,
     scalar_vec_commutator,
 )
-from .model import (
-    DoubledModel,
-    QsdeModel,
-    double,
-    doubled_generators,
-    sign_matrix,
-    structural_class_check,
-)
+from .model import DoubledModel, QsdeModel, double, doubled_generators, structural_class_check
 from .scalars import HALF, I, Scalar, largest
 
 
@@ -114,22 +106,42 @@ def _kept(dm: DoubledModel | None, phi, key, build):
 # At Hermitian theta a doubled residual's bottom half mirrors its top half by
 # adjoint: [Abar, abar'] has entry (n+i, k+n mod 2n) = -(entry (i, k))' and
 # [abar, Abar'] = [Abar, abar']^dagger.  No binary64 part of a coefficient is
-# ever -0.0, so a mirrored polynomial has the bits of its direct form.
+# ever -0.0, so a mirrored polynomial has the bits of its direct form.  Ibar is
+# applied as a sign.
 
 def _modes(dm: DoubledModel) -> OperatorMatrix:
     """The column (a_1, ..., a_n), the top half of abar."""
     return dm.cached("a", lambda: OperatorMatrix.column(dm.algebra, dm.abar.col(0)[:dm.n]))
 
 
+def _drift_table(dm: DoubledModel) -> OperatorMatrix:
+    """The drift table [A_j, abar_k'], the top n rows of [Abar, abar'], read by
+    H, the CCR sum and (its right half, [A_j, a_k]) ``CLASS-A-antisymmetry``."""
+    return dm.cached("[A, abar']", lambda: outer_commutator(dm.model.A, dm.abar))
+
+
+def _a_antisymmetry(dm: DoubledModel, _=None) -> OperatorMatrix:
+    """[A_j, a_k] - [A_k, a_j], from the right half of the drift table."""
+    row_a = OperatorMatrix.from_nonzero(dm.algebra, dm.n, dm.n, {
+        (j, k - dm.n): p for (j, k), p in _drift_table(dm).nonzero.items() if k >= dm.n})
+    return row_a - row_a.transpose()
+
+
 def _ccr_sum(dm: DoubledModel, _=None) -> OperatorMatrix:
-    """[Abar, abar'] + [abar, Abar'] + Bbar Ibar Bbar', for ``CCR-sum`` and ``PR-CCR-sum``."""
-    n, alg = dm.n, dm.algebra
-    top = outer_commutator(dm.model.A, dm.abar).nonzero  # A is the top half of Abar
-    left = {**top, **{(n + i, (k + n) % (2 * n)): -p.adjoint() for (i, k), p in top.items()}}
-    right = {(k, j): p.adjoint() for (j, k), p in left.items()}
-    return (OperatorMatrix.from_nonzero(alg, 2 * n, 2 * n, left)
-            + OperatorMatrix.from_nonzero(alg, 2 * n, 2 * n, right)
-            + dm.Bbar @ dm.Ibar_matrix @ dm.Bbar_adjoint)
+    """[Abar, abar'] + [abar, Abar'] + Bbar Ibar Bbar', for ``CCR-sum`` and ``PR-CCR-sum``.
+    The first two are added on the top rows, entry (i, k) t[i, k] + t[k, i]' (k < n)
+    or t[i, k] - t[k - n, i + n] for the drift table t, and then mirrored; Bbar Ibar
+    Bbar' is added in full: its halves mirror only when B's entries are normal."""
+    n, m, table = dm.n, dm.m, _drift_table(dm).nonzero
+    top = dict(table)
+    for (k, i), p in table.items():  # the [abar, Abar'] terms
+        key, q = ((i, k), p.adjoint()) if i < n else ((i - n, k + n), -p)
+        prev = top.get(key)
+        top[key] = q if prev is None else prev + q
+    top.update({(n + i, (k + n) % (2 * n)): -p.adjoint() for (i, k), p in top.items()})
+    signed = {(c, k): -p if c >= m else p for (c, k), p in dm.Bbar_adjoint.nonzero.items()}
+    return (OperatorMatrix.from_nonzero(dm.algebra, 2 * n, 2 * n, top)
+            + dm.Bbar @ OperatorMatrix.from_nonzero(dm.algebra, 2 * m, 2 * n, signed))
 
 
 def _unitary_residual(dm: DoubledModel, _=None) -> OperatorMatrix:
@@ -157,10 +169,12 @@ def _b_gradient(dm: DoubledModel, phi: OperatorPolynomial) -> OperatorMatrix:
                  lambda: (dm.Bbar_adjoint @ _gradient(dm, phi)).scale(HALF) + dm.Cbar)
 
 
-def coupling_commutator_matrix(lbar: OperatorMatrix, abar: OperatorMatrix) -> OperatorMatrix:
-    """The matrix [Lbar', abar] with entry (j, k) = [Lbar_k*, abar_j]."""
+def signed_coupling_matrix(lbar: OperatorMatrix, abar: OperatorMatrix) -> OperatorMatrix:
+    """[Lbar', abar] Ibar: entry (j, k) is [Lbar_k*, abar_j], negated in the second
+    half of the columns."""
+    half = lbar.rows // 2
     table = commutator_table(lbar.conj().nonzero, abar.nonzero)
-    entries = {(j, k): c for ((k, _), (j, _)), c in table.items()}
+    entries = {(j, k): -c if k >= half else c for ((k, _), (j, _)), c in table.items()}
     return OperatorMatrix.from_nonzero(abar.algebra, abar.rows, lbar.rows, entries)
 
 
@@ -272,7 +286,7 @@ CONDITIONS = (
     ("CLASS-C-commutes", "class", "every entry of C commutes with every mode operator",
      lambda dm, _: _commuting("C[{0}] vs a{2}", dm.model.C, _modes(dm))),
     ("CLASS-A-antisymmetry", "class", "the drift commutator matrix [A_j, a_k] is symmetric",
-     lambda dm, _: (row_a := row_commutator(dm.model.A, _modes(dm))) - row_a.transpose()),
+     _a_antisymmetry),
     ("CLASS-structure", "class",
      "drift and output monomials have the admissible single-mode form",
      lambda dm, _: [(v, "structural") for v in structural_class_check(dm.model)]),
@@ -282,7 +296,7 @@ CONDITIONS = (
     *_CCR,
     *((f"PR-{cid}", "realize", desc, build) for cid, _, desc, build in _CCR),
     ("PR-B-match", "realize", "Bbar equals the coupling commutator matrix [Cbar', abar] Ibar",
-     lambda dm, _: dm.Bbar - coupling_commutator_matrix(dm.Cbar, dm.abar) @ dm.Ibar_matrix),
+     lambda dm, _: dm.Bbar - signed_coupling_matrix(dm.Cbar, dm.abar)),
     ("PR-D-identity", "realize", "Dbar is the identity", lambda dm, _: dm.Dbar - dm.identity),
     ("LL-gradient-A", "lossless", "grad(phi)' Abar equals -Cbar' Cbar",
      lambda dm, phi: [("scalar", _gradient_a(dm, phi))]),
@@ -374,17 +388,27 @@ def realization_derived(model: QsdeModel, dm: DoubledModel | None = None) -> dic
 
 
 def extract_hamiltonian(model: QsdeModel, dm: DoubledModel | None = None) -> OperatorPolynomial:
-    """H = (i / 2 nbar) (s' - s), once per doubled model, for s = Abar' J^-1 abar and
-    J^-1 = diag(T, -conj(T)), T = theta^-1; s' - s is anti-self-adjoint
-    coefficient by coefficient, so H = H' term for term."""
+    """H = (i / 2 nbar) (s' - s) for s = Abar' J^-1 abar, J^-1 = diag(T, -conj(T)),
+    T = theta^-1, once per doubled model.  s = X - X' - K for the uncontracted
+    X = sum_jl A_j' T_jl a_l and K = sum_jl conj(T_jl) [A_j, a_l'] from the drift
+    table (a binary64 T_jl at or below the tolerance is zero), so H = (i / nbar)
+    (v' - v) for v = X + K'/2, anti-self-adjoint coefficient by coefficient."""
     if model.A.is_zero:
         raise ValueError("Hamiltonian extraction needs a nonzero drift")
     dm = _doubled(model, dm)
 
     def build():
-        t = OperatorMatrix.from_scalars(dm.algebra, dm.algebra.theta.inverse())
-        s = (doubled_adjoint(dm.Abar) @ block_diag(t, -t.conj()) @ dm.abar).entry(0, 0)
-        return (s.adjoint() - s).scale(Scalar(0, Fraction(1, 2 * dm.nbar)))
+        alg, n, table = dm.algebra, dm.n, _drift_table(dm)
+        a, x, k = _modes(dm).col(0), alg.zero(), alg.zero()
+        for j, row in enumerate(alg.theta.inverse()):
+            drift_adjoint = dm.Abar.entry(n + j, 0)  # A_j'
+            for l, t in enumerate(row):
+                if not t.is_zero(alg.tol):
+                    unit = t.re_num == 1 and not t.im_num and t.den in (1, None)  # t == 1
+                    x = x + (drift_adjoint if unit else drift_adjoint.scale(t)) * a[l]
+                    k = k + (table.entry(j, l) if unit else table.entry(j, l).scale(t.conjugate()))
+        v = x + k.adjoint().scale(HALF)
+        return (v.adjoint() - v).scale(Scalar(0, Fraction(1, dm.nbar)))
     return dm.cached("hamiltonian", build)
 
 
@@ -397,8 +421,7 @@ def reconstruct_generator(hbar: OperatorPolynomial, lbar: OperatorMatrix) -> Ope
     if lbar.cols != 1 or lbar.rows % 2 != 0:
         raise ValueError("coupling vector must be a column of even length")
     abar = doubled_generators(alg)
-    ibar = sign_matrix(alg, lbar.rows // 2)
-    dissipative = (coupling_commutator_matrix(lbar, abar) @ ibar @ lbar).scale(HALF)
+    dissipative = (signed_coupling_matrix(lbar, abar) @ lbar).scale(HALF)
     return dissipative + scalar_vec_commutator(hbar, abar).scale(I)
 
 
@@ -433,14 +456,17 @@ def synthesize_storage(
     model: QsdeModel, dm: DoubledModel | None = None
 ) -> OperatorPolynomial | None:
     """phi* = 2 sum_j a_j' a_j when it certifies the lossless property, else None,
-    decided on its ``LL-D-unitary``, ``LL-gradient-A`` and ``LL-B-gradient`` residuals:
-    phi* is self-adjoint, its form is 2I and [2 abar_j, abar_k] is the storage target.
-    ``Bbar' abar + Cbar``, the last at grad(phi*) = 2 abar unhalved, rejects most first."""
+    decided on its ``LL-D-unitary``, ``LL-gradient-A``, ``LL-B-gradient`` residuals
+    and its judged ``ST-gradient-commutator`` row: phi* is self-adjoint, its form is
+    2I, and [2 abar_j, abar_k] is the storage target in exact arithmetic only.
+    ``Bbar' abar + Cbar``, the third at grad(phi*) = 2 abar unhalved, rejects most first."""
     dm = _doubled(model, dm)
     if not (dm.Bbar_adjoint @ dm.abar + dm.Cbar).is_zero or not _unitary_residual(dm).is_zero:
         return None
     phi = _storage_candidate(model.algebra)
-    return phi if _gradient_a(dm, phi).is_zero and _b_gradient(dm, phi).is_zero else None
+    found = (_gradient_a(dm, phi).is_zero and _b_gradient(dm, phi).is_zero
+             and _condition(_ROWS["storage"][0], dm, phi).passed)
+    return phi if found else None
 
 
 # -- aggregate runner -----------------------------------------------------------

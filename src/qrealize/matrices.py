@@ -4,8 +4,8 @@ Multiplication keeps the left-to-right operator order of the entries, and
 the module provides the structured commutator constructions used by the
 verification engines: outer commutators ``[u_j, v_k']``, row commutators
 ``[u_j, w_k]`` and scalar-vector commutators ``[s, v_j]``, all through
-:func:`commutator_table`.  Every block-diagonal constant of the doubled
-model (Bbar, Dbar, Ibar and J^-1) is built by :func:`block_diag`.
+:func:`commutator_table`.  The block-diagonal constants of the doubled
+model, Bbar and Dbar, are built by :func:`block_diag`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ class OperatorMatrix:
 
     Only the nonzero entries are stored: ``nonzero`` maps (row, col) to them
     in row-major order, and ``entry``, ``col`` and ``entries`` read
-    the algebra's shared zero elsewhere.  Bbar, Ibar and J^-1 are block-sparse.
+    the algebra's shared zero elsewhere.  Bbar and Dbar are block-sparse.
     """
 
     __slots__ = ("algebra", "rows", "cols", "nonzero")
@@ -56,12 +56,6 @@ class OperatorMatrix:
     def column(cls, algebra: Algebra, entries) -> "OperatorMatrix":
         entries = list(entries)
         return cls(algebra, len(entries), 1, entries)
-
-    @classmethod
-    def from_scalars(cls, algebra: Algebra, scalar_grid) -> "OperatorMatrix":
-        return cls.from_nonzero(algebra, len(scalar_grid), len(scalar_grid[0]), {
-            (i, j): algebra.scalar(x) for i, row in enumerate(scalar_grid)
-            for j, x in enumerate(row)})
 
     # -- access ---------------------------------------------------------------
 

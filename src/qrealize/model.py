@@ -1,7 +1,7 @@
 """Model data type, text-format parser/renderer and doubled-up construction.
 
-``double`` builds every constant of the doubled model, Bbar, Dbar and
-Ibar = ``sign_matrix``, with ``matrices.block_diag``.
+``double`` builds the block constants of the doubled model, Bbar and Dbar,
+with ``matrices.block_diag``.
 
 The model format is line-oriented (``#`` starts a comment):
 
@@ -141,7 +141,6 @@ class DoubledModel:
     Bbar: OperatorMatrix        # 2n x 2m
     Cbar: OperatorMatrix        # 2m x 1
     Dbar: OperatorMatrix        # 2m x 2m
-    Ibar_matrix: OperatorMatrix  # diag(I_m, -I_m): the CCR sum and PR-B-match
     identity: OperatorMatrix    # 2m x 2m: PR-D-identity and LL-D-unitary
     nbar: int | None            # None when A is identically zero
     model: QsdeModel = field(compare=False, repr=False)
@@ -160,12 +159,6 @@ class DoubledModel:
 
 
 # -- derived constructions ----------------------------------------------------
-
-def sign_matrix(alg: Algebra, m: int) -> OperatorMatrix:
-    """Ibar = diag(I_m, -I_m)."""
-    identity = OperatorMatrix.identity(alg, m)
-    return block_diag(identity, -identity)
-
 
 def doubled_generators(alg: Algebra) -> OperatorMatrix:
     """abar = (a_1..a_n, a_1'..a_n') as a column."""
@@ -194,7 +187,6 @@ def double(model: QsdeModel) -> DoubledModel:
         Bbar=block_diag(model.B, model.B.conj()),
         Cbar=Cbar,
         Dbar=block_diag(model.D, model.D.conj()),
-        Ibar_matrix=sign_matrix(alg, model.m),
         identity=OperatorMatrix.identity(alg, 2 * model.m),
         nbar=nbar,
         model=model,

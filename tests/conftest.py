@@ -42,6 +42,20 @@ MUTATIONS = [
      "A[1] = -k1*a1 + 2*a1'*a2^2", "A[1] = -k1*a1 + 2*a1*a2"),
 ]
 
+# Single edits of the cavity fixture that fail rows no mutation above fails:
+# CLASS-A-antisymmetry, the commutation rows of an operator-valued B (whose
+# entry does not commute with its adjoint, as tests/fixtures/operator_b.qsde),
+# and PR-D-identity alone.  They are not MUTATIONS: the D edit admits a
+# storage function.
+ROW_EDITS = [
+    ("A1-creation-term",
+     "A[1] = -k1*a1 + 2*a1'*a2^2", "A[1] = -k1*a1 + 2*a1'*a2^2 + a2'"),
+    ("B11-operator",
+     "B = [[-sqrt(2*k1), 0],", "B = [[-sqrt(2*k1) + a1'*a2, 0],"),
+    ("D11-phase",
+     "D = identity", "D = [[i, 0], [0, 1]]"),
+]
+
 
 @pytest.fixture(scope="session")
 def cavity_text():

@@ -7,6 +7,7 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from qrealize import OperatorMatrix, Scalar, scalar_vec_commutator
+from qrealize.matrices import commutator_table, doubled_adjoint
 from qrealize.scalars import ZERO, grid_inverse, identity_grid
 
 
@@ -79,6 +80,12 @@ def sign_grid(m):
     return block_diag(identity_grid(m), grid_neg(identity_grid(m)))
 
 
+def scalar_matrix(alg, g):
+    """The constant operator matrix of a grid; its zero entries are dropped."""
+    return OperatorMatrix.from_nonzero(alg, len(g), len(g[0]), {
+        (i, j): alg.scalar(x) for i, row in enumerate(g) for j, x in enumerate(row)})
+
+
 def grid_matmul(a, b):
     """Product of two scalar grids (tuples of tuples of Scalar)."""
     if len(a[0]) != len(b):
@@ -93,9 +100,25 @@ def grid_matmul(a, b):
 def direct_bracket(dm):
     """abar' G^-1 Abar for G = diag(theta, -theta*), formed as a product."""
     theta = dm.algebra.theta
-    inv = OperatorMatrix.from_scalars(dm.algebra, block_diag(
+    inv = scalar_matrix(dm.algebra, block_diag(
         theta.inverse(), grid_inverse(grid_neg(grid_conj(theta.theta)))))
     return (dm.abar.adjoint() @ inv @ dm.Abar).entry(0, 0)
+
+
+def product_hamiltonian(dm):
+    """H = (i / 2 nbar) (s' - s) for s = Abar' J^-1 abar, formed as two products
+    with J^-1 = diag(T, -conj(T)), T = theta^-1, as a constant matrix."""
+    t = dm.algebra.theta.inverse()
+    j_inv = scalar_matrix(dm.algebra, block_diag(t, grid_neg(grid_conj(t))))
+    s = (doubled_adjoint(dm.Abar) @ j_inv @ dm.abar).entry(0, 0)
+    return (s.adjoint() - s).scale(Scalar(0, Fraction(1, 2 * dm.nbar)))
+
+
+def coupling_commutator_matrix(lbar, abar):
+    """The matrix [Lbar', abar] with entry (j, k) = [Lbar_k*, abar_j], unsigned."""
+    table = commutator_table(lbar.conj().nonzero, abar.nonzero)
+    entries = {(j, k): c for ((k, _), (j, _)), c in table.items()}
+    return OperatorMatrix.from_nonzero(abar.algebra, abar.rows, lbar.rows, entries)
 
 
 def bracket_terms(dm):

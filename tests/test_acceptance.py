@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import bracket_terms, random_poly
+from helpers import bracket_terms, random_poly, scalar_matrix, sign_grid
 from qrealize import (
     Algebra,
     OperatorMatrix,
@@ -123,7 +123,7 @@ def test_criterion_3_realizability(cavity, announce):
         ["-2*a2'^2", "0", "2", "4*a2'*a1"],
         ["0", "2*a1'^2", "-4*a1'*a2", "2"],
     ])).is_zero
-    ibar = dm.Ibar_matrix
+    ibar = scalar_matrix(alg, sign_grid(2))
     # diag(2 k1, 2 k2, -2 k1, -2 k2) with k1 = k2 = 2
     assert (dm.Bbar @ ibar @ dm.Bbar.adjoint() - expr_matrix(alg, [
         ["4", "0", "0", "0"],

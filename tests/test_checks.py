@@ -22,8 +22,8 @@ import qrealize.checks
 from qrealize import fock
 from qrealize.checks import realization_derived
 
-from conftest import FIXTURE_DIR, mutate
-from helpers import chain_text
+from conftest import FIXTURE_DIR, ROW_EDITS, mutate
+from helpers import chain_text, scalar_matrix, sign_grid
 
 
 def expr_column(alg, sources):
@@ -99,7 +99,7 @@ def test_preservation_intermediates_match_worked_example(cavity):
         ["-2*a2'^2", "0", "2", "4*a2'*a1"],
         ["0", "2*a1'^2", "-4*a1'*a2", "2"],
     ])).is_zero
-    ibar = dm.Ibar_matrix
+    ibar = scalar_matrix(alg, sign_grid(2))
     assert (dm.Bbar @ ibar @ dm.Bbar.adjoint() - expr_matrix(alg, [
         ["4", "0", "0", "0"],
         ["0", "4", "0", "0"],
@@ -431,7 +431,7 @@ def test_run_checks_verifies_a_synthesized_phi_once(cavity_text, monkeypatch):
     report = run_checks(parse_model(text))
     assert report.overall and report.derived["storage_synthesized"]
     assert sorted(calls) == ["check_lossless", "check_storage_condition"]
-    # synthesis decides on phi*'s three pre-tests and builds no report itself
+    # synthesis decides on phi*'s four pre-tests and builds no report itself
     calls.clear()
     assert synthesize_storage(parse_model(text)) is not None and calls == []
 
@@ -477,6 +477,20 @@ def test_ccr_and_pr_ccr_residuals_agree(cavity, mutated_models):
                 pr.passed, pr.residual_norm, pr.witness), (name, suffix)
 
 
+@pytest.mark.parametrize("floating", [False, True], ids=["exact", "float"])
+def test_an_operator_valued_b_adds_bbar_ibar_bbar_in_full(floating):
+    # B[1,1] = -2 + a1'*a2 does not commute with its adjoint, so the CCR sum's
+    # entry (3,3) is not the mirror -(entry (1,1))' of its top-left entry
+    model = parse_model((FIXTURE_DIR / "operator_b.qsde").read_text())
+    model = model.to_float() if floating else model
+    cond = run_checks(model, ("preserve",)).condition("CCR-sum")
+    assert [w["entry"] for w in cond.witness] == ["(1,1)", "(3,3)"]
+    top, bottom = cond.residuals
+    alg = model.algebra
+    assert top == parse_expression("a1'*a1 - 2*a1'*a2 - 2*a2'*a1 + a1'*a2'*a1*a2", alg)
+    assert bottom == parse_expression("2*a1'*a2 + 2*a2'*a1 - a2'*a2 - a1'*a2'*a1*a2", alg)
+
+
 # -- mutation sweep and the equivalence property ------------------------------
 
 def test_every_mutation_breaks_a_condition(mutated_models):
@@ -484,6 +498,26 @@ def test_every_mutation_breaks_a_condition(mutated_models):
         report = run_checks(model)
         failing = [c.condition_id for c in report.conditions if not c.passed]
         assert failing, f"mutation {name} passed all checks"
+
+
+# the rows each of ROW_EDITS fails, with phi declared, in both modes
+ROW_EDIT_FAILURES = {
+    "A1-creation-term": ["CLASS-A-antisymmetry", "CLASS-generator-identity", "CCR-sum",
+                         "PR-CCR-sum", "LL-gradient-A"],
+    "B11-operator": ["CLASS-B-commutes", "CLASS-generator-identity", "CCR-sum", "CCR-B-left",
+                     "CCR-B-right", "PR-CCR-sum", "PR-CCR-B-left", "PR-CCR-B-right",
+                     "PR-B-match", "LL-B-gradient"],
+    "D11-phase": ["PR-D-identity"],
+}
+
+
+@pytest.mark.parametrize("floating", [False, True], ids=["exact", "float"])
+def test_row_edits_fail_their_rows(cavity_text, floating):
+    for name, old, new in ROW_EDITS:
+        model = parse_model(mutate(cavity_text, old, new, name))
+        model = model.to_float() if floating else model
+        failing = [c.condition_id for c in run_checks(model).conditions if not c.passed]
+        assert failing == ROW_EDIT_FAILURES[name], name
 
 
 def test_realizability_lossless_equivalence(cavity, mutated_models):

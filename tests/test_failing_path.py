@@ -1,6 +1,6 @@
 """The failing path builds nothing it throws away, and reports stay the same.
 
-Storage synthesis decides phi* on its three pre-tests and builds no report;
+Storage synthesis decides phi* on its four pre-tests and builds no report;
 ``format_scalar`` formats exact parts from their integer fields; ``CCR-sum``
 and ``PR-CCR-sum`` read one summary; exact real scalars skip imaginary
 arithmetic; matrix subtraction and the doubled row adjoints are formed
@@ -30,7 +30,7 @@ from qrealize import (
 from qrealize.matrices import doubled_adjoint
 from qrealize.model import double
 
-from conftest import CAVITY_PATH, FIXTURE_DIR, MUTATIONS, golden_models, mutate
+from conftest import CAVITY_PATH, FIXTURE_DIR, MUTATIONS, ROW_EDITS, golden_models, mutate
 from helpers import load_workloads
 
 WORKLOADS = load_workloads()
@@ -47,7 +47,8 @@ def fields(p):
 def synthesis_models():
     """(name, text) with phi removed: cavity mutants, chain edits, goldens, fixtures."""
     cavity = CAVITY_PATH.read_text()
-    out = [(f"cavity {name}", mutate(cavity, old, new, name)) for name, old, new in MUTATIONS]
+    out = [(f"cavity {name}", mutate(cavity, old, new, name))
+           for name, old, new in MUTATIONS + ROW_EDITS]
     for n in (2, 3, 4):
         out.append((f"chain({n})", WORKLOADS.chain_text(n, 2)))
         out += [(f"chain({n}) {kind}@{mode}", WORKLOADS.chain_mutant_text(n, kind, mode))
@@ -107,6 +108,17 @@ def test_overflowing_bbar_gradient_leaves_no_candidate(floating):
     report = run_checks(model, ("lossless", "storage"))
     assert [c.condition_id for c in report.conditions] == ["LL-phi-available"]
     assert not report.overall
+
+
+@pytest.mark.parametrize("floating", [False, True], ids=["exact", "float"])
+def test_an_overflowing_storage_target_leaves_no_candidate(floating):
+    # in binary64 phi*'s three lossless residuals vanish, but 2 theta_11 = 2e308
+    # overflows and its ST-gradient-commutator residual is inf - inf
+    model = parse_model((FIXTURE_DIR / "overflow_theta_synthesis.qsde").read_text())
+    model = model.to_float() if floating else model
+    assert synthesize_storage(model) is None
+    report = run_checks(model, ("lossless", "storage"))
+    assert [c.condition_id for c in report.conditions] == ["LL-phi-available"]
 
 
 def reference_format(c, parsable=False):

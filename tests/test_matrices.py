@@ -17,7 +17,8 @@ from qrealize.algebra import CommutationMatrix, Monomial, OperatorPolynomial, re
 from qrealize.matrices import block_diag as operator_block_diag
 from qrealize.scalars import grid
 
-from helpers import block_diag, grid_conj, grid_neg, polynomials, random_poly, sign_grid
+from helpers import (block_diag, grid_conj, grid_neg, polynomials, random_poly, scalar_matrix,
+                     sign_grid)
 
 
 @pytest.fixture
@@ -47,28 +48,28 @@ def test_outer_commutator_recovers_theta():
     theta = grid([[2, Scalar(0, 1)], [Scalar(0, -1), 1]])
     a = Algebra(2, CommutationMatrix(theta))
     got = outer_commutator(mode_vector(a), mode_vector(a))
-    assert (got - OperatorMatrix.from_scalars(a, theta)).is_zero
+    assert (got - scalar_matrix(a, theta)).is_zero
 
 
 def test_outer_commutator_doubled_is_graded(alg):
     abar = doubled_vector(alg)
     got = outer_commutator(abar, abar)
     target = block_diag(alg.theta.theta, grid_neg(grid_conj(alg.theta.theta)))
-    assert (got - OperatorMatrix.from_scalars(alg, target)).is_zero
+    assert (got - scalar_matrix(alg, target)).is_zero
 
 
 def test_block_diag_matches_the_grid_form():
     theta = grid([[2, Scalar(0, 1)], [Scalar(0, -1), 1]])
     a = Algebra(2, CommutationMatrix(theta))
-    top = OperatorMatrix.from_scalars(a, theta)
-    bottom = OperatorMatrix.from_scalars(a, grid([[3]]))
+    top = scalar_matrix(a, theta)
+    bottom = scalar_matrix(a, grid([[3]]))
     got = operator_block_diag(top, bottom)
-    want = OperatorMatrix.from_scalars(a, block_diag(theta, grid([[3]])))
+    want = scalar_matrix(a, block_diag(theta, grid([[3]])))
     assert (got.rows, got.cols) == (3, 3)
     assert list(got.nonzero) == list(want.nonzero) == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)]
     assert (got - want).is_zero
     sign = operator_block_diag(OperatorMatrix.identity(a, 2), -OperatorMatrix.identity(a, 2))
-    assert (sign - OperatorMatrix.from_scalars(a, sign_grid(2))).is_zero
+    assert (sign - scalar_matrix(a, sign_grid(2))).is_zero
 
 
 def test_repr_shows_the_shape_and_the_nonzero_entries(alg):

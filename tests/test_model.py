@@ -14,8 +14,6 @@ from qrealize import (
     structural_class_check,
 )
 
-from helpers import sign_grid
-
 
 MINIMAL = """
 modes: 1
@@ -128,9 +126,8 @@ def test_double_blocks(cavity):
         assert dm.Cbar.entry(cavity.m + j, 0) == cavity.C.entry(j, 0).adjoint()
     # off-diagonal blocks of Bbar vanish
     assert dm.Bbar.entry(0, 2).is_zero and dm.Bbar.entry(3, 1).is_zero
-    # the doubled noise's commutation matrix is diag(I_m, -I_m)
-    ibar = OperatorMatrix.from_scalars(cavity.algebra, sign_grid(2))
-    assert (dm.Ibar_matrix - ibar).is_zero
+    # Dbar = diag(D, conj(D)) with D = I
+    assert (dm.Dbar - dm.identity).is_zero and dm.Dbar.rows == 4
 
 
 def test_double_refuses_a_theta_that_is_not_hermitian():
