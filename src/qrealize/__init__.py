@@ -31,7 +31,7 @@ from .checks import (
     run_checks,
     synthesize_storage,
 )
-from .fock import guarded_indices, psd_check, represent, verify_identity
+from .fock import guarded_indices, represent, verify_identity
 from .matrices import (
     OperatorMatrix,
     matrix_vector_commutators,
@@ -80,7 +80,6 @@ __all__ = [
     "outer_commutator",
     "parse_expression",
     "parse_model",
-    "psd_check",
     "reconstruct_generator",
     "render",
     "render_model",

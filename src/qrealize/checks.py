@@ -26,7 +26,7 @@ from .matrices import (
     scalar_vec_commutator,
 )
 from .model import DoubledModel, QsdeModel, double, doubled_generators, structural_class_check
-from .scalars import HALF, I, Scalar, largest
+from .scalars import HALF, I, ZERO, Scalar, largest
 
 
 @dataclass
@@ -201,49 +201,45 @@ def _commuting(label: str, m: OperatorMatrix, w: OperatorMatrix, dagger: bool = 
 
 
 def _nonnegative(_, phi: OperatorPolynomial):
-    passed, note = _phi_nonnegative(phi)
-    return note, [] if passed else [("phi", note)]
+    """(note, failures): phi passes as a Hermitian quadratic form a' P a, P_ij the
+    coefficient of a_i' a_j, whose symmetric elimination in ascending mode order
+    meets no negative pivot and no zero pivot (at the tolerance) beside a nonzero
+    entry, in phi's own arithmetic.  theta is not read: for a = S b, S S' = theta,
+    a' P a = b' (S' P S) b is PSD exactly when P is (Sylvester's law of inertia)."""
+    def fail(note):
+        return note, [("phi", note)]
 
-
-def _phi_nonnegative(phi: OperatorPolynomial):
-    """(passed, note): phi is a positive semidefinite Hermitian quadratic form, or
-    else, at theta = I, self-adjoint with no negative truncated eigenvalue; past
-    the truncation's dimension bound, or with a coefficient beyond binary64,
-    positivity is not established."""
     alg = phi.algebra
     if phi.is_zero:
-        return True, "zero storage function"
+        return "zero storage function", []
     if alg.unit in phi.terms:  # a kept coefficient is nonzero
-        return False, "nonzero vacuum value"
-    quad = {}  # (i, j): the coefficient of a_i' a_j
+        return fail("nonzero vacuum value")
+    rows = {}  # i -> {j: P_ij}, the nonzero rows of P
     for mono, coeff in phi.terms.items():
-        if mono.degree == 2 and sum(mono.creation) == 1 == sum(mono.annihilation):
-            quad[mono.creation.index(1), mono.annihilation.index(1)] = coeff
-    quadratic = len(quad) == len(phi.terms)  # a quadratic form, vanishing at the vacuum
-    if (quadratic or alg.theta.is_identity) and not (phi.adjoint() - phi).is_zero:
-        return False, ("quadratic form is not Hermitian" if quadratic
-                       else "storage function is not self-adjoint")
-    import numpy as np
-
-    from .fock import DimensionError, psd_check
-
-    try:
-        if quadratic:
-            p = np.zeros((alg.modes, alg.modes), dtype=complex)
-            for ij, coeff in quad.items():
-                p[ij] = coeff.to_complex()
-            min_eig = float(np.linalg.eigvalsh(p).min())
-            if min_eig >= -alg.tol:
-                return True, "positive semidefinite quadratic form"
-            return False, f"quadratic form has negative eigenvalue {min_eig:.3g}"
-        if alg.theta.is_identity:
-            passed, min_eig = psd_check(phi)
-            return passed, f"truncated-representation minimum eigenvalue {min_eig:.3g}"
-    except DimensionError as exc:  # too many touched modes for one quantum each
-        return False, f"positivity not established: {exc}"
-    except OverflowError:  # from to_complex, or psd_check's refusal of an infinite entry
-        return False, "positivity not established: a coefficient is beyond binary64"
-    return False, "positivity not established for non-identity theta"
+        if not (mono.degree == 2 and sum(mono.creation) == 1 == sum(mono.annihilation)):
+            return fail("positivity not established: not a quadratic form")
+        rows.setdefault(mono.creation.index(1), {})[mono.annihilation.index(1)] = coeff
+    if not (phi.adjoint() - phi).is_zero:
+        return fail("quadratic form is not Hermitian")
+    # P is Hermitian, so row k names exactly the rows that hold column k; no
+    # step adds a row, and an entry that cancels to 0 stays in both rows
+    for k in sorted(rows):
+        row = rows.pop(k)
+        pivot = row.pop(k, None)
+        if pivot is None or pivot.is_zero(alg.tol):
+            if not all(p.is_zero(alg.tol) for p in row.values()):
+                return fail(f"quadratic form has a zero pivot beside a nonzero entry at a{k + 1}")
+            for i in row:
+                del rows[i][k]
+        elif pivot.re < 0:
+            return fail(f"quadratic form has a negative pivot at a{k + 1}")
+        else:  # the Schur complement on the rows row k names
+            for i in row:
+                other = rows[i]
+                factor = other.pop(k) / pivot
+                for j, p in row.items():
+                    other[j] = other.get(j, ZERO) - factor * p
+    return "positive semidefinite quadratic form", []
 
 
 def _storage_residual(dm: DoubledModel | None, phi: OperatorPolynomial):

@@ -9,8 +9,8 @@ Identities are judged on the guarded block, cap = N - 1 - guard, which
 excludes the truncation-corrupted top occupation levels and so makes the
 truncation error exactly zero for polynomial identities.  With no guard the
 block equals the dense truncated product, whose a' annihilates the top
-level; positivity needs no guard, as ``_block`` is exact at any cap.  On a
-mode that a residual does not touch every amplitude factor is 1.0, so ``residual_deviation`` skips zero residuals and builds the others
+level.  On a mode that a residual does not touch every amplitude factor is
+1.0, so ``residual_deviation`` skips zero residuals and builds the others
 on their touched modes, (cap+1)^(2 x touched) entries, with the same largest
 |entry| bit for bit.  ``MAX_DIMENSION`` bounds (cap+1)^n for every nonzero
 residual all the same, and once per call for the zero ones, which all share
@@ -28,10 +28,6 @@ from .scalars import largest
 
 ORACLE_TOL = 1e-9
 MAX_DIMENSION = 4096
-
-
-class DimensionError(ValueError):
-    """The refusal of ``psd_check`` to build a block of more than ``MAX_DIMENSION`` states."""
 
 
 def _cap(p: OperatorPolynomial, truncation: int, guard: int) -> int:
@@ -121,26 +117,6 @@ def _touched(p: OperatorPolynomial) -> list:
     """The modes (0-based, ascending) on which some monomial of p acts."""
     return [i for i in range(p.algebra.modes)
             if any(m.creation[i] or m.annihilation[i] for m in p.terms)]
-
-
-def psd_check(phi: OperatorPolynomial):
-    """Minimum eigenvalue of a self-adjoint polynomial between the states with up
-    to c quanta in each mode it touches, c the largest cap up to its degree that
-    ``MAX_DIMENSION`` admits; ``_block`` is exact at any cap, so no guard is needed."""
-    if not phi.algebra.theta.is_identity:
-        raise ValueError("the oracle requires theta = I")
-    if not (phi.adjoint() - phi).is_zero:
-        raise ValueError("positivity check needs a self-adjoint polynomial")
-    touched = _touched(phi)
-    cap = max(c for c in range(phi.max_degree + 1) if (c + 1) ** len(touched) <= MAX_DIMENSION)
-    if touched and not cap:
-        raise DimensionError(
-            f"representation dimension {2 ** len(touched)} exceeds {MAX_DIMENSION}")
-    block = _block(phi, cap, touched)
-    if not np.isfinite(block).all():
-        raise OverflowError("a coefficient is beyond binary64")
-    min_eig = float(np.linalg.eigvalsh(block).min())
-    return min_eig >= -ORACLE_TOL, min_eig
 
 
 def residual_deviation(residuals, truncation: int, guard: int) -> float:

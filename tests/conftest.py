@@ -56,6 +56,18 @@ ROW_EDITS = [
      "D = identity", "D = [[i, 0], [0, 1]]"),
 ]
 
+# Edits of the cavity's declared phi, which make the three phi rows
+# (LL-phi-selfadjoint, LL-phi-nonneg, ST-gradient-commutator) fail.  They are
+# not ROW_EDITS: with phi removed each is the cavity itself.
+PHI_EDITS = [
+    ("phi-cross-term",
+     "phi = 2*a1'*a1 + 2*a2'*a2", "phi = 2*a1'*a1 + 2*a2'*a2 + a1'*a2"),
+    ("phi-indefinite",
+     "phi = 2*a1'*a1 + 2*a2'*a2", "phi = 2*a1'*a1 - 2*a2'*a2"),
+    ("phi-halved",
+     "phi = 2*a1'*a1 + 2*a2'*a2", "phi = a1'*a1 + a2'*a2"),
+]
+
 
 @pytest.fixture(scope="session")
 def cavity_text():

@@ -19,11 +19,12 @@ from qrealize import (
     synthesize_storage,
 )
 import qrealize.checks
-from qrealize import fock
 from qrealize.checks import realization_derived
 
-from conftest import FIXTURE_DIR, ROW_EDITS, mutate
-from helpers import chain_text, scalar_matrix, sign_grid
+from conftest import FIXTURE_DIR, MUTATIONS, PHI_EDITS, ROW_EDITS, mutate
+from helpers import chain_text, load_workloads, scalar_matrix, sign_grid
+
+WORKLOADS = load_workloads()
 
 
 def expr_column(alg, sources):
@@ -225,8 +226,9 @@ CAVITY_PHI = "2*a1'*a1 + 2*a2'*a2"
 QUARTIC_PHI = CAVITY_PHI + " + a1'^2*a1^2"
 DIAG_THETA = "[[1/4, 0], [0, 1]]"
 
-# (theta, declared phi, LL-phi-nonneg passes, its note), one row per route
-# through the positivity decision
+# (theta, declared phi, LL-phi-nonneg passes, its note), one row per step of
+# the pivot rule and per refusal
+NOT_QUADRATIC = "positivity not established: not a quadratic form"
 NONNEG_CASES = [
     ("identity", "0", True, "zero storage function"),
     ("identity", "1 + " + CAVITY_PHI, False, "nonzero vacuum value"),
@@ -234,26 +236,29 @@ NONNEG_CASES = [
     # Hermitian only up to 1e-12, which the exact test does not round away
     ("identity", "a1'*a1 + a2'*a2 + a1'*a2 + 1000000000001/1000000000000*a2'*a1", False,
      "quadratic form is not Hermitian"),
-    ("identity", "-2*a1'*a1 - 2*a2'*a2", False, "quadratic form has negative eigenvalue -2"),
-    ("identity", QUARTIC_PHI, True, "truncated-representation minimum eigenvalue 0"),
-    # negative at 2 and 3 quanta (<3|phi|3> = -6), beyond one quantum per mode
-    ("identity", "a1'^3*a1^3 - 2*a1'^2*a1^2", False,
-     "truncated-representation minimum eigenvalue -6"),
-    ("identity", "a1'^4*a1^4 - 12*a1'^3*a1^3 + 36*a1'^2*a1^2", False,
-     "truncated-representation minimum eigenvalue -336"),
-    # not quadratic and not self-adjoint: no eigenvalue to compute
-    ("identity", "a1'^2*a1 + 2*a2'*a2", False, "storage function is not self-adjoint"),
-    (DIAG_THETA, QUARTIC_PHI, False, "positivity not established for non-identity theta"),
+    ("identity", "-2*a1'*a1 - 2*a2'*a2", False, "quadratic form has a negative pivot at a1"),
+    ("identity", "a1'*a2 + a2'*a1 + a2'*a2", False,
+     "quadratic form has a zero pivot beside a nonzero entry at a1"),
+    # [[1, i], [-i, 1]]: singular, its second pivot 0 with nothing beside it
+    ("identity", "a1'*a1 + i*a1'*a2 - i*a2'*a1 + a2'*a2", True,
+     "positive semidefinite quadratic form"),
+    # a fixture: [[1, c], [c, 1]], c = 1 + 1e-12, negative by 2e-12 at a2
+    (None, "near_singular_phi.qsde", False, "quadratic form has a negative pivot at a2"),
+    # not quadratic forms, none decided: the number-diagonal QUARTIC_PHI is
+    # non-negative; the next three are negative, <3|phi|3> = -6, <4|phi|4> = -336
+    # and, at ten quanta only, <10|phi|10> = -45/2; the fifth is not self-adjoint
+    ("identity", QUARTIC_PHI, False, NOT_QUADRATIC),
+    ("identity", "a1'^3*a1^3 - 2*a1'^2*a1^2", False, NOT_QUADRATIC),
+    ("identity", "a1'^4*a1^4 - 12*a1'^3*a1^3 + 36*a1'^2*a1^2", False, NOT_QUADRATIC),
+    ("identity", "a1'^4*a1^4 - 15*a1'^3*a1^3 + 255/4*a1'^2*a1^2", False, NOT_QUADRATIC),
+    ("identity", "a1'^2*a1 + 2*a2'*a2", False, NOT_QUADRATIC),
+    (DIAG_THETA, QUARTIC_PHI, False, NOT_QUADRATIC),
     (DIAG_THETA, "8*a1'*a1 + 2*a2'*a2", True, "positive semidefinite quadratic form"),
-    # a fixture: chain(13) with a quartic phi, too many modes for one quantum each
-    (None, "chain13_quartic_phi.qsde", False,
-     "positivity not established: representation dimension 8192 exceeds 4096"),
-    # an exact coefficient beyond binary64, on the quadratic route and on the
-    # truncated representation
-    (None, "huge_phi.qsde", False,
-     "positivity not established: a coefficient is beyond binary64"),
-    ("identity", "1e400*a1'^2*a1^2 + 2*a2'*a2", False,
-     "positivity not established: a coefficient is beyond binary64"),
+    # a fixture: chain(13) with a quartic phi
+    (None, "chain13_quartic_phi.qsde", False, NOT_QUADRATIC),
+    # an exact coefficient beyond binary64 is decided in exact arithmetic
+    (None, "huge_phi.qsde", True, "positive semidefinite quadratic form"),
+    ("identity", "1e400*a1'^2*a1^2 + 2*a2'*a2", False, NOT_QUADRATIC),
 ]
 
 
@@ -270,14 +275,13 @@ def test_phi_nonneg_verdict_and_note(cavity_text, theta, phi, passed, note):
     assert cond.witness == ([] if passed else [{"entry": "phi", "residual": note}])
 
 
-def test_phi_nonneg_fails_only_on_the_dimension_refusal(cavity_text, monkeypatch):
-    def refuse(phi):
-        raise ValueError("some other refusal")
-
-    monkeypatch.setattr(fock, "psd_check", refuse)
-    model = parse_model(mutate(cavity_text, f"phi = {CAVITY_PHI}", f"phi = {QUARTIC_PHI}"))
-    with pytest.raises(ValueError, match="some other refusal"):
-        check_lossless(model)
+def test_phi_nonneg_counts_a_float_pivot_within_tol_as_zero():
+    # the near-singular form's second pivot, -2e-12 in exact arithmetic, is 0
+    # at the default tolerance and negative at a tolerance below it
+    text = (FIXTURE_DIR / "near_singular_phi.qsde").read_text()
+    for tol, passed in ((1e-9, True), (1e-13, False)):
+        model = parse_model(text, tol=tol).to_float()
+        assert check_lossless(model).condition("LL-phi-nonneg").passed is passed
 
 
 def test_storage_condition_fixture(cavity):
@@ -440,7 +444,7 @@ def test_run_checks_verifies_a_synthesized_phi_once(cavity_text, monkeypatch):
 def test_run_checks_takes_each_adjoint_once(cavity, monkeypatch):
     # Bbar' (16 entries on the fixture) is built once per doubled model, and
     # the adjoints of abar and Cbar are taken once per commutator construction,
-    # not once per entry pair: rebuilding them made 182 calls
+    # not once per entry pair: rebuilding them made 182 calls; the run takes 49
     calls = []
     original = OperatorPolynomial.adjoint
 
@@ -450,7 +454,7 @@ def test_run_checks_takes_each_adjoint_once(cavity, monkeypatch):
 
     monkeypatch.setattr(OperatorPolynomial, "adjoint", counting)
     assert run_checks(cavity).overall
-    assert len(calls) <= 78
+    assert len(calls) <= 49
 
 
 def test_a_doubled_model_of_another_model_is_refused(cavity, cavity_text):
@@ -500,7 +504,7 @@ def test_every_mutation_breaks_a_condition(mutated_models):
         assert failing, f"mutation {name} passed all checks"
 
 
-# the rows each of ROW_EDITS fails, with phi declared, in both modes
+# the rows each of ROW_EDITS and PHI_EDITS fails, with phi declared, in both modes
 ROW_EDIT_FAILURES = {
     "A1-creation-term": ["CLASS-A-antisymmetry", "CLASS-generator-identity", "CCR-sum",
                          "PR-CCR-sum", "LL-gradient-A"],
@@ -508,16 +512,31 @@ ROW_EDIT_FAILURES = {
                      "CCR-B-right", "PR-CCR-sum", "PR-CCR-B-left", "PR-CCR-B-right",
                      "PR-B-match", "LL-B-gradient"],
     "D11-phase": ["PR-D-identity"],
+    "phi-cross-term": ["LL-gradient-A", "LL-B-gradient", "LL-phi-selfadjoint", "LL-phi-nonneg",
+                       "ST-gradient-commutator"],
+    "phi-indefinite": ["LL-gradient-A", "LL-B-gradient", "LL-phi-nonneg",
+                       "ST-gradient-commutator"],
+    "phi-halved": ["LL-gradient-A", "LL-B-gradient", "ST-gradient-commutator"],
 }
 
 
 @pytest.mark.parametrize("floating", [False, True], ids=["exact", "float"])
 def test_row_edits_fail_their_rows(cavity_text, floating):
-    for name, old, new in ROW_EDITS:
+    for name, old, new in ROW_EDITS + PHI_EDITS:
         model = parse_model(mutate(cavity_text, old, new, name))
         model = model.to_float() if floating else model
         failing = [c.condition_id for c in run_checks(model).conditions if not c.passed]
         assert failing == ROW_EDIT_FAILURES[name], name
+
+
+def test_every_condition_fails_on_some_edit(cavity_text):
+    failing = set()
+    for name, old, new in MUTATIONS + ROW_EDITS + PHI_EDITS:
+        text = mutate(cavity_text, old, new, name)
+        for source in (text, WORKLOADS.strip_phi(text)):
+            failing |= {c.condition_id for c in run_checks(parse_model(source)).conditions
+                        if not c.passed}
+    assert failing == {row[0] for row in qrealize.checks.CONDITIONS}
 
 
 def test_realizability_lossless_equivalence(cavity, mutated_models):

@@ -11,7 +11,6 @@ from qrealize import (
     Scalar,
     guarded_indices,
     parse_model,
-    psd_check,
     represent,
     run_checks,
     verify_identity,
@@ -144,43 +143,6 @@ def test_verify_random_rewrites(two_modes):
         assert passed, dev
 
 
-# -- positivity ---------------------------------------------------------------
-
-def test_psd_number_operator(one_mode):
-    number = one_mode.creator(1) * one_mode.annihilator(1)
-    passed, min_eig = psd_check(number)
-    assert passed and min_eig == pytest.approx(0.0)
-
-
-def test_psd_shifted_number_operator_fails(one_mode):
-    shifted = one_mode.creator(1) * one_mode.annihilator(1) - 1
-    passed, min_eig = psd_check(shifted)
-    assert not passed
-    assert min_eig == pytest.approx(-1.0)
-
-
-def test_psd_requires_self_adjoint(one_mode):
-    with pytest.raises(ValueError, match="self-adjoint"):
-        psd_check(one_mode.annihilator(1))
-
-
-def test_psd_sees_up_to_the_degree_in_each_touched_mode():
-    # <n|phi|n> = n(n-1)(n-2) - 2n(n-1) is -4 at n = 2 and -6 at n = 3; a
-    # touched mode gets cap 6, and the eleven untouched modes none
-    alg = Algebra(12)
-    cre, ann = alg.creator(1), alg.annihilator(1)
-    phi = cre**3 * ann**3 - (cre**2 * ann**2).scale(2)
-    passed, min_eig = psd_check(phi)
-    assert not passed and min_eig == pytest.approx(-6.0)
-
-
-def test_psd_refuses_beyond_the_dimension_bound():
-    alg = Algebra(13)
-    phi = sum((alg.creator(j) * alg.annihilator(j) for j in range(1, 14)), alg.zero())
-    with pytest.raises(ValueError, match="dimension 8192 exceeds 4096"):
-        psd_check(phi * phi)
-
-
 # -- differential check against the dense tensor-product construction --------
 
 def dense_reference(p, truncation):
@@ -217,14 +179,6 @@ def test_blocks_match_dense_reference(n_modes, truncation, guard):
         assert np.max(np.abs(represent(p, truncation) - dense)) < 1e-12
         block = _guarded_block(p, truncation, guard)
         assert np.max(np.abs(block - dense[sub])) < 1e-12
-        # psd_check's block, up to d quanta per mode, is the dense product's
-        # at truncation 2d + 1 on the states it guards with guard d
-        phi = p + p.adjoint()
-        d = phi.max_degree
-        psd = np.ix_(*[guarded_indices(n_modes, 2 * d + 1, d)] * 2)
-        _, min_eig = psd_check(phi)
-        expected = np.linalg.eigvalsh(dense_reference(phi, 2 * d + 1)[psd]).min()
-        assert abs(min_eig - expected) < 1e-12
 
 
 # -- residual_deviation against the block on every mode ----------------------
